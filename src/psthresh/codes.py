@@ -295,7 +295,11 @@ def degeneracy_correction(scheme: str, p_g: float) -> float:
 # bit 7 the phase parity.  A qubit-i X error flips the parity-check
 # column plus the parity bit; a Z error does the same in the upper half.
 # Products of per-qubit character sums turn the 4^7 convolution into a
-# 256-point Walsh-Hadamard transform.
+# 256-point Walsh-Hadamard transform.  The product is accumulated one
+# qubit at a time in place, so a row holds two 256-double arrays (the
+# running product and the current qubit's character sums) rather than
+# all seven.  The map from character label u to the (syndrome, class)
+# output position is folded into the columns of the transform matrix.
 
 _H_COLS = (
     (0, 0, 1),
@@ -325,39 +329,30 @@ def _popcount_signs(masks: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _decomposition_tables():
-    cols = []
-    for col in _H_COLS:
-        cols.append(col[0] | (col[1] << 1) | (col[2] << 2))
-    mask_x = np.array([c | (1 << 3) for c in cols])
-    mask_z = np.array([(c << 4) | (1 << 7) for c in cols])
+    """Per-qubit character signs sig[7, 4, 256], and the 256x256
+    transform whose column at the (syndrome, class) position of character
+    u holds the character-u row of the Walsh-Hadamard matrix over 256."""
+    cols = [c[0] | (c[1] << 1) | (c[2] << 2) for c in _H_COLS]
+    s_x = _popcount_signs([c | (1 << 3) for c in cols])  # [7, 256]
+    s_z = _popcount_signs([(c << 4) | (1 << 7) for c in cols])
+    sig = np.stack([np.ones_like(s_x), s_x, s_x * s_z, s_z], axis=1)
 
-    s_x = _popcount_signs(mask_x)  # [7, 256]
-    s_z = _popcount_signs(mask_z)
-    s_i = np.ones_like(s_x)
-    sig = np.stack([s_i, s_x, s_x * s_z, s_z], axis=1)  # [7, 4, 256]
-
+    # character label u -> (syndrome, class) position; the logical bit of
+    # a sector is its parity, flipped when its syndrome is nontrivial
     u = np.arange(256)
-    both = u[:, None] & u[None, :]
-    pc = np.zeros_like(both)
-    for b in range(8):
-        pc += (both >> b) & 1
-    wht = np.where(pc % 2 == 0, 1.0, -1.0)  # [256, 256]
+    sa, sb = u & 7, (u >> 4) & 7
+    lx = ((u >> 3) & 1) ^ (sa != 0)
+    lz = ((u >> 7) & 1) ^ (sb != 0)
+    cls = np.array([[0, 3], [1, 2]])[lx, lz]
+    # Fortran order: OpenBLAS (0.3.31) picks its kernel for batches under 5
+    # rows by layout, and this one gives the same bits as the transposed,
+    # unpermuted transform (see _reference_decompose in tests/test_codes.py)
+    transform = np.empty((256, 256), order="F")
+    transform[:, 4 * (sa | (sb << 3)) + cls] = _popcount_signs(u) / 256.0
 
-    # map character label u to (syndrome, class) position
-    cls_of = {(0, 0): 0, (1, 0): 1, (1, 1): 2, (0, 1): 3}
-    perm = np.zeros(256, dtype=np.int64)
-    for uu in range(256):
-        sa = uu & 7
-        pa = (uu >> 3) & 1
-        sb = (uu >> 4) & 7
-        pb = (uu >> 7) & 1
-        lx = pa ^ (1 if sa != 0 else 0)
-        lz = pb ^ (1 if sb != 0 else 0)
-        perm[uu] = 4 * (sa | (sb << 3)) + cls_of[(lx, lz)]
-
-    for arr in (sig, wht, perm):
+    for arr in (sig, transform):
         arr.setflags(write=False)
-    return sig, wht, perm
+    return sig, transform
 
 
 def decompose_713(children: np.ndarray) -> np.ndarray:
@@ -369,18 +364,16 @@ def decompose_713(children: np.ndarray) -> np.ndarray:
     (bit | phase << 3), each half packed with parity-check row k at bit
     k, and axis 2 the logical class.
     """
-    sig, wht, perm = _decomposition_tables()
+    sig, transform = _decomposition_tables()
     children = np.asarray(children, dtype=float)
     if children.ndim == 2:
         children = children[None]
     if children.shape[1:] != (7, 4):
         raise ValueError("expected children of shape [batch, 7, 4]")
-    w = np.einsum("bia,iac->bic", children, sig)
-    qh = w.prod(axis=1)
-    q = qh @ wht.T / 256.0
-    out = np.zeros_like(q)
-    out[:, perm] = q
-    return out.reshape(-1, 64, 4)
+    qh = children[:, 0] @ sig[0]
+    for i in range(1, 7):
+        qh *= children[:, i] @ sig[i]
+    return (qh @ transform).reshape(-1, 64, 4)
 
 
 def recover_713(joint: np.ndarray):

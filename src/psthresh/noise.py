@@ -21,9 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import LABEL_INDEX, TWO_QUBIT_LABELS, commutation_signs
-
-_XZ_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+from .pauli import _XZ_BITS, LABEL_INDEX, TWO_QUBIT_LABELS, commutation_signs
 
 
 def _check_prob(name: str, value: float) -> float:

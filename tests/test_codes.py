@@ -8,6 +8,7 @@ distribution for the Walsh-Hadamard decomposition.
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -43,6 +44,7 @@ from psthresh.codes import (
     syndrome_class_entropy,
 )
 from psthresh.pauli import pauli_commutes
+from psthresh.threshold import McConfig, _mc_level, model_level0
 from psthresh.codes import stabilizer_generators_713
 
 # ---------------------------------------------------------------------------
@@ -285,6 +287,66 @@ def test_decompose_batched():
     for b in range(3):
         np.testing.assert_allclose(
             batched[b], decompose_713(children[b])[0], atol=1e-15
+        )
+
+
+@lru_cache(maxsize=1)
+def _reference_tables():
+    cols = [sum(row[i] << k for k, row in enumerate(PARITY_CHECK_713)) for i in range(7)]
+    u = np.arange(256)
+
+    def signs(masks):
+        v = np.asarray(masks)[:, None] & u[None, :]
+        pc = sum((v >> b) & 1 for b in range(8))
+        return np.where(pc % 2 == 0, 1.0, -1.0)
+
+    s_x = signs([c | (1 << 3) for c in cols])
+    s_z = signs([(c << 4) | (1 << 7) for c in cols])
+    sig = np.stack([np.ones_like(s_x), s_x, s_x * s_z, s_z], axis=1)
+    cls_of = {(0, 0): 0, (1, 0): 1, (1, 1): 2, (0, 1): 3}
+    perm = np.zeros(256, dtype=np.int64)
+    for uu in range(256):
+        sa, pa, sb, pb = uu & 7, (uu >> 3) & 1, (uu >> 4) & 7, uu >> 7
+        lx = pa ^ (1 if sa else 0)
+        lz = pb ^ (1 if sb else 0)
+        perm[uu] = 4 * (sa | (sb << 3)) + cls_of[(lx, lz)]
+    return sig, signs(u), perm
+
+
+def _reference_decompose(children):
+    """decompose_713 as first written: all seven per-qubit character sums
+    at once, their product, the Walsh-Hadamard transform, then a scatter
+    from character label to (syndrome, class) position."""
+    sig, wht, perm = _reference_tables()
+    children = np.asarray(children, dtype=float)
+    if children.ndim == 2:
+        children = children[None]
+    w = np.einsum("bia,iac->bic", children, sig)
+    q = w.prod(axis=1) @ wht.T / 256.0
+    out = np.zeros_like(q)
+    out[:, perm] = q
+    return out.reshape(-1, 64, 4)
+
+
+@pytest.fixture(scope="module")
+def knill_population():
+    """A knill population near threshold after four levels."""
+    config = McConfig()
+    popn = np.tile(model_level0("knill")(0.0688), (config.population, 1))
+    for level in range(1, 5):
+        popn = _mc_level(popn, config, level)
+    return popn
+
+
+# batch 1808 is the last chunk of a 10^4 population at the default chunk
+@pytest.mark.parametrize("batch", [1, 2, 512, 1808, 8192])
+def test_decompose_matches_reference(batch, knill_population):
+    rng = np.random.default_rng(batch)
+    raw = rng.random((batch, 7, 4))
+    drawn = rng.integers(0, knill_population.shape[0], size=(batch, 7))
+    for children in (raw / raw.sum(axis=2, keepdims=True), knill_population[drawn]):
+        np.testing.assert_array_equal(
+            decompose_713(children), _reference_decompose(children)
         )
 
 

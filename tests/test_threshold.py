@@ -8,7 +8,7 @@ takes a fraction of a second.
 import numpy as np
 import pytest
 
-from psthresh.codes import crash_poly_2317, crash_poly_713, decompose_713, recover_713
+from psthresh.codes import crash_poly_2317, crash_poly_713, recover_713
 from psthresh.noise import Depolarizing, Forward, model_family
 from psthresh.postselect import model_teleport_output
 from psthresh.threshold import (
@@ -38,6 +38,8 @@ from psthresh.threshold import (
     teleport_entropy,
     _mc_level,
 )
+
+from test_codes import _reference_decompose
 
 
 def test_shannon_entropy():
@@ -132,8 +134,9 @@ def test_mc_verdict_near_threshold_converges():
 
 
 def _reference_level(popn, config, level):
-    """One population level as first written: recovery on all 64
-    syndromes of every block, then the syndrome draw."""
+    """One population level as first written: the reference decomposition
+    and recovery on all 64 syndromes of every block, then the syndrome
+    draw."""
     pop = popn.shape[0]
     rng = np.random.default_rng((config.seed, level))
     idx = rng.integers(0, pop, size=(pop, 7))
@@ -143,7 +146,7 @@ def _reference_level(popn, config, level):
     for start in range(0, pop, config.chunk):
         stop = min(start + config.chunk, pop)
         weights[start:stop], cond[start:stop] = recover_713(
-            decompose_713(children[start:stop])
+            _reference_decompose(children[start:stop])
         )
     u = rng.random(pop)
     cum = np.cumsum(weights, axis=1)
