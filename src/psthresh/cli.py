@@ -19,7 +19,7 @@ import os
 import subprocess
 import sys
 
-from .noise import model_family
+from .noise import SOLVER_FAMILIES, model_family
 from .threshold import (
     BracketError,
     McConfig,
@@ -38,8 +38,6 @@ EXIT_OK = 0
 EXIT_BRACKET = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_USAGE = 64
-
-_FAMILIES = ("depolarizing", "knill", "forward")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -296,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("hashing", help="hashing-bound threshold of a noise family")
-    p.add_argument("--model", choices=_FAMILIES, required=True)
+    p.add_argument("--model", choices=SOLVER_FAMILIES, required=True)
     p.add_argument("--r", type=float, default=0.0, help="measurement fraction (depolarizing)")
     p.add_argument("--lo", type=float, default=1e-3)
     p.add_argument("--hi", type=float, default=0.25)
@@ -316,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("concat", help="Monte Carlo concatenation threshold ([[7,1,3]])")
     p.add_argument(
-        "--model", choices=("one-type",) + _FAMILIES, required=True,
+        "--model", choices=("one-type",) + SOLVER_FAMILIES, required=True,
         help="level-0 distribution: a raw one-type channel or a teleported model",
     )
     p.add_argument("--r", type=float, default=0.0)

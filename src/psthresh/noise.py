@@ -127,7 +127,8 @@ def measurement_m(model) -> float:
     raise TypeError("unknown noise model %r" % (model,))
 
 
-_FAMILIES = ("depolarizing", "knill", "forward", "independent")
+#: the model families the threshold solvers and the CLI take by name
+SOLVER_FAMILIES = ("depolarizing", "knill", "forward")
 
 
 def model_family(name: str, r: float = None):
@@ -143,7 +144,7 @@ def model_family(name: str, r: float = None):
         return Forward
     raise ValueError(
         "unknown model family %r (expected one of %s)"
-        % (name, ", ".join(_FAMILIES[:3]))
+        % (name, ", ".join(SOLVER_FAMILIES))
     )
 
 
@@ -153,7 +154,7 @@ def parse_model(text: str):
     ``independent:pf=0.01,pb=0.02,pm=0.003``."""
     name, _, arg_text = text.partition(":")
     name = name.strip().lower()
-    if name not in _FAMILIES:
+    if name not in SOLVER_FAMILIES + ("independent",):
         raise ValueError("unknown noise model %r" % name)
     args = {}
     if arg_text.strip():

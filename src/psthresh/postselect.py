@@ -8,16 +8,26 @@ destination out.  The surviving source qubit is then Hadamard-rotated,
 which swaps its x and z components.  Iterating this step from the
 noiseless channel (1, 1, 1) drives the pair toward a fixed point; the
 fixed point exists only below the threshold of the gate noise.
+
+The step runs in closed form on Python floats: the accept branch reads
+only 8 of the 16 gate-noise entries Q (II, IZ, XI, XZ, YI, YZ, ZI, ZZ),
+in the operation order of ``pauli.total_cnot_noise`` followed by
+``pauli.measure_traceout``, so it gives the same bits as that
+composition.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .noise import diagonal_q, measurement_m
-from .pauli import LABEL_INDEX, measure_traceout, total_cnot_noise
+from .pauli import _H4, LABEL_INDEX, VALIDITY_TOL
+
+#: the Q entries the accept branch of a purification step reads
+_ACCEPT_LABELS = ("II", "IZ", "XI", "XZ", "YI", "YZ", "ZI", "ZZ")
 
 
 class NoConvergenceError(RuntimeError):
@@ -43,6 +53,34 @@ def scalar_post(x1: float, x2: float) -> float:
     return (x1 + x2) / (1.0 + x1 * x2)
 
 
+def _accept_q(q) -> tuple:
+    """The 8 entries of q that _step reads, as Python floats."""
+    q = np.asarray(q, dtype=float)
+    return tuple(float(q[LABEL_INDEX[lab]]) for lab in _ACCEPT_LABELS)
+
+
+def _step(x: float, y: float, z: float, qa: tuple, m: float) -> tuple:
+    """post_step on floats, with qa = _accept_q(q).
+
+    Both CNOT inputs carry (x, y, z), so the conjugated entries read are
+    R_IZ = z z, R_XI = x x, R_XZ = y y, R_YI = y x, R_YZ = x y and
+    R_ZI = R_ZZ = z; the accept branch is (1/2)(A + mB) over the
+    sigma-I column A and sigma-Z column B of N = Q R.
+    """
+    q0, q3, q4, q7, q8, q11, q12, q15 = qa
+    b0 = m * (q3 * (z * z))
+    acc0 = 0.5 * (q0 + b0)
+    if acc0 <= 0:
+        raise ValueError("degenerate acceptance weight %g" % acc0)
+    rej0 = 0.5 * (q0 - b0)
+    if rej0 < -VALIDITY_TOL:
+        raise ValueError("negative rejection weight %g" % rej0)
+    ax = 0.5 * (q4 * (x * x) + m * (q7 * (y * y)))
+    ay = 0.5 * (q8 * (y * x) + m * (q11 * (x * y)))
+    az = 0.5 * (q12 * z + m * (q15 * z))
+    return az / acc0, ay / acc0, ax / acc0
+
+
 def post_step(channel, q, m: float = 1.0) -> np.ndarray:
     """One purification step on channel (x, y, z) under gate noise with
     diagonal entries q and measurement noise scalar m.
@@ -51,11 +89,8 @@ def post_step(channel, q, m: float = 1.0) -> np.ndarray:
     branch of the measured, traced-out noisy CNOT, followed by the
     Hadamard swap of the x and z components.
     """
-    channel = np.asarray(channel, dtype=float)
-    n = total_cnot_noise(q, channel, channel)
-    accept, _ = measure_traceout(n, m_noise=m)
-    x, y, z = accept.channel
-    return np.array([z, y, x])
+    x, y, z = np.asarray(channel, dtype=float).tolist()
+    return np.array(_step(x, y, z, _accept_q(q), float(m)))
 
 
 def fixed_point(q, tol: float = 1e-14, max_iter: int = 10**6, m: float = 1.0) -> FixedPointResult:
@@ -66,21 +101,25 @@ def fixed_point(q, tol: float = 1e-14, max_iter: int = 10**6, m: float = 1.0) ->
     acceptance probability breaks down, which is how an above-threshold
     gate noise manifests.
     """
-    c = np.ones(3)
+    qa = _accept_q(q)
+    m = float(m)
+    x = y = z = 1.0
     for i in range(1, max_iter + 1):
         try:
-            nxt = post_step(c, q, m=m)
+            nx, ny, nz = _step(x, y, z, qa, m)
         except ValueError as exc:
             raise NoConvergenceError(
                 "post-selection broke down after %d iterations: %s" % (i - 1, exc)
             ) from exc
-        residual = float(np.max(np.abs(nxt - c)))
-        c = nxt
-        if residual < tol:
-            return FixedPointResult(channel=c, iterations=i, residual=residual)
-        if not np.all(np.isfinite(c)):
+        if not (math.isfinite(nx) and math.isfinite(ny) and math.isfinite(nz)):
             raise NoConvergenceError(
                 "post-selection diverged after %d iterations" % i
+            )
+        residual = max(abs(nx - x), abs(ny - y), abs(nz - z))
+        x, y, z = nx, ny, nz
+        if residual < tol:
+            return FixedPointResult(
+                channel=np.array([x, y, z]), iterations=i, residual=residual
             )
     raise NoConvergenceError(
         "no fixed point within %d iterations (residual %.3g)" % (max_iter, residual)
@@ -101,7 +140,7 @@ def indep_fixed_point(f: float, b: float, m: float, tol: float = 1e-14) -> Indep
         x_b2 = x_g2 * x_g2 * f
         if abs(x_g2 - x_g) < tol and abs(x_b2 - x_b) < tol:
             return IndepFixedPoint(x_g=x_g2, x_b=x_b2)
-        if not (np.isfinite(x_g2) and np.isfinite(x_b2)):
+        if not (math.isfinite(x_g2) and math.isfinite(x_b2)):
             raise NoConvergenceError("independent recursion diverged")
         x_g, x_b = x_g2, x_b2
     raise NoConvergenceError("independent recursion did not converge")
@@ -124,16 +163,7 @@ def teleport_output(channel, q, m: float = 1.0) -> np.ndarray:
             m * x * z * g("IZ"),
         ]
     )
-    mat = np.array(
-        [
-            [1, 1, 1, 1],
-            [1, 1, -1, -1],
-            [1, -1, 1, -1],
-            [1, -1, -1, 1],
-        ],
-        dtype=float,
-    )
-    p = 0.25 * mat @ coeffs
+    p = 0.25 * _H4 @ coeffs
     if np.any(p < -1e-12):
         raise ValueError("teleported distribution has negative weight: %r" % (p,))
     return np.clip(p, 0.0, None)

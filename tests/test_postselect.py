@@ -7,8 +7,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from psthresh.noise import Depolarizing, Forward, diagonal_q, knill, measurement_m
+from psthresh.noise import (
+    Depolarizing,
+    Forward,
+    Independent,
+    diagonal_q,
+    knill,
+    measurement_m,
+)
+from psthresh.pauli import (
+    LABEL_INDEX,
+    VALIDITY_TOL,
+    dist_to_channel,
+    measure_traceout,
+    total_cnot_noise,
+)
 from psthresh.postselect import (
+    FixedPointResult,
     NoConvergenceError,
     combined_noise,
     fixed_point,
@@ -108,7 +123,140 @@ def test_fixed_point_breakdown():
     q[0] = 1.0
     with pytest.raises(NoConvergenceError):
         fixed_point(q)
+    assert _assert_same_as_reference(q) == (
+        NoConvergenceError,
+        "post-selection broke down after 0 iterations: degenerate acceptance weight 0",
+    )
 
 
 def test_combined_noise_formula():
     assert combined_noise(0.9, 0.8, 0.7) == pytest.approx(0.9**3 * 0.8**2 * 0.7)
+
+
+def _reference_fixed_point(q, tol=1e-14, max_iter=10**6, m=1.0):
+    """fixed_point as the numpy loop over the full 16-entry composition
+    measure_traceout(total_cnot_noise(q, c, c))."""
+    c = np.ones(3)
+    for i in range(1, max_iter + 1):
+        try:
+            accept, _ = measure_traceout(total_cnot_noise(q, c, c), m_noise=m)
+        except ValueError as exc:
+            raise NoConvergenceError(
+                "post-selection broke down after %d iterations: %s" % (i - 1, exc)
+            ) from exc
+        x, y, z = accept.channel
+        nxt = np.array([z, y, x])
+        residual = float(np.max(np.abs(nxt - c)))
+        c = nxt
+        if residual < tol:
+            return FixedPointResult(channel=c, iterations=i, residual=residual)
+        if not np.all(np.isfinite(c)):
+            raise NoConvergenceError("post-selection diverged after %d iterations" % i)
+    raise NoConvergenceError(
+        "no fixed point within %d iterations (residual %.3g)" % (max_iter, residual)
+    )
+
+
+def _outcome(solve, q, **kwargs):
+    """(channel bytes, iterations, residual) of a solve, or the type and
+    message of what it raised."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = solve(q, **kwargs)
+    except (NoConvergenceError, ValueError) as exc:
+        return type(exc), str(exc)
+    assert out.channel.dtype == np.float64 and out.channel.shape == (3,)
+    return out.channel.tobytes(), out.iterations, out.residual
+
+
+def _assert_same_as_reference(q, **kwargs):
+    got = _outcome(fixed_point, q, **kwargs)
+    assert got == _outcome(_reference_fixed_point, q, **kwargs)
+    return got
+
+
+# hashing thresholds: depolarizing r = 0, 0.5, 1 (knill) and forward
+_THRESHOLDS = (
+    ("r=0", lambda p: Depolarizing(p, 0.0), 0.0827511),
+    ("r=0.5", lambda p: Depolarizing(p, 0.5), 0.0752823),
+    ("r=1", knill, 0.0690240),
+    ("forward", Forward, 0.0481819),
+)
+
+
+@pytest.mark.parametrize("scale", [0.01, 0.1, 0.5, 0.99, 1.01, 1.5, 3.0, 8.0])
+@pytest.mark.parametrize(
+    "family,threshold", [t[1:] for t in _THRESHOLDS], ids=[t[0] for t in _THRESHOLDS]
+)
+def test_fixed_point_matches_reference(family, threshold, scale):
+    model = family(min(scale * threshold, 1.0))
+    q, m = diagonal_q(model), measurement_m(model)
+    for tol in (1e-14, 1e-9):
+        _assert_same_as_reference(q, tol=tol, m=m)
+    # the iteration budget runs out on the same residual
+    got = _assert_same_as_reference(q, max_iter=3, m=m)
+    assert got[0] is NoConvergenceError and "within 3 iterations" in got[1]
+
+
+def test_fixed_point_matches_reference_on_random_q():
+    # unphysical diagonals break the iteration down at varied depths
+    rng = np.random.default_rng(11)
+    raised = 0
+    for k in range(300):
+        q = rng.uniform(-1.0, 1.0, 16)
+        q[0] = 1.0
+        if k % 3 == 0:
+            q = np.sign(q) * np.abs(q) ** 0.05
+        m = rng.uniform(-1.0, 1.0) if k % 2 else 1.0
+        got = _assert_same_as_reference(q, tol=1e-12, max_iter=500, m=m)
+        raised += got[0] is NoConvergenceError
+    assert 50 < raised < 250
+
+
+def _random_channel(rng):
+    return dist_to_channel(rng.dirichlet(np.full(4, 0.3)))
+
+
+def _random_model(rng, k):
+    p = rng.uniform(0.0, 0.3)
+    if k % 3 == 0:
+        return Depolarizing(p, rng.uniform(0.0, 1.0))
+    if k % 3 == 1:
+        return Forward(p)
+    return Independent(p, rng.uniform(0.0, 0.3), rng.uniform(0.0, 0.3))
+
+
+def test_post_step_matches_traceout_composition():
+    rng = np.random.default_rng(5)
+    for k in range(300):
+        c = _random_channel(rng)
+        model = _random_model(rng, k)
+        q, m = diagonal_q(model), measurement_m(model)
+        accept, _ = measure_traceout(total_cnot_noise(q, c, c), m_noise=m)
+        x, y, z = accept.channel
+        assert np.array_equal(post_step(c, q, m=m), np.array([z, y, x]))
+
+
+def _crafted_q(**entries):
+    q = np.ones(16)
+    for lab, value in entries.items():
+        q[LABEL_INDEX[lab]] = value
+    return q
+
+
+def test_fixed_point_raises_on_negative_rejection():
+    # acceptance 0.5 (1 + 1.5) > 0 but rejection 0.5 (1 - 1.5) < 0
+    q = _crafted_q(IZ=1.5)
+    assert 0.5 * (1.0 - 1.5) < -VALIDITY_TOL
+    got = _assert_same_as_reference(q)
+    assert got == (
+        NoConvergenceError,
+        "post-selection broke down after 0 iterations: negative rejection weight -0.25",
+    )
+
+
+def test_fixed_point_raises_on_non_finite_iterate():
+    # finite entries whose sum overflows: the first iterate is infinite
+    q = _crafted_q(XI=1e308, XZ=1e308)
+    got = _assert_same_as_reference(q)
+    assert got == (NoConvergenceError, "post-selection diverged after 1 iterations")
