@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success, 2 when a deterministic solve cannot bracket
 its crossing (or a sweep has failed rows), 3 when a Monte Carlo verdict
-is inconclusive, 64 for usage errors.
+is inconclusive, 64 for usage errors, which include out-of-range values
+(--tol not above 0, a rate or fraction outside [0, 1], too few points,
+population, levels or seeds).
 
 Percentages are printed with 6 significant digits unless --raw asks for
 plain probabilities; sweeps use 9 significant digits.  Output for a
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -72,10 +75,25 @@ def _git_hash() -> str:
     return out.stdout.strip() or "unknown"
 
 
-def _family_fn(name: str, r: float):
-    if name == "depolarizing":
-        return model_family("depolarizing", r=r)
-    return model_family(name)
+def _checked(convert, ok, requirement):
+    """argparse type: convert the text, then reject values for which ok
+    is false as usage errors.  Unconvertible text keeps argparse's own
+    "invalid float value" message."""
+
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError("must be %s, got %r" % (requirement, text))
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
+_positive = _checked(float, lambda x: x > 0, "> 0")
+_unit = _checked(float, lambda x: 0 <= x <= 1, "in [0, 1]")
+_count = _checked(int, lambda n: n >= 1, ">= 1")
+_points = _checked(int, lambda n: n >= 2, ">= 2")
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +156,7 @@ _TABLES = {
 
 
 def cmd_hashing(args) -> int:
-    family = _family_fn(args.model, args.r)
+    family = model_family(args.model, r=args.r)
     try:
         thr = hashing_threshold(
             family, lo=args.lo, hi=args.hi, tol=args.tol, extend=not args.no_extend
@@ -159,11 +177,7 @@ def cmd_hashing(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.r_values:
-        r_values = args.r_values
-    else:
-        r_values = None
-    results = sweep_r(r_values=r_values, points=args.points, tol=args.tol)
+    results = sweep_r(r_values=args.r_values, points=args.points, tol=args.tol)
     rows = [(("%.9g" % r), ("%.9g" % (100.0 * thr))) for r, thr in results]
     failed = any(thr != thr for _, thr in results)  # NaN check
     if args.format == "json":
@@ -191,7 +205,7 @@ def cmd_concat(args) -> int:
     if args.model == "one-type":
         dist_fn = one_type_dist
     else:
-        dist_fn = model_level0(_family_fn(args.model, args.r))
+        dist_fn = model_level0(model_family(args.model, r=args.r))
     config = McConfig(
         population=args.population, levels=args.levels, seed=args.seed
     )
@@ -286,7 +300,9 @@ def cmd_capacity(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = _Parser(
         prog="psthresh",
         description="Post-selected fault-tolerance threshold calculations.",
@@ -295,19 +311,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hashing", help="hashing-bound threshold of a noise family")
     p.add_argument("--model", choices=SOLVER_FAMILIES, required=True)
-    p.add_argument("--r", type=float, default=0.0, help="measurement fraction (depolarizing)")
-    p.add_argument("--lo", type=float, default=1e-3)
-    p.add_argument("--hi", type=float, default=0.25)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--r", type=_unit, default=0.0, help="measurement fraction (depolarizing)")
+    p.add_argument("--lo", type=_unit, default=1e-3)
+    p.add_argument("--hi", type=_unit, default=0.25)
+    p.add_argument("--tol", type=_positive, default=1e-6)
     p.add_argument("--no-extend", action="store_true", help="fail instead of widening the bracket")
     p.add_argument("--raw", action="store_true", help="print the probability, not a percentage")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.set_defaults(func=cmd_hashing)
 
     p = sub.add_parser("sweep", help="depolarizing threshold vs measurement fraction r")
-    p.add_argument("--points", type=int, default=11)
-    p.add_argument("--r-values", type=float, nargs="+", default=None)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--points", type=_points, default=11)
+    p.add_argument("--r-values", type=_unit, nargs="+", default=None)
+    p.add_argument("--tol", type=_positive, default=1e-6)
     p.add_argument("--assert-monotone", action="store_true")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_sweep)
@@ -317,15 +333,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--model", choices=("one-type",) + SOLVER_FAMILIES, required=True,
         help="level-0 distribution: a raw one-type channel or a teleported model",
     )
-    p.add_argument("--r", type=float, default=0.0)
-    p.add_argument("--at", type=float, default=None, help="single verdict at this rate")
-    p.add_argument("--lo", type=float, default=None)
-    p.add_argument("--hi", type=float, default=None)
-    p.add_argument("--population", type=int, default=10_000)
-    p.add_argument("--levels", type=int, default=12)
+    p.add_argument("--r", type=_unit, default=0.0)
+    p.add_argument("--at", type=_unit, default=None, help="single verdict at this rate")
+    p.add_argument("--lo", type=_unit, default=None)
+    p.add_argument("--hi", type=_unit, default=None)
+    p.add_argument("--population", type=_count, default=10_000)
+    p.add_argument("--levels", type=_count, default=12)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--seeds", type=int, default=1, help="average this many seeds (error bar)")
-    p.add_argument("--tol", type=float, default=2e-4)
+    p.add_argument("--seeds", type=_count, default=1, help="average this many seeds (error bar)")
+    p.add_argument("--tol", type=_positive, default=2e-4)
     p.add_argument("--raw", action="store_true")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.set_defaults(func=cmd_concat)

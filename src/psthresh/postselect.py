@@ -183,5 +183,5 @@ def model_fixed_point(model, tol: float = 1e-14, max_iter: int = 10**6) -> Fixed
 
 def model_teleport_output(model, tol: float = 1e-14) -> np.ndarray:
     """Teleported error distribution at the model's fixed point."""
-    res = model_fixed_point(model, tol=tol)
-    return teleport_output(res.channel, diagonal_q(model), m=measurement_m(model))
+    q, m = diagonal_q(model), measurement_m(model)
+    return teleport_output(fixed_point(q, tol=tol, m=m).channel, q, m=m)

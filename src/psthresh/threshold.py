@@ -3,7 +3,8 @@ dynamics for the concatenated [[7,1,3]] code, entropy matching and
 crash-probability estimates for the [[23,1,7]] code, and the small
 closed-form estimates built on top of them.
 
-All deterministic solvers are plain bisections; the Monte Carlo verdict
+Every solver locates its crossing with `bisect`, the one bracket-halving
+loop; each caller checks its own bracket first.  The Monte Carlo verdict
 uses counter-based random streams keyed by (seed, level) so results are
 reproducible and levels could be drawn independently.
 """
@@ -56,6 +57,28 @@ def teleport_entropy(model) -> float:
         return float("inf")
 
 
+def bisect(lower, lo: float, hi: float, tol: float) -> float:
+    """Midpoint of [lo, hi] once bisection has narrowed it to width tol.
+
+    Each probe is mid = (lo + hi) / 2: lower(mid) true moves lo up to
+    mid, false brings hi down to it.  The caller checks the bracket.
+    Raises ValueError unless tol > 0 (NaN included).  The loop also
+    stops once mid is no longer strictly inside (lo, hi), which only a
+    tolerance under the float spacing at the crossing can reach.
+    """
+    if not tol > 0:
+        raise ValueError("bisection tolerance must be positive, got %r" % tol)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if lower(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def _resolve_family(family):
     if isinstance(family, str):
         return model_family(family)
@@ -99,14 +122,7 @@ def hashing_threshold(
             break
     else:
         raise BracketError("no above-threshold point found")
-
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if above(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return bisect(lambda p: not above(p), lo, hi, tol)
 
 
 def sweep_r(r_values=None, points: int = 11, **kwargs):
@@ -133,35 +149,15 @@ def sweep_r(r_values=None, points: int = 11, **kwargs):
 def capacity_one_type(tol: float = 1e-9) -> float:
     """Flip rate p of a single-type channel (0, 0, p) at which its
     sector entropy h(p) reaches half a bit."""
-    lo, hi = 0.0, 0.5
-
-    def h(p):
-        return shannon_entropy([1 - p, p])
-
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if h(mid) < 0.5:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect(lambda p: shannon_entropy([1 - p, p]) < 0.5, 0.0, 0.5, tol)
 
 
 def capacity_three_type(tol: float = 1e-9) -> float:
     """Error rate p of the symmetric channel (p, p, p) at which the full
     distribution's entropy reaches one bit."""
-    lo, hi = 0.0, 1.0 / 3.0
-
-    def h(p):
-        return shannon_entropy([1 - 3 * p, p, p, p])
-
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if h(mid) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect(
+        lambda p: shannon_entropy([1 - 3 * p, p, p, p]) < 1.0, 0.0, 1.0 / 3.0, tol
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -240,35 +236,28 @@ def mc_verdict(dist0, config: McConfig = McConfig()):
     return "inconclusive", config.levels
 
 
+def _mc_is_below(dist_fn, config: McConfig):
+    """Predicate p -> the flow from dist_fn(p) is judged below threshold."""
+    return lambda p: mc_verdict(dist_fn(p), config)[0] == "below"
+
+
 def concat_threshold_mc(
     dist_fn,
     lo: float,
     hi: float,
     config: McConfig = McConfig(),
     tol: float = 2e-4,
-    check_bracket: bool = True,
 ) -> float:
     """Bisect the population-dynamics verdict between lo (below) and hi
     (above).  dist_fn maps the error rate to the level-0 distribution.
     Inconclusive verdicts count as above, so the estimate errs low.
     """
-
-    def is_below(p):
-        verdict, _ = mc_verdict(dist_fn(p), config)
-        return verdict == "below"
-
-    if check_bracket:
-        if not is_below(lo):
-            raise BracketError("population does not converge at lo=%g" % lo)
-        if is_below(hi):
-            raise BracketError("population still converges at hi=%g" % hi)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if is_below(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    is_below = _mc_is_below(dist_fn, config)
+    if not is_below(lo):
+        raise BracketError("population does not converge at lo=%g" % lo)
+    if is_below(hi):
+        raise BracketError("population still converges at hi=%g" % hi)
+    return bisect(is_below, lo, hi, tol)
 
 
 def mc_threshold_error_bar(
@@ -281,15 +270,13 @@ def mc_threshold_error_bar(
 ):
     """Mean and sample standard deviation of the Monte Carlo threshold
     over n_seeds independent seeds (at least 10 for a meaningful bar),
-    plus the individual estimates."""
+    plus the individual estimates.  The bracket is not checked per seed."""
     if n_seeds < 2:
         raise ValueError("need at least two seeds for an error bar")
-    estimates = []
-    for i in range(n_seeds):
-        cfg = replace(config, seed=config.seed + i)
-        estimates.append(
-            concat_threshold_mc(dist_fn, lo, hi, cfg, tol=tol, check_bracket=False)
-        )
+    estimates = [
+        bisect(_mc_is_below(dist_fn, replace(config, seed=config.seed + i)), lo, hi, tol)
+        for i in range(n_seeds)
+    ]
     arr = np.asarray(estimates)
     return float(arr.mean()), float(arr.std(ddof=1)), estimates
 
@@ -346,13 +333,7 @@ def entropy_match_threshold(
 
     if value(lo) > target_entropy or value(hi) < target_entropy:
         raise BracketError("entropy target not bracketed by [%g, %g]" % (lo, hi))
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if value(mid) < target_entropy:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect(lambda p: value(p) < target_entropy, lo, hi, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -382,16 +363,9 @@ def crash_difference_threshold(
     def margin(p):
         return (poly(forward_combined_diagonal(p)) - base) / 2.0
 
-    hi = p_baseline
     if margin(lo) < delta:
         raise BracketError("crash margin never reaches delta above lo=%g" % lo)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if margin(mid) > delta:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect(lambda p: margin(p) > delta, lo, p_baseline, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -441,13 +415,7 @@ def fixed_fidelity_point(code: str, family: str, tol: float = 1e-9):
         lo, hi = 0.02, 0.065
         if gap(lo) <= 0 or gap(hi) >= 0:
             raise BracketError("no fixed-fidelity crossing in [%g, %g]" % (lo, hi))
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if gap(mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-        p = 0.5 * (lo + hi)
+        p = bisect(lambda p: gap(p) > 0, lo, hi, tol)
         return p, float(model_teleport_output(fam(p))[0])
 
     if code == "713" and family == "forward":
@@ -459,13 +427,7 @@ def fixed_fidelity_point(code: str, family: str, tol: float = 1e-9):
         lo, hi = 0.02, 0.04
         if gap(lo) <= 0 or gap(hi) >= 0:
             raise BracketError("no fixed-fidelity crossing in [%g, %g]" % (lo, hi))
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if gap(mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-        pf = 0.5 * (lo + hi)
+        pf = bisect(lambda p: gap(p) > 0, lo, hi, tol)
         return pf, ((1.0 + forward_combined_diagonal(pf)) / 2.0) ** 2
 
     if code == "2317" and family == "forward":
@@ -475,22 +437,8 @@ def fixed_fidelity_point(code: str, family: str, tol: float = 1e-9):
         lo_c, hi_c = 0.5, 0.999999
         if poly(lo_c) >= lo_c or poly(hi_c) <= hi_c:
             raise BracketError("no nontrivial f23 fixed point bracketed")
-        while hi_c - lo_c > tol:
-            mid = 0.5 * (lo_c + hi_c)
-            if poly(mid) < mid:
-                lo_c = mid
-            else:
-                hi_c = mid
-        c_star = 0.5 * (lo_c + hi_c)
-
-        lo_p, hi_p = 1e-4, 0.2
-        while hi_p - lo_p > tol:
-            mid = 0.5 * (lo_p + hi_p)
-            if forward_combined_diagonal(mid) > c_star:
-                lo_p = mid
-            else:
-                hi_p = mid
-        pf = 0.5 * (lo_p + hi_p)
+        c_star = bisect(lambda c: poly(c) < c, lo_c, hi_c, tol)
+        pf = bisect(lambda p: forward_combined_diagonal(p) > c_star, 1e-4, 0.2, tol)
         return pf, ((1.0 + c_star) / 2.0) ** 2
 
     raise ValueError("unsupported fixed-fidelity pair (%r, %r)" % (code, family))

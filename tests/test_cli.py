@@ -88,6 +88,37 @@ def test_usage_errors():
         assert exc.value.code == 64
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hashing", "--model", "knill", "--tol", "0"],
+        ["hashing", "--model", "knill", "--tol", "-1"],
+        ["hashing", "--model", "knill", "--tol", "nan"],
+        ["hashing", "--model", "knill", "--lo", "2"],
+        ["hashing", "--model", "knill", "--hi", "7"],
+        ["hashing", "--model", "depolarizing", "--r", "2"],
+        ["sweep", "--tol", "0"],
+        ["sweep", "--points", "1"],
+        ["sweep", "--points", "0"],
+        ["sweep", "--r-values", "1.5"],
+        ["concat", "--model", "one-type", "--lo", "0.05", "--hi", "0.18", "--tol", "0"],
+        ["concat", "--model", "one-type", "--at", "0.1", "--population", "0"],
+        ["concat", "--model", "one-type", "--at", "0.1", "--levels", "0"],
+        ["concat", "--model", "one-type", "--lo", "0.05", "--hi", "0.18", "--seeds", "0"],
+        ["concat", "--model", "one-type", "--at", "-0.1"],
+    ],
+    ids=" ".join,
+)
+def test_bad_input_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: psthresh %s" % argv[0])
+    assert "error: argument %s" % argv[-2] in captured.err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

@@ -5,6 +5,8 @@ Monte Carlo machinery is exercised at small populations where a verdict
 takes a fraction of a second.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from psthresh.threshold import (
     ALPHA_CONVERGENCE,
     BracketError,
     McConfig,
+    bisect,
     capacity_one_type,
     capacity_three_type,
     concat_threshold_mc,
@@ -46,6 +49,79 @@ def test_shannon_entropy():
     assert shannon_entropy([1.0, 0.0]) == 0.0
     assert shannon_entropy([0.5, 0.5]) == pytest.approx(1.0)
     assert shannon_entropy([0.25] * 4) == pytest.approx(2.0)
+
+
+# ---------------------------------------------------------------------------
+# bisection
+
+
+def _reference_bisect(lower, lo, hi, tol):
+    """The loop each solver wrote out inline before bisect existed."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if lower(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+BISECT_PREDICATES = {
+    "step at 0.3": lambda p: p < 0.3,
+    "quadratic": lambda p: p * p < 0.0048,
+    "entropy": lambda p: shannon_entropy([1 - p, p]) < 0.5,
+    # NaN compares false, so the negated test moves lo up, as hashing does
+    "nan below": lambda p: not (math.nan >= 1.0),
+    "true everywhere": lambda p: True,
+    "false everywhere": lambda p: False,
+    # the first probe of [0, 1] is exactly 0.5: a tie on either side
+    "tie moves hi": lambda p: p < 0.5,
+    "tie moves lo": lambda p: p <= 0.5,
+}
+BISECT_BRACKETS = ((0.0, 1.0), (1e-3, 0.25), (0.09, 0.13), (0.3, 0.7))
+
+
+@pytest.mark.parametrize("name", sorted(BISECT_PREDICATES))
+def test_bisect_matches_reference_loop(name):
+    pred = BISECT_PREDICATES[name]
+    for lo, hi in BISECT_BRACKETS:
+        for tol in (0.1, 2e-4, 1e-6, 1e-9, 1e-12):
+            probes, ref_probes = [], []
+            got = bisect(lambda p: probes.append(p) or pred(p), lo, hi, tol)
+            want = _reference_bisect(
+                lambda p: ref_probes.append(p) or pred(p), lo, hi, tol
+            )
+            assert got == want, (lo, hi, tol)
+            assert probes == ref_probes, (lo, hi, tol)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_bisect_rejects_non_positive_tol(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        bisect(lambda p: p < 0.3, 0.0, 1.0, tol)
+
+
+def _at_most(probes, pred):
+    """pred, failing the test instead of hanging after `probes` calls."""
+    calls = []
+
+    def bounded(p):
+        calls.append(p)
+        assert len(calls) <= probes, "bisection did not stop"
+        return pred(p)
+
+    return bounded
+
+
+def test_bisect_returns_below_float_spacing():
+    # 1e-300 is far under the spacing of floats near the crossing, so
+    # the interval stops shrinking once its midpoint rounds to an end;
+    # halving 1.0 down to 1e-300 takes 997 probes
+    got = bisect(_at_most(2000, lambda p: p < 0.3), 0.0, 1.0, 1e-300)
+    assert got == pytest.approx(0.3, abs=1e-16)
+    got = bisect(_at_most(2000, lambda p: True), 0.0, 1.0, 1e-300)
+    assert got == pytest.approx(1.0, abs=1e-16)
+    assert bisect(_at_most(2000, lambda p: False), 0.0, 1.0, 1e-300) < 1e-300
 
 
 # ---------------------------------------------------------------------------
