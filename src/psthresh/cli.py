@@ -31,7 +31,7 @@ from .threshold import (
     concat_threshold_mc,
     hashing_threshold,
     mc_threshold_error_bar,
-    mc_verdict,
+    mc_verdict_at,
     model_level0,
     one_type_dist,
     sweep_r,
@@ -211,7 +211,7 @@ def cmd_concat(args) -> int:
     )
 
     if args.at is not None:
-        verdict, level = mc_verdict(dist_fn(args.at), config)
+        verdict, level = mc_verdict_at(dist_fn, args.at, config)
         if args.format == "json":
             print(
                 json.dumps(

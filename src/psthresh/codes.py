@@ -296,10 +296,18 @@ def degeneracy_correction(scheme: str, p_g: float) -> float:
 # column plus the parity bit; a Z error does the same in the upper half.
 # Products of per-qubit character sums turn the 4^7 convolution into a
 # 256-point Walsh-Hadamard transform.  The product is accumulated one
-# qubit at a time in place, so a row holds two 256-double arrays (the
-# running product and the current qubit's character sums) rather than
-# all seven.  The map from character label u to the (syndrome, class)
-# output position is folded into the columns of the transform matrix.
+# qubit at a time in place, in two [batch, 256] buffers (the running
+# product and the current qubit's character sums) that the transform
+# then reuses for its output, so a call allocates nothing per qubit.  The
+# map from character label u to the (syndrome, class) output position is
+# folded into the columns of the transform matrix.
+#
+# The Monte Carlo level calls this on row blocks of 256 individuals, so
+# that both buffers (1 MiB) stay in a core's L2 through the product, the
+# transform and the syndrome draw.  A row's bits do not depend on the
+# batch around it from 5 rows up; for 1-4 rows OpenBLAS (0.3.31) takes
+# another kernel, whose bits differ, so the level folds a tail of 1-4
+# rows into the block before it.
 
 _H_COLS = (
     (0, 0, 1),
@@ -370,10 +378,12 @@ def decompose_713(children: np.ndarray) -> np.ndarray:
         children = children[None]
     if children.shape[1:] != (7, 4):
         raise ValueError("expected children of shape [batch, 7, 4]")
-    qh = children[:, 0] @ sig[0]
+    qh = np.empty((children.shape[0], 256))
+    term = np.empty_like(qh)
+    np.matmul(children[:, 0], sig[0], qh)
     for i in range(1, 7):
-        qh *= children[:, i] @ sig[i]
-    return (qh @ transform).reshape(-1, 64, 4)
+        qh *= np.matmul(children[:, i], sig[i], term)
+    return np.matmul(qh, transform, term).reshape(-1, 64, 4)
 
 
 def recover_713(joint: np.ndarray):

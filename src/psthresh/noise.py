@@ -24,10 +24,14 @@ import numpy as np
 from .pauli import _XZ_BITS, LABEL_INDEX, TWO_QUBIT_LABELS, commutation_signs
 
 
+class RateError(ValueError):
+    """A model parameter (rate or fraction) lies outside [0, 1]."""
+
+
 def _check_prob(name: str, value: float) -> float:
     value = float(value)
     if not 0.0 <= value <= 1.0:
-        raise ValueError("%s must be in [0, 1], got %g" % (name, value))
+        raise RateError("%s must be in [0, 1], got %g" % (name, value))
     return value
 
 
@@ -40,8 +44,7 @@ class Depolarizing:
 
     def __post_init__(self):
         _check_prob("p", self.p)
-        if not 0.0 <= self.r <= 1.0:
-            raise ValueError("r must be in [0, 1], got %g" % self.r)
+        _check_prob("r", self.r)
 
 
 def knill(p: float) -> Depolarizing:

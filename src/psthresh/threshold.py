@@ -27,7 +27,7 @@ from .codes import (
     postselect_classes,
     recover_713,
 )
-from .noise import Depolarizing, Forward, model_family
+from .noise import Depolarizing, Forward, RateError, model_family
 from .postselect import (
     NoConvergenceError,
     combined_noise,
@@ -128,7 +128,8 @@ def hashing_threshold(
 def sweep_r(r_values=None, points: int = 11, **kwargs):
     """Depolarizing hashing threshold as a function of the measurement
     error fraction r; returns a list of (r, threshold) pairs, with NaN
-    thresholds where the solve fails."""
+    thresholds where the bracket fails or the model rejects r.  Other
+    errors, such as a bad tolerance, are raised."""
     if r_values is None:
         r_values = [i / (points - 1) for i in range(points)]
     out = []
@@ -136,7 +137,7 @@ def sweep_r(r_values=None, points: int = 11, **kwargs):
         rr = float(r)
         try:
             thr = hashing_threshold(lambda p: Depolarizing(p, r=rr), **kwargs)
-        except (BracketError, ValueError):
+        except (BracketError, RateError):
             thr = float("nan")
         out.append((rr, thr))
     return out
@@ -181,13 +182,55 @@ class McConfig:
     runs for at most `levels` levels; it stops as below threshold once
     the mean infidelity falls under target_infidelity, and as above once
     it passes ABOVE_INFIDELITY.
+
+    A level runs in row blocks of _BLOCK_ROWS individuals, so that the
+    block's character product, transform and syndrome draw stay in
+    cache; a tail of 1-4 rows joins the block before it, because this
+    OpenBLAS takes another kernel, with other bits, for batches under 5
+    rows (see decompose_713).  Results do not depend on the block size.
     """
 
     population: int = 10_000
     levels: int = 12
     seed: int = 1
     target_infidelity: float = 1e-6
-    chunk: int = 8192
+
+
+#: individuals per decomposition block: two [block, 256] buffers of
+#: doubles (1 MiB) fit in a core's L2
+_BLOCK_ROWS = 256
+
+#: smallest batch that decompose_713 computes with the large-batch kernel
+_MIN_BLOCK_ROWS = 5
+
+
+def _row_blocks(n: int):
+    """(start, stop) row ranges of _BLOCK_ROWS covering n rows, the last
+    one extended by a tail of fewer than _MIN_BLOCK_ROWS rows."""
+    edges = list(range(0, n, _BLOCK_ROWS))
+    if len(edges) > 1 and n - edges[-1] < _MIN_BLOCK_ROWS:
+        edges.pop()
+    edges.append(n)
+    return zip(edges[:-1], edges[1:])
+
+
+def _level_draws(pop: int, seed: int, level: int):
+    """Parent indices [pop, 7] and syndrome uniforms [pop] of a level,
+    drawn in that order from the (seed, level) stream."""
+    rng = np.random.default_rng((seed, level))
+    idx = rng.integers(0, pop, size=(pop, 7))
+    return idx, rng.random(pop)
+
+
+def _draw_syndromes(joint: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Syndrome drawn by each uniform in u from the syndrome weights of
+    joint, which holds one decomposition per uniform or one shared by
+    all."""
+    # adding the four slices gives the bits of joint.sum(axis=2) at a
+    # quarter of its cost
+    weights = joint[..., 0] + joint[..., 1] + joint[..., 2] + joint[..., 3]
+    cum = np.cumsum(weights, axis=1)
+    return np.minimum((cum < u[:, None]).sum(axis=1), 63)
 
 
 def _mc_level(popn: np.ndarray, config: McConfig, level: int) -> np.ndarray:
@@ -196,22 +239,30 @@ def _mc_level(popn: np.ndarray, config: McConfig, level: int) -> np.ndarray:
     block's syndrome weights, and recovery is applied to that syndrome
     alone."""
     pop = popn.shape[0]
-    rng = np.random.default_rng((config.seed, level))
-    idx = rng.integers(0, pop, size=(pop, 7))
-    u = rng.random(pop)
+    idx, u = _level_draws(pop, config.seed, level)
     out = np.empty_like(popn)
-    for start in range(0, pop, config.chunk):
-        stop = min(start + config.chunk, pop)
+    for start, stop in _row_blocks(pop):
         joint = decompose_713(popn[idx[start:stop]])
-        # syndrome weights: adding the four slices gives the bits of
-        # joint.sum(axis=2) at a quarter of its cost
-        weights = joint[..., 0] + joint[..., 1] + joint[..., 2] + joint[..., 3]
-        cum = np.cumsum(weights, axis=1)
-        pick = np.minimum((cum < u[start:stop, None]).sum(axis=1), 63)
-        chosen = joint[np.arange(stop - start), pick]
+        chosen = joint[np.arange(stop - start), _draw_syndromes(joint, u[start:stop])]
         _, cond = recover_713(chosen[:, None, :])
         out[start:stop] = cond[:, 0]
     return out
+
+
+def _mc_first_level(dist0: np.ndarray, config: McConfig) -> np.ndarray:
+    """_mc_level at level 1 from a population that is dist0 throughout.
+
+    Every block of seven parents is then the same, so it is decomposed
+    and recovered once, on as many identical rows as the smallest block
+    of the population holds, and each individual takes the conditional
+    row of its drawn syndrome.  The parent indices are still drawn, so
+    the uniforms come from the same place in the stream.
+    """
+    _, u = _level_draws(config.population, config.seed, 1)
+    rows = min(config.population, _MIN_BLOCK_ROWS)
+    joint = decompose_713(np.tile(dist0, (rows, 7, 1)))[:1]
+    _, cond = recover_713(joint)
+    return cond[0, _draw_syndromes(joint, u)]
 
 
 def mc_verdict(dist0, config: McConfig = McConfig()):
@@ -225,9 +276,12 @@ def mc_verdict(dist0, config: McConfig = McConfig()):
     does neither within config.levels levels is inconclusive.
     """
     dist0 = np.asarray(dist0, dtype=float)
-    popn = np.tile(dist0, (config.population, 1))
+    popn = None
     for level in range(1, config.levels + 1):
-        popn = _mc_level(popn, config, level)
+        if level == 1:
+            popn = _mc_first_level(dist0, config)
+        else:
+            popn = _mc_level(popn, config, level)
         infidelity = 1.0 - popn[:, 0].mean()
         if infidelity < config.target_infidelity:
             return "below", level
@@ -236,9 +290,23 @@ def mc_verdict(dist0, config: McConfig = McConfig()):
     return "inconclusive", config.levels
 
 
+def mc_verdict_at(dist_fn, p: float, config: McConfig = McConfig()):
+    """mc_verdict of the flow from the level-0 distribution dist_fn(p).
+
+    Where that distribution breaks down (its post-selection fixed point
+    keeps nothing, far above threshold), the verdict is ('above', 0),
+    just as teleport_entropy makes the entropy infinite there.
+    """
+    try:
+        dist0 = dist_fn(p)
+    except NoConvergenceError:
+        return "above", 0
+    return mc_verdict(dist0, config)
+
+
 def _mc_is_below(dist_fn, config: McConfig):
     """Predicate p -> the flow from dist_fn(p) is judged below threshold."""
-    return lambda p: mc_verdict(dist_fn(p), config)[0] == "below"
+    return lambda p: mc_verdict_at(dist_fn, p, config)[0] == "below"
 
 
 def concat_threshold_mc(

@@ -335,7 +335,7 @@ def test_criterion_11_internal_consistency():
     checks.append(("dist/channel round trip, 200 draws", ok, "< 1e-12"))
 
     # Monte Carlo determinism under a fixed seed
-    quick = McConfig(population=400, levels=8, seed=5, chunk=256)
+    quick = McConfig(population=400, levels=8, seed=5)
     same_verdict = mc_verdict(one_type_dist(0.10), quick) == mc_verdict(
         one_type_dist(0.10), quick
     )

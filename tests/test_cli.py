@@ -194,6 +194,22 @@ def test_concat_verdict_inconclusive(capsys):
     assert out.split()[0] == "inconclusive"
 
 
+def test_concat_level0_breakdown_is_above(capsys):
+    # forward noise at rate 1 leaves no post-selection fixed point
+    argv = ["concat", "--model", "forward", "--at", "1", "--population", "200", "--levels", "3"]
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (0, "above 0\n", "")
+    code, out, _ = run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    assert json.loads(out) == {"level": 0, "model": "forward", "p": 1.0, "verdict": "above"}
+    # bisection probes that break down count as above too
+    code, out, _ = run(
+        capsys, ["concat", "--model", "forward", "--lo", "0.01", "--hi", "1", "--tol", "0.05"] + QUICK_MC
+    )
+    assert code == 0
+    assert 1 < float(out) < 10
+
+
 def test_concat_requires_target(capsys):
     code, _, err = run(capsys, ["concat", "--model", "one-type"])
     assert code == 64

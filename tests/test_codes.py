@@ -338,8 +338,10 @@ def knill_population():
     return popn
 
 
-# batch 1808 is the last chunk of a 10^4 population at the default chunk
-@pytest.mark.parametrize("batch", [1, 2, 512, 1808, 8192])
+# batch 16 is the last block of a 10^4 population and 256 a full block of
+# a population level; 1808 was the last 8192-row chunk of a 10^4
+# population before levels ran in 256-row blocks
+@pytest.mark.parametrize("batch", [1, 2, 16, 256, 512, 1808, 8192])
 def test_decompose_matches_reference(batch, knill_population):
     rng = np.random.default_rng(batch)
     raw = rng.random((batch, 7, 4))
@@ -348,6 +350,16 @@ def test_decompose_matches_reference(batch, knill_population):
         np.testing.assert_array_equal(
             decompose_713(children), _reference_decompose(children)
         )
+
+
+def test_decompose_rows_match_any_batch(knill_population):
+    # a population level relies on this: from 5 rows up, a row's bits do
+    # not depend on the batch around it (OpenBLAS takes another kernel,
+    # with other bits, for 1-4 rows)
+    children = knill_population[np.random.default_rng(0).integers(0, 10_000, (8192, 7))]
+    full = decompose_713(children)
+    for start, stop in ((0, 5), (0, 16), (100, 356), (7932, 8192), (8187, 8192)):
+        np.testing.assert_array_equal(decompose_713(children[start:stop]), full[start:stop])
 
 
 def test_decompose_rejects_bad_shape():

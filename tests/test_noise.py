@@ -14,6 +14,7 @@ from psthresh.noise import (
     Depolarizing,
     Forward,
     Independent,
+    RateError,
     diagonal_q,
     knill,
     measurement_m,
@@ -96,7 +97,7 @@ def test_knill_is_depolarizing_with_full_measurement():
 def test_validation():
     with pytest.raises(ValueError):
         Depolarizing(-0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(RateError, match="r must be in"):
         Depolarizing(0.05, r=1.5)
     with pytest.raises(ValueError):
         Forward(1.2)

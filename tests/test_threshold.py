@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from psthresh.codes import crash_poly_2317, crash_poly_713, recover_713
-from psthresh.noise import Depolarizing, Forward, model_family
+from psthresh.noise import Depolarizing, Forward, RateError, model_family
+from psthresh.postselect import NoConvergenceError
 from psthresh.postselect import model_teleport_output
 from psthresh.threshold import (
     ABOVE_INFIDELITY,
@@ -31,6 +32,7 @@ from psthresh.threshold import (
     hashing_threshold,
     mc_threshold_error_bar,
     mc_verdict,
+    mc_verdict_at,
     model_level0,
     model_pair_entropy,
     one_type_dist,
@@ -39,7 +41,9 @@ from psthresh.threshold import (
     shannon_entropy,
     sweep_r,
     teleport_entropy,
+    _mc_first_level,
     _mc_level,
+    _row_blocks,
 )
 
 from test_codes import _reference_decompose
@@ -174,6 +178,19 @@ def test_sweep_r_decreases():
     assert thr[0] > thr[1] > thr[2]
 
 
+def test_sweep_r_nan_only_for_rejected_rates():
+    # the model's own rejection of r is a failed row
+    with pytest.raises(RateError):
+        Depolarizing(0.05, r=1.5)
+    rows = sweep_r(r_values=[1.5, 0.0], tol=1e-6)
+    assert rows[0][0] == 1.5 and math.isnan(rows[0][1])
+    assert rows[1][1] == pytest.approx(0.0827515, abs=1e-5)
+    # a bad tolerance is the caller's error, not a failed row
+    for tol in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="tolerance"):
+            sweep_r(r_values=[0.0], tol=tol)
+
+
 def test_capacities():
     assert capacity_one_type() == pytest.approx(0.1100279, abs=1e-6)
     assert capacity_three_type() == pytest.approx(0.0630965, abs=1e-6)
@@ -183,7 +200,7 @@ def test_capacities():
 # Monte Carlo population dynamics
 
 
-QUICK = McConfig(population=400, levels=8, seed=5, chunk=256)
+QUICK = McConfig(population=400, levels=8, seed=5)
 
 
 def test_mc_verdict_deterministic():
@@ -209,6 +226,13 @@ def test_mc_verdict_near_threshold_converges():
     assert 0.16 < ABOVE_INFIDELITY < 0.5
 
 
+#: rows per reference decomposition, independent of the level's blocks:
+#: from 5 rows up a row's bits do not depend on its batch (see
+#: test_decompose_rows_match_any_batch), and no population tested here
+#: leaves a chunk of 1-4 rows
+REFERENCE_CHUNK = 1024
+
+
 def _reference_level(popn, config, level):
     """One population level as first written: the reference decomposition
     and recovery on all 64 syndromes of every block, then the syndrome
@@ -219,8 +243,8 @@ def _reference_level(popn, config, level):
     children = popn[idx]
     weights = np.empty((pop, 64))
     cond = np.empty((pop, 64, 4))
-    for start in range(0, pop, config.chunk):
-        stop = min(start + config.chunk, pop)
+    for start in range(0, pop, REFERENCE_CHUNK):
+        stop = min(start + REFERENCE_CHUNK, pop)
         weights[start:stop], cond[start:stop] = recover_713(
             _reference_decompose(children[start:stop])
         )
@@ -230,13 +254,46 @@ def _reference_level(popn, config, level):
     return cond[np.arange(pop), pick]
 
 
-def test_mc_level_matches_full_recovery():
-    config = McConfig(population=2000, seed=3, chunk=512)
+# 2 * 256 + 3 leaves a 3-row tail at the level's block size, which has
+# to join the block before it to keep the large-batch bits
+@pytest.mark.parametrize("population", [2000, 2 * 256 + 3])
+def test_mc_level_matches_full_recovery(population):
+    config = McConfig(population=population, seed=3)
     popn = ref = np.tile(model_level0("knill")(0.065), (config.population, 1))
     for level in range(1, 9):
         popn = _mc_level(popn, config, level)
         ref = _reference_level(ref, config, level)
         np.testing.assert_array_equal(popn, ref)
+
+
+def test_row_blocks():
+    def sizes(n):
+        return [stop - start for start, stop in _row_blocks(n)]
+
+    assert sizes(10_000) == [256] * 39 + [16]
+    assert sizes(2 * 256 + 3) == [256, 259]
+    assert sizes(2 * 256 + 4) == [256, 260]
+    assert sizes(2 * 256 + 5) == [256, 256, 5]
+    assert sizes(512) == [256, 256]
+    assert sizes(3) == [3]
+    assert sizes(0) == []
+    for n in (1, 4, 5, 255, 257, 260, 261, 10_000):
+        blocks = list(_row_blocks(n))
+        assert blocks[0][0] == 0 and blocks[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        assert all(stop - start >= min(n, 5) for start, stop in blocks)
+
+
+# 3 fits in one small-batch block, 261 leaves a 5-row block of its own
+@pytest.mark.parametrize("population", [3, 261, 2 * 256 + 3, 2000])
+@pytest.mark.parametrize("dist", ["knill", "one-type"])
+def test_first_level_matches_tiled_level(population, dist):
+    dist0 = model_level0("knill")(0.0688) if dist == "knill" else one_type_dist(0.1092)
+    config = McConfig(population=population, seed=7)
+    tiled = np.tile(dist0, (population, 1))
+    got = _mc_first_level(dist0, config)
+    np.testing.assert_array_equal(got, _mc_level(tiled, config, 1))
+    np.testing.assert_array_equal(got, _reference_level(tiled, config, 1))
 
 
 def test_mc_threshold_small_population():
@@ -260,6 +317,19 @@ def test_mc_error_bar():
     assert err == pytest.approx(np.std(ests, ddof=1))
     with pytest.raises(ValueError):
         mc_threshold_error_bar(one_type_dist, 0.05, 0.18, QUICK, n_seeds=1)
+
+
+def test_level0_breakdown_is_above():
+    dist_fn = model_level0("forward")
+    with pytest.raises(NoConvergenceError):
+        dist_fn(1.0)
+    assert mc_verdict_at(dist_fn, 1.0, QUICK) == ("above", 0)
+    assert mc_verdict_at(one_type_dist, 0.05, QUICK) == mc_verdict(
+        one_type_dist(0.05), QUICK
+    )
+    # a bisection whose upper probes break down treats them as above
+    thr = concat_threshold_mc(dist_fn, 0.01, 1.0, QUICK, tol=0.05)
+    assert 0.01 < thr < 0.1
 
 
 def test_model_level0():
