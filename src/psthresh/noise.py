@@ -44,7 +44,8 @@ class Depolarizing:
 
     def __post_init__(self):
         _check_prob("p", self.p)
-        _check_prob("r", self.r)
+        if not 0.0 <= self.r <= 1.0:
+            raise RateError("r must be in [0, 1], got %g" % self.r)
 
 
 def knill(p: float) -> Depolarizing:

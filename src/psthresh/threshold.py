@@ -183,11 +183,12 @@ class McConfig:
     the mean infidelity falls under target_infidelity, and as above once
     it passes ABOVE_INFIDELITY.
 
-    A level runs in row blocks of _BLOCK_ROWS individuals, so that the
-    block's character product, transform and syndrome draw stay in
-    cache; a tail of 1-4 rows joins the block before it, because this
-    OpenBLAS takes another kernel, with other bits, for batches under 5
-    rows (see decompose_713).  Results do not depend on the block size.
+    A level runs in row blocks of 256 individuals, so that each block's
+    character product, transform and syndrome draw stay in cache; a
+    tail of 1-4 rows joins the block before it, because OpenBLAS takes
+    another kernel, with other bits, for batches under 5 rows (see
+    decompose_713).  Level 1, where every individual is dist0, is
+    decomposed once.  Results do not depend on the block size.
     """
 
     population: int = 10_000
