@@ -196,6 +196,10 @@ class McConfig:
     seed: int = 1
     target_infidelity: float = 1e-6
 
+    def __post_init__(self):
+        if not self.population >= 1:
+            raise ValueError("population must be at least 1, got %r" % (self.population,))
+
 
 #: individuals per decomposition block: two [block, 256] buffers of
 #: doubles (1 MiB) fit in a core's L2
@@ -237,17 +241,16 @@ def _draw_syndromes(joint: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _mc_level(popn: np.ndarray, config: McConfig, level: int) -> np.ndarray:
     """One level of the population dynamics: each individual is rebuilt
     from seven parents drawn from popn.  Its syndrome is drawn from the
-    block's syndrome weights, and recovery is applied to that syndrome
-    alone."""
+    block's syndrome weights while the block is in cache, and recovery
+    is applied to that syndrome alone, for the whole level at once."""
     pop = popn.shape[0]
     idx, u = _level_draws(pop, config.seed, level)
-    out = np.empty_like(popn)
+    chosen = np.empty_like(popn)
     for start, stop in _row_blocks(pop):
         joint = decompose_713(popn[idx[start:stop]])
-        chosen = joint[np.arange(stop - start), _draw_syndromes(joint, u[start:stop])]
-        _, cond = recover_713(chosen[:, None, :])
-        out[start:stop] = cond[:, 0]
-    return out
+        chosen[start:stop] = joint[np.arange(stop - start), _draw_syndromes(joint, u[start:stop])]
+    _, cond = recover_713(chosen[:, None, :])
+    return cond[:, 0]
 
 
 def _mc_first_level(dist0: np.ndarray, config: McConfig) -> np.ndarray:
@@ -277,7 +280,6 @@ def mc_verdict(dist0, config: McConfig = McConfig()):
     does neither within config.levels levels is inconclusive.
     """
     dist0 = np.asarray(dist0, dtype=float)
-    popn = None
     for level in range(1, config.levels + 1):
         if level == 1:
             popn = _mc_first_level(dist0, config)

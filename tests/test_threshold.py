@@ -200,6 +200,12 @@ def test_capacities():
 QUICK = McConfig(population=400, levels=8, seed=5)
 
 
+def test_mc_config_rejects_empty_population():
+    for population in (0, -1):
+        with pytest.raises(ValueError, match="population"):
+            McConfig(population=population)
+
+
 def test_mc_verdict_deterministic():
     dist = one_type_dist(0.10)
     assert mc_verdict(dist, QUICK) == mc_verdict(dist, QUICK)
