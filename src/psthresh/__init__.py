@@ -10,174 +10,88 @@ machinery built on the Golay code's coset weight enumerators.
 
 from .codes import (
     CLASS_SIZES_713,
-    CrashPolynomial,
     combine_classes,
     coset_class_713,
-    crash_difference,
-    crash_poly_713,
     crash_poly_2317,
-    crash_polynomial,
-    crash_probability,
-    decompose_713,
+    crash_poly_713,
     degeneracy_correction,
     distance_classes_from_x,
     distance_table_713,
-    first_level_fidelity,
-    golay_codewords,
-    golay_coset_enumerators,
-    golay_logical_diagonal,
-    golay_sector_entropy,
-    golay_syndrome_weights,
-    golay_weight_distribution,
     postselect_classes,
-    recover_713,
-    stabilizer_generators_713,
-    syndrome_class_entropy,
 )
 from .noise import (
-    Depolarizing,
     Forward,
-    Independent,
-    diagonal_q,
-    knill,
-    measurement_m,
+    SOLVER_FAMILIES,
     model_family,
-    parse_model,
-    two_qubit_dist,
 )
 from .pauli import (
     channel_to_dist,
-    cnot_conjugate,
     commutation_signs,
-    compose,
     dist_to_channel,
-    fidelity,
-    measure_traceout,
-    measurement_correct_prob,
-    pauli_commutes,
-    total_cnot_noise,
     traceout_crosscheck,
 )
 from .postselect import (
-    FixedPointResult,
-    IndepFixedPoint,
-    NoConvergenceError,
-    combined_noise,
-    fixed_point,
     indep_fixed_point,
     model_fixed_point,
     model_teleport_output,
-    post_step,
-    scalar_post,
-    teleport_output,
 )
 from .threshold import (
-    ALPHA_CONVERGENCE,
     BracketError,
     McConfig,
     capacity_one_type,
     capacity_three_type,
     concat_threshold_mc,
-    convergence_delta,
     crash_difference_threshold,
-    entropy_match_threshold,
     fixed_fidelity_point,
     forward_combined_diagonal,
-    golay_pair_entropy,
     hashing_threshold,
     mc_threshold_error_bar,
     mc_verdict,
     mc_verdict_at,
     model_level0,
-    model_pair_entropy,
     one_type_dist,
-    overhead_exponent,
     overhead_success,
-    shannon_entropy,
     sweep_r,
     teleport_entropy,
 )
 
 __all__ = [
-    "ALPHA_CONVERGENCE",
     "BracketError",
     "CLASS_SIZES_713",
-    "CrashPolynomial",
-    "Depolarizing",
-    "FixedPointResult",
     "Forward",
-    "IndepFixedPoint",
-    "Independent",
     "McConfig",
-    "NoConvergenceError",
+    "SOLVER_FAMILIES",
     "capacity_one_type",
     "capacity_three_type",
     "channel_to_dist",
-    "cnot_conjugate",
     "combine_classes",
-    "combined_noise",
     "commutation_signs",
-    "compose",
     "concat_threshold_mc",
-    "convergence_delta",
     "coset_class_713",
-    "crash_difference",
     "crash_difference_threshold",
-    "crash_poly_713",
     "crash_poly_2317",
-    "crash_polynomial",
-    "crash_probability",
-    "decompose_713",
+    "crash_poly_713",
     "degeneracy_correction",
-    "diagonal_q",
     "dist_to_channel",
     "distance_classes_from_x",
     "distance_table_713",
-    "entropy_match_threshold",
-    "fidelity",
-    "first_level_fidelity",
     "fixed_fidelity_point",
-    "fixed_point",
     "forward_combined_diagonal",
-    "golay_codewords",
-    "golay_coset_enumerators",
-    "golay_logical_diagonal",
-    "golay_pair_entropy",
-    "golay_sector_entropy",
-    "golay_syndrome_weights",
-    "golay_weight_distribution",
     "hashing_threshold",
     "indep_fixed_point",
-    "knill",
     "mc_threshold_error_bar",
     "mc_verdict",
     "mc_verdict_at",
-    "measure_traceout",
-    "measurement_correct_prob",
-    "measurement_m",
     "model_family",
     "model_fixed_point",
     "model_level0",
-    "model_pair_entropy",
     "model_teleport_output",
     "one_type_dist",
-    "overhead_exponent",
     "overhead_success",
-    "parse_model",
-    "pauli_commutes",
-    "post_step",
     "postselect_classes",
-    "recover_713",
-    "scalar_post",
-    "shannon_entropy",
-    "stabilizer_generators_713",
     "sweep_r",
-    "syndrome_class_entropy",
     "teleport_entropy",
-    "teleport_output",
-    "total_cnot_noise",
     "traceout_crosscheck",
-    "two_qubit_dist",
 ]
 
 __version__ = "0.1.0"

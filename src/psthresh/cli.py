@@ -1,10 +1,12 @@
 """Command line interface.
 
-Exit codes: 0 on success, 2 when a deterministic solve cannot bracket
-its crossing (or a sweep has failed rows), 3 when a Monte Carlo verdict
-is inconclusive, 64 for usage errors, which include out-of-range values
-(--tol not above 0, a rate or fraction outside [0, 1], too few points,
-population, levels or seeds).
+Exit codes: 0 on success, 1 when reproduce computes a published figure
+outside its tolerance, 2 when a deterministic solve cannot bracket its
+crossing (or a sweep has failed rows), 3 when a Monte Carlo verdict is
+inconclusive or its bracket fails, 64 for usage errors, which include
+out-of-range values (--tol not above 0, a rate or fraction outside
+[0, 1], too few points, population, levels or seeds) and --seeds above
+1 with --at.
 
 Percentages are printed with 6 significant digits unless --raw asks for
 plain probabilities; sweeps use 9 significant digits.  Output for a
@@ -14,30 +16,34 @@ given command line is byte-identical across reruns.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
-import os
-import subprocess
 import sys
+from typing import Callable, NamedTuple
 
+from .codes import crash_poly_713, crash_poly_2317, degeneracy_correction
 from .noise import SOLVER_FAMILIES, model_family
+from .postselect import indep_fixed_point, model_teleport_output
 from .threshold import (
     BracketError,
     McConfig,
     capacity_one_type,
     capacity_three_type,
     concat_threshold_mc,
+    crash_difference_threshold,
+    fixed_fidelity_point,
+    forward_combined_diagonal,
     hashing_threshold,
     mc_threshold_error_bar,
     mc_verdict_at,
     model_level0,
     one_type_dist,
+    overhead_success,
     sweep_r,
 )
 
 EXIT_OK = 0
+EXIT_MISS = 1
 EXIT_BRACKET = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_USAGE = 64
@@ -57,22 +63,6 @@ def _fmt_percent(p: float) -> str:
 
 def _fmt_raw(p: float) -> str:
     return "%.9g" % p
-
-
-def _git_hash() -> str:
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
-    if out.returncode != 0:
-        return "unknown"
-    return out.stdout.strip() or "unknown"
 
 
 def _checked(convert, ok, requirement):
@@ -97,58 +87,164 @@ _points = _checked(int, lambda n: n >= 2, ">= 2")
 
 
 # ---------------------------------------------------------------------------
-# reference tables
-#
-# Central values of the published tables this package reproduces; the
-# tables command emits them verbatim so downstream comparisons do not
-# depend on solver runtime.  Computed counterparts come from the hashing,
-# sweep and concat commands and from the test suite.
+# published figures
 
-_TABLE_THRESHOLDS = (
-    ("code", "depolarizing", "knill", "forward"),
-    ("hashing", "8.2751", "6.9024", "4.8182"),
-    ("713", "8.229", "6.864", "4.8036"),
-    ("1715", "8.2", "6.8", "4.790"),
-    ("2317", "8.25", "6.88", "4.805"),
+
+class Target(NamedTuple):
+    """One published figure.
+
+    criterion is the acceptance criterion the figure belongs to, or None
+    for one outside the criteria; label names the sub-check; want is the
+    published value, in the unit the label gives; compute is the solve
+    that reproduces it, with tol the largest accepted |computed - want|.
+    compute and tol are None for figures the package only records.
+    """
+
+    criterion: int | None
+    label: str
+    want: float
+    tol: float | None
+    compute: Callable[[], float] | None
+
+
+def _level0(model: str, r: float = 0.0):
+    """Level-0 distribution family of a concat --model choice."""
+    if model == "one-type":
+        return one_type_dist
+    return model_level0(model_family(model, r=r))
+
+
+def _hashing_rows(name, threshold_pp, pxz_pp, py_pp):
+    """Criterion 1: the family's hashing threshold, and the teleported
+    error components there (p_X and p_Z share one published value)."""
+
+    def threshold():
+        return hashing_threshold(name, tol=1e-9)
+
+    def component(index):
+        return lambda: 100 * model_teleport_output(model_family(name)(threshold()))[index]
+
+    return (
+        Target(1, "%s threshold (pp)" % name, threshold_pp, 0.0005, lambda: 100 * threshold()),
+        Target(1, "%s p_X (pp)" % name, pxz_pp, 0.001, component(1)),
+        Target(1, "%s p_Z (pp)" % name, pxz_pp, 0.001, component(3)),
+        Target(1, "%s p_Y (pp)" % name, py_pp, 0.001, component(2)),
+    )
+
+
+def _forward_fixed_point():
+    """Decoupled fixed point at the forward hashing threshold."""
+    pf = hashing_threshold("forward", tol=1e-12)
+    return indep_fixed_point(1.0 - 2.0 * pf, 1.0, 1.0)
+
+
+def _mc_row(model, lo, hi, want_pp):
+    """Criterion 5: the [[7,1,3]] Monte Carlo threshold at the default
+    McConfig, bisected from the bracket [lo, hi]."""
+    return Target(
+        5, "%s MC threshold (pp)" % model, want_pp, 0.05,
+        lambda: 100 * concat_threshold_mc(_level0(model), lo, hi, McConfig(), tol=2e-4),
+    )
+
+
+def _fixed_fidelity_rows(code, family, rate_pp, fidelity):
+    """Criterion 9: where one level of encoding leaves the fidelity
+    unchanged."""
+    return (
+        Target(
+            9, "%s %s rate (pp)" % (code, family), rate_pp, 0.005,
+            lambda: 100 * fixed_fidelity_point(code, family)[0],
+        ),
+        Target(
+            9, "%s %s fidelity" % (code, family), fidelity, 5e-4,
+            lambda: fixed_fidelity_point(code, family)[1],
+        ),
+    )
+
+
+def _recorded(criterion, label, want):
+    """A figure the package records but does not compute."""
+    return Target(criterion, label, want, None, None)
+
+
+# the [[23,1,7]] forward figures that criterion 8's solves start from
+_P_E_2317_FORWARD = _recorded(None, "2317 forward threshold (pp)", 4.805)
+_C_E_2317_FORWARD = Target(
+    7, "2317 c_e at the forward threshold", 0.00035, 2e-5,
+    lambda: degeneracy_correction("2317", (1.0 - _forward_fixed_point().x_g) / 2.0),
 )
 
-_TABLE_CAPACITY = (
-    ("code", "one_type", "three_type"),
-    ("hashing", "11.0028", "6.3097"),
-    ("713", "10.963", "6.270"),
-    ("1715", "10.927", "6.251"),
-    ("2317", "10.968", "6.29"),
-    ("422+622", "10.9466", "6.2719"),
+#: Every published figure, in the order `psthresh reproduce` prints
+#: them and the acceptance tests check them.
+TARGETS = (
+    *_hashing_rows("depolarizing", 8.27515, 7.13361, 4.78136),
+    *_hashing_rows("knill", 6.90240, 7.52699, 4.12990),
+    *_hashing_rows("forward", 4.81816, 9.79217, 1.21061),
+    Target(3, "x_g at the forward threshold", 0.98482389, 1e-7, lambda: _forward_fixed_point().x_g),
+    Target(3, "x_b at the forward threshold", 0.87641757, 1e-7, lambda: _forward_fixed_point().x_b),
+    Target(
+        3, "combined diagonal c", 0.77994427, 1e-7,
+        lambda: forward_combined_diagonal(hashing_threshold("forward", tol=1e-12)),
+    ),
+    Target(4, "one-type capacity (pp)", 11.0028, 0.0005, lambda: 100 * capacity_one_type()),
+    Target(4, "three-type capacity (pp)", 6.3097, 0.0005, lambda: 100 * capacity_three_type()),
+    _mc_row("one-type", 0.09, 0.13, 10.963),
+    _mc_row("depolarizing", 0.06, 0.10, 8.229),
+    _mc_row("knill", 0.05, 0.09, 6.864),
+    _mc_row("forward", 0.03, 0.07, 4.8036),
+    Target(6, "f7(0.78795)", 0.7147, 5e-4, lambda: float(crash_poly_713()(0.78795))),
+    Target(6, "f7(0.780736)", 0.7002, 5e-4, lambda: float(crash_poly_713()(0.780736))),
+    Target(
+        7, "713 level-1 c_e at p_g = 0.70% (pp)", 0.62, 0.005,
+        lambda: 100 * degeneracy_correction("713-L1", 0.0070),
+    ),
+    _C_E_2317_FORWARD,
+    Target(
+        7, "713 level-2 c_e at p_g = 0.70%", 6.5e-6, 1e-6,
+        lambda: degeneracy_correction("713-L2", 0.0070),
+    ),
+    _recorded(7, "2317 depolarizing c_e", 0.00017),
+    _recorded(7, "2317 knill c_e", 0.00009),
+    Target(
+        8, "p_r from baseline 4.805% (pp)", 4.801, 0.002,
+        lambda: 100 * crash_difference_threshold(
+            crash_poly_2317(), _C_E_2317_FORWARD.want, _P_E_2317_FORWARD.want / 100, tol=1e-9
+        ),
+    ),
+    Target(
+        8, "zero-margin solve returns the baseline (pp)", _P_E_2317_FORWARD.want, 1e-4,
+        lambda: 100 * crash_difference_threshold(
+            crash_poly_2317(), 0.0, _P_E_2317_FORWARD.want / 100
+        ),
+    ),
+    _recorded(8, "2317 depolarizing p_r (pp)", 8.25),
+    _recorded(8, "2317 knill p_r (pp)", 6.88),
+    _recorded(8, "2317 depolarizing delta_p (pp)", 0.003),
+    _recorded(8, "2317 knill delta_p (pp)", 0.002),
+    _recorded(8, "2317 forward delta_p (pp)", 0.0040),
+    _recorded(8, "2317 forward p_a (pp)", 4.800),
+    *_fixed_fidelity_rows("713", "knill", 3.472, 0.90602),
+    *_fixed_fidelity_rows("713", "depolarizing", 4.039, 0.91122),
+    *_fixed_fidelity_rows("713", "forward", 2.9595, 0.87703),
+    *_fixed_fidelity_rows("2317", "forward", 3.5471, 0.85108),
+    Target(
+        10, "success of 14 steps at p = 15.3% (pp)", 9.79, 0.01,
+        lambda: 100 * overhead_success(0.153, 14),
+    ),
+    _recorded(None, "1715 depolarizing threshold (pp)", 8.2),
+    _recorded(None, "1715 knill threshold (pp)", 6.8),
+    _recorded(None, "1715 forward threshold (pp)", 4.790),
+    _recorded(None, "2317 depolarizing threshold (pp)", 8.25),
+    _recorded(None, "2317 knill threshold (pp)", 6.88),
+    _P_E_2317_FORWARD,
+    _recorded(None, "713 three-type capacity (pp)", 6.270),
+    _recorded(None, "1715 one-type capacity (pp)", 10.927),
+    _recorded(None, "1715 three-type capacity (pp)", 6.251),
+    _recorded(None, "2317 one-type capacity (pp)", 10.968),
+    _recorded(None, "2317 three-type capacity (pp)", 6.29),
+    _recorded(None, "422+622 one-type capacity (pp)", 10.9466),
+    _recorded(None, "422+622 three-type capacity (pp)", 6.2719),
 )
-
-_TABLE_HASHINGFAULT = (
-    ("quantity", "depolarizing", "knill", "forward"),
-    ("px_pz", "7.13361", "7.52699", "9.79217"),
-    ("py", "4.78136", "4.12990", "1.21061"),
-)
-
-_TABLE_FIXEDPOINTS = (
-    ("code", "model", "p_percent", "fidelity"),
-    ("713", "knill", "3.472", "0.90602"),
-    ("713", "depolarizing", "4.039", "0.91122"),
-    ("713", "forward", "2.9595", "0.87703"),
-    ("2317", "forward", "3.5471", "0.85108"),
-)
-
-_TABLE_2317VALUES = (
-    ("model", "p_e", "c_e", "delta_p", "p_a", "p_r"),
-    ("depolarizing", "8.25", "0.00017", "0.003", "", "8.25"),
-    ("knill", "6.88", "0.00009", "0.002", "", "6.88"),
-    ("forward", "4.805", "0.00035", "0.0040", "4.800", "4.801"),
-)
-
-_TABLES = {
-    "thresholds.csv": _TABLE_THRESHOLDS,
-    "capacity.csv": _TABLE_CAPACITY,
-    "hashingfault.csv": _TABLE_HASHINGFAULT,
-    "fixedpoints.csv": _TABLE_FIXEDPOINTS,
-    "thresholdvalues2317.csv": _TABLE_2317VALUES,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -202,15 +298,15 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_concat(args) -> int:
-    if args.model == "one-type":
-        dist_fn = one_type_dist
-    else:
-        dist_fn = model_level0(model_family(args.model, r=args.r))
+    dist_fn = _level0(args.model, r=args.r)
     config = McConfig(
         population=args.population, levels=args.levels, seed=args.seed
     )
 
     if args.at is not None:
+        if args.seeds > 1:
+            print("concat: --seeds needs --lo and --hi, not --at", file=sys.stderr)
+            return EXIT_USAGE
         verdict, level = mc_verdict_at(dist_fn, args.at, config)
         if args.format == "json":
             print(
@@ -262,24 +358,22 @@ def cmd_concat(args) -> int:
     return EXIT_OK
 
 
-def cmd_tables(args) -> int:
-    os.makedirs(args.outdir, exist_ok=True)
-    header = [
-        "# generated-by: psthresh tables",
-        "# git: %s" % _git_hash(),
-        "# seed: %d" % args.seed,
-    ]
-    for name, table in sorted(_TABLES.items()):
-        path = os.path.join(args.outdir, name)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        for row in table:
-            writer.writerow(row)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(header) + "\n")
-            fh.write(buf.getvalue())
-        print(path)
-    return EXIT_OK
+def cmd_reproduce(args) -> int:
+    missed = False
+    for row in TARGETS:
+        if row.compute is None:
+            got = tol = verdict = "-"
+        else:
+            value = row.compute()
+            hit = abs(value - row.want) <= row.tol
+            missed = missed or not hit
+            got, tol, verdict = "%.10g" % value, "%g" % row.tol, "hit" if hit else "miss"
+        criterion = "-" if row.criterion is None else row.criterion
+        print(
+            "%-2s %-44s %16s %12s %8s  %s"
+            % (criterion, row.label, got, "%.10g" % row.want, tol, verdict)
+        )
+    return EXIT_MISS if missed else EXIT_OK
 
 
 def cmd_capacity(args) -> int:
@@ -351,10 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.set_defaults(func=cmd_capacity)
 
-    p = sub.add_parser("tables", help="write the reference tables as CSV files")
-    p.add_argument("--outdir", default=".")
-    p.add_argument("--seed", type=int, default=1, help="seed recorded in the provenance header")
-    p.set_defaults(func=cmd_tables)
+    p = sub.add_parser("reproduce", help="compute every published figure against its value")
+    p.set_defaults(func=cmd_reproduce)
 
     return parser
 

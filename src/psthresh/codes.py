@@ -141,29 +141,6 @@ def postselect_classes(a, b):
     return p_keep, [k / p_keep for k in kept]
 
 
-def syndrome_class_entropy(a) -> float:
-    """Conditional entropy of the logical (sector) bit given the
-    syndrome, for a class distribution a.
-
-    Classes 0 and 3 share the trivial syndrome, classes 1 and 2 share
-    the nontrivial ones; within each pairing the two classes differ by
-    the logical operator.
-    """
-    a0, a1, a2, a3 = (float(v) for v in a)
-
-    def plog(v):
-        return 0.0 if v <= 0.0 else -v * log2(v)
-
-    return (
-        plog(a0)
-        + plog(a1)
-        + plog(a2)
-        + plog(a3)
-        - plog(a0 + a3)
-        - plog(a1 + a2)
-    )
-
-
 # ---------------------------------------------------------------------------
 # crash polynomials
 
@@ -251,17 +228,6 @@ def crash_poly_2317() -> CrashPolynomial:
     return crash_polynomial((7, 11, 15, 23))
 
 
-def crash_probability(poly: CrashPolynomial, x) -> float:
-    """Logical flip probability (1 - f(x)) / 2 at sector diagonal x."""
-    return (1 - poly(x)) / 2
-
-
-def crash_difference(poly: CrashPolynomial, x1, x2):
-    """Increase in logical flip probability when the sector diagonal
-    degrades from x1 to x2: (f(x1) - f(x2)) / 2."""
-    return (poly(x1) - poly(x2)) / 2
-
-
 # ---------------------------------------------------------------------------
 # degeneracy corrections
 
@@ -309,15 +275,8 @@ def degeneracy_correction(scheme: str, p_g: float) -> float:
 # another kernel, whose bits differ, so the level folds a tail of 1-4
 # rows into the block before it.
 
-_H_COLS = (
-    (0, 0, 1),
-    (0, 1, 0),
-    (0, 1, 1),
-    (1, 0, 0),
-    (1, 0, 1),
-    (1, 1, 0),
-    (1, 1, 1),
-)
+#: parity-check column of each qubit, row k at index k
+_H_COLS = tuple(zip(*PARITY_CHECK_713))
 
 #: Klein four-group multiplication table on class indices (I, X, Y, Z)
 _KLEIN = np.array(
@@ -449,15 +408,6 @@ def golay_codewords() -> np.ndarray:
     )
     words.setflags(write=False)
     return words
-
-
-def golay_weight_distribution() -> dict:
-    """Weight enumerator of the [23,12] Golay code as {weight: count}."""
-    out = {}
-    for c in golay_codewords():
-        w = bin(int(c)).count("1")
-        out[w] = out.get(w, 0) + 1
-    return dict(sorted(out.items()))
 
 
 @lru_cache(maxsize=1)

@@ -1,7 +1,7 @@
 """CNOT noise models: two-qubit Pauli error distributions, diagonal Q
 entries, and the measurement-noise scalar m.
 
-Four families are supported:
+Three families are supported:
 
 * ``Depolarizing(p, r)``: probability p/15 of each non-identity two-qubit
   Pauli error, plus measurement error probability (4/15) r p.
@@ -9,10 +9,6 @@ Four families are supported:
 * ``Forward(pf)``: independent probability pf of a phase flip on the
   source qubit and of a bit flip on the destination qubit; no backward
   errors and no measurement errors.
-* ``Independent(pf, pb, pm)``: four independent error bits, forward ones
-  (source phase flip, destination bit flip) at rate pf, backward ones
-  (source bit flip, destination phase flip) at rate pb, plus measurement
-  error probability pm.
 """
 
 from __future__ import annotations
@@ -21,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import _XZ_BITS, LABEL_INDEX, TWO_QUBIT_LABELS, commutation_signs
+from .pauli import LABEL_INDEX, commutation_signs
 
 
 class RateError(ValueError):
@@ -44,8 +40,7 @@ class Depolarizing:
 
     def __post_init__(self):
         _check_prob("p", self.p)
-        if not 0.0 <= self.r <= 1.0:
-            raise RateError("r must be in [0, 1], got %g" % self.r)
+        _check_prob("r", self.r)
 
 
 def knill(p: float) -> Depolarizing:
@@ -61,21 +56,6 @@ class Forward:
 
     def __post_init__(self):
         _check_prob("pf", self.pf)
-
-
-@dataclass(frozen=True)
-class Independent:
-    """Independent forward (pf) and backward (pb) error bits plus
-    measurement error probability pm."""
-
-    pf: float
-    pb: float
-    pm: float
-
-    def __post_init__(self):
-        _check_prob("pf", self.pf)
-        _check_prob("pb", self.pb)
-        _check_prob("pm", self.pm)
 
 
 def two_qubit_dist(model) -> np.ndarray:
@@ -94,23 +74,6 @@ def two_qubit_dist(model) -> np.ndarray:
         out[LABEL_INDEX["ZI"]] = pf * q
         out[LABEL_INDEX["ZX"]] = pf * pf
         return out
-    if isinstance(model, Independent):
-        # source phase flip and destination bit flip at rate pf; source
-        # bit flip and destination phase flip at rate pb
-        def bit(p, hit):
-            return p if hit else 1.0 - p
-
-        out = np.empty(16)
-        for i, lab in enumerate(TWO_QUBIT_LABELS):
-            xs, zs = _XZ_BITS[lab[0]]
-            xd, zd = _XZ_BITS[lab[1]]
-            out[i] = (
-                bit(model.pb, xs)
-                * bit(model.pf, zs)
-                * bit(model.pf, xd)
-                * bit(model.pb, zd)
-            )
-        return out
     raise TypeError("unknown noise model %r" % (model,))
 
 
@@ -126,8 +89,6 @@ def measurement_m(model) -> float:
         return 1.0 - (8.0 / 15.0) * model.r * model.p
     if isinstance(model, Forward):
         return 1.0
-    if isinstance(model, Independent):
-        return 1.0 - 2.0 * model.pm
     raise TypeError("unknown noise model %r" % (model,))
 
 
@@ -150,36 +111,3 @@ def model_family(name: str, r: float = None):
         "unknown model family %r (expected one of %s)"
         % (name, ", ".join(SOLVER_FAMILIES))
     )
-
-
-def parse_model(text: str):
-    """Parse a CLI model string like ``depolarizing:p=0.08,r=1``,
-    ``knill:p=0.069``, ``forward:pf=0.048`` or
-    ``independent:pf=0.01,pb=0.02,pm=0.003``."""
-    name, _, arg_text = text.partition(":")
-    name = name.strip().lower()
-    if name not in SOLVER_FAMILIES + ("independent",):
-        raise ValueError("unknown noise model %r" % name)
-    args = {}
-    if arg_text.strip():
-        for item in arg_text.split(","):
-            key, _, value = item.partition("=")
-            if not _:
-                raise ValueError("malformed model parameter %r" % item)
-            args[key.strip()] = float(value)
-    allowed = {
-        "depolarizing": {"p", "r"},
-        "knill": {"p"},
-        "forward": {"pf"},
-        "independent": {"pf", "pb", "pm"},
-    }[name]
-    unknown = set(args) - allowed
-    if unknown:
-        raise ValueError("unknown parameter(s) %s for %s" % (sorted(unknown), name))
-    if name == "depolarizing":
-        return Depolarizing(args.get("p", 0.0), r=args.get("r", 0.0))
-    if name == "knill":
-        return knill(args.get("p", 0.0))
-    if name == "forward":
-        return Forward(args.get("pf", 0.0))
-    return Independent(args.get("pf", 0.0), args.get("pb", 0.0), args.get("pm", 0.0))

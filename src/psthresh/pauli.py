@@ -91,11 +91,6 @@ def channel_to_dist(c) -> np.ndarray:
     return np.clip(p, 0.0, 1.0)
 
 
-def compose(a, b) -> np.ndarray:
-    """Composition of diagonal channels: componentwise product."""
-    return np.asarray(a, dtype=float) * np.asarray(b, dtype=float)
-
-
 # Conjugation of S (x) D by CNOT, expressed per two-qubit label as the pair
 # (source component, destination component) to read the entry from.  This is
 # the printed conjugation table; tests check it against the dense
@@ -164,16 +159,6 @@ def measure_traceout(n, m_noise: float = 1.0):
     else:
         reject = TraceoutBranch(float(rej[0]), rej[1:] / rej[0])
     return accept, reject
-
-
-def measurement_correct_prob(c, axis: str) -> float:
-    """Probability (1 + N_aa)/2 that measuring along ``axis`` gives the
-    correct outcome under diagonal noise ``c``."""
-    try:
-        idx = "XYZ".index(axis)
-    except ValueError:
-        raise ValueError("axis must be one of X, Y, Z") from None
-    return 0.5 * (1.0 + float(np.asarray(c, dtype=float)[idx]))
 
 
 def fidelity(rho, nu) -> float:

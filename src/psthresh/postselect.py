@@ -47,12 +47,6 @@ class IndepFixedPoint:
     x_b: float
 
 
-def scalar_post(x1: float, x2: float) -> float:
-    """Post-selected combination of two diagonal channel components:
-    (x1 + x2) / (1 + x1 x2)."""
-    return (x1 + x2) / (1.0 + x1 * x2)
-
-
 def _accept_q(q) -> tuple:
     """The 8 entries of q that _step reads, as Python floats."""
     q = np.asarray(q, dtype=float)

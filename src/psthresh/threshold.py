@@ -1,7 +1,7 @@
 """Threshold solvers: hashing-bound brackets, Monte Carlo population
 dynamics for the concatenated [[7,1,3]] code, entropy matching and
-crash-probability estimates for the [[23,1,7]] code, and the small
-closed-form estimates built on top of them.
+crash-probability estimates for the [[23,1,7]] code, and the success
+probability of a post-selected cascade.
 
 Every solver locates its crossing with `bisect`, the one bracket-halving
 loop; each caller checks its own bracket first.  The Monte Carlo verdict
@@ -12,7 +12,6 @@ reproducible and levels could be drawn independently.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import e, log2
 
 import numpy as np
 
@@ -307,11 +306,6 @@ def mc_verdict_at(dist_fn, p: float, config: McConfig = McConfig()):
     return mc_verdict(dist0, config)
 
 
-def _mc_is_below(dist_fn, config: McConfig):
-    """Predicate p -> the flow from dist_fn(p) is judged below threshold."""
-    return lambda p: mc_verdict_at(dist_fn, p, config)[0] == "below"
-
-
 def concat_threshold_mc(
     dist_fn,
     lo: float,
@@ -323,7 +317,9 @@ def concat_threshold_mc(
     (above).  dist_fn maps the error rate to the level-0 distribution.
     Inconclusive verdicts count as above, so the estimate errs low.
     """
-    is_below = _mc_is_below(dist_fn, config)
+    def is_below(p):
+        return mc_verdict_at(dist_fn, p, config)[0] == "below"
+
     if not is_below(lo):
         raise BracketError("population does not converge at lo=%g" % lo)
     if is_below(hi):
@@ -341,11 +337,12 @@ def mc_threshold_error_bar(
 ):
     """Mean and sample standard deviation of the Monte Carlo threshold
     over n_seeds independent seeds (at least 10 for a meaningful bar),
-    plus the individual estimates.  The bracket is not checked per seed."""
+    plus the individual estimates.  Each seed is a concat_threshold_mc
+    solve, so a bracket that fails for any seed raises BracketError."""
     if n_seeds < 2:
         raise ValueError("need at least two seeds for an error bar")
     estimates = [
-        bisect(_mc_is_below(dist_fn, replace(config, seed=config.seed + i)), lo, hi, tol)
+        concat_threshold_mc(dist_fn, lo, hi, replace(config, seed=config.seed + i), tol)
         for i in range(n_seeds)
     ]
     arr = np.asarray(estimates)
@@ -516,25 +513,10 @@ def fixed_fidelity_point(code: str, family: str, tol: float = 1e-9):
 
 
 # ---------------------------------------------------------------------------
-# convergence and overhead estimates
-
-#: level scaling exponent log2 log2 e of the double-exponential flow
-ALPHA_CONVERGENCE = log2(log2(e))
-
-
-def convergence_delta(t_c: float, t: float, d: int, level: int) -> float:
-    """Margin (t_c - t) d**(level * alpha) / t_c that a rate t below the
-    threshold t_c retains after `level` levels of distance-d encoding."""
-    return (t_c - t) * d ** (level * ALPHA_CONVERGENCE) / t_c
+# overhead estimate
 
 
 def overhead_success(p: float, n: int) -> float:
     """Probability (1 - p)**n that n independently post-selected steps
     all succeed."""
     return (1.0 - p) ** n
-
-
-def overhead_exponent(p: float, base: float) -> float:
-    """Per-step decay exponent -log_base(1 - p) of the success
-    probability."""
-    return -np.log1p(-p) / np.log(base)

@@ -1,6 +1,11 @@
 """Acceptance checks: every published figure this package reproduces,
 one test per criterion, asserted at the stated tolerance.
 
+The published figures, their tolerances and the solves that reproduce
+them are the rows of psthresh.cli.TARGETS; the checks here that are not
+published figures (exact identities, route agreement, timing) are
+written out in the tests.
+
 Each test prints one line per sub-check and a final PASS/FAIL line, then
 asserts, so a failing criterion still reports every value it computed.
 Values that cannot be reproduced from the implemented machinery are
@@ -14,13 +19,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from psthresh.cli import TARGETS
 from psthresh.codes import (
     CLASS_SIZES_713,
     combine_classes,
     coset_class_713,
     crash_poly_2317,
-    crash_poly_713,
-    degeneracy_correction,
     distance_classes_from_x,
     distance_table_713,
     postselect_classes,
@@ -32,24 +36,13 @@ from psthresh.pauli import (
     dist_to_channel,
     traceout_crosscheck,
 )
-from psthresh.postselect import (
-    combined_noise,
-    indep_fixed_point,
-    model_fixed_point,
-    model_teleport_output,
-)
+from psthresh.postselect import indep_fixed_point, model_fixed_point
 from psthresh.threshold import (
     McConfig,
-    capacity_one_type,
-    capacity_three_type,
     concat_threshold_mc,
-    crash_difference_threshold,
-    fixed_fidelity_point,
     hashing_threshold,
     mc_verdict,
-    model_level0,
     one_type_dist,
-    overhead_success,
     teleport_entropy,
 )
 
@@ -61,6 +54,25 @@ def _near(label, got, want, tol):
         abs(got - want) <= tol,
         "got %.10g  want %.10g  tol %g" % (got, want, tol),
     )
+
+
+def _published(criterion, timing=None):
+    """One sub-check per computed TARGETS row of the criterion, in table
+    order.  timing = (limit_s, label, fmt) adds after each threshold row
+    a check that its solve took under limit_s seconds."""
+    checks = []
+    for row in TARGETS:
+        if row.criterion != criterion or row.compute is None:
+            continue
+        start = time.perf_counter()
+        got = row.compute()
+        elapsed = time.perf_counter() - start
+        checks.append(_near(row.label, got, row.want, row.tol))
+        if timing is not None and row.label.endswith("threshold (pp)"):
+            limit, label, fmt = timing
+            name = row.label.split()[0]
+            checks.append(("%s %s" % (name, label), elapsed < limit, fmt % elapsed))
+    return checks
 
 
 def _report(name, checks):
@@ -79,24 +91,7 @@ def _report(name, checks):
 
 
 def test_criterion_01_hashing_thresholds():
-    cases = (
-        ("depolarizing", 8.27515, 7.13361, 4.78136),
-        ("knill", 6.90240, 7.52699, 4.12990),
-        ("forward", 4.81816, 9.79217, 1.21061),
-    )
-    checks = []
-    for name, want_pp, want_px, want_py in cases:
-        start = time.perf_counter()
-        thr = hashing_threshold(name, tol=1e-9)
-        elapsed = time.perf_counter() - start
-        checks.append(_near("%s threshold (pp)" % name, 100 * thr, want_pp, 0.0005))
-        checks.append(
-            ("%s solve under 1s" % name, elapsed < 1.0, "%.3fs" % elapsed)
-        )
-        out = model_teleport_output(model_family(name)(thr))
-        checks.append(_near("%s p_X (pp)" % name, 100 * out[1], want_px, 0.001))
-        checks.append(_near("%s p_Z (pp)" % name, 100 * out[3], want_px, 0.001))
-        checks.append(_near("%s p_Y (pp)" % name, 100 * out[2], want_py, 0.001))
+    checks = _published(1, timing=(1.0, "solve under 1s", "%.3fs"))
     _report("criterion 1 (hashing thresholds)", checks)
 
 
@@ -111,14 +106,9 @@ def test_criterion_02_entropy_at_threshold():
 
 def test_criterion_03_forward_fixed_point_scalars():
     pf = hashing_threshold("forward", tol=1e-12)
-    f = 1.0 - 2.0 * pf
-    fp = indep_fixed_point(f, 1.0, 1.0)
-    c = combined_noise(fp.x_g, f, 1.0)
+    fp = indep_fixed_point(1.0 - 2.0 * pf, 1.0, 1.0)
     full = model_fixed_point(Forward(pf)).channel
-    checks = [
-        _near("x_g at the forward threshold", fp.x_g, 0.98482389, 1e-7),
-        _near("x_b at the forward threshold", fp.x_b, 0.87641757, 1e-7),
-        _near("combined diagonal c", c, 0.77994427, 1e-7),
+    checks = _published(3) + [
         _near("full-route x agrees", full[0], fp.x_g, 1e-10),
         _near("full-route z agrees", full[2], fp.x_b, 1e-10),
     ]
@@ -126,43 +116,19 @@ def test_criterion_03_forward_fixed_point_scalars():
 
 
 def test_criterion_04_capacities():
-    checks = [
-        _near("one-type capacity (pp)", 100 * capacity_one_type(), 11.0028, 0.0005),
-        _near(
-            "three-type capacity (pp)", 100 * capacity_three_type(), 6.3097, 0.0005
-        ),
-    ]
-    _report("criterion 4 (hashing capacities)", checks)
+    _report("criterion 4 (hashing capacities)", _published(4))
 
 
 @pytest.mark.slow
 def test_criterion_05_monte_carlo_thresholds():
-    config = McConfig()  # population 10_000, 12 levels, seed 1
-    cases = (
-        ("one-type", one_type_dist, 0.09, 0.13, 10.963),
-        ("depolarizing", model_level0("depolarizing"), 0.06, 0.10, 8.23),
-        ("knill", model_level0("knill"), 0.05, 0.09, 6.86),
-        ("forward", model_level0("forward"), 0.03, 0.07, 4.80),
-    )
-    checks = []
-    for name, dist_fn, lo, hi, want_pp in cases:
-        start = time.perf_counter()
-        thr = concat_threshold_mc(dist_fn, lo, hi, config, tol=2e-4)
-        elapsed = time.perf_counter() - start
-        checks.append(_near("%s MC threshold (pp)" % name, 100 * thr, want_pp, 0.05))
-        checks.append(
-            ("%s solve under 5 min" % name, elapsed < 300.0, "%.0fs" % elapsed)
-        )
+    # McConfig(): population 10_000, 12 levels, seed 1
+    checks = _published(5, timing=(300.0, "solve under 5 min", "%.0fs"))
     _report("criterion 5 (Monte Carlo concatenation thresholds)", checks)
 
 
 def test_criterion_06_crash_polynomials():
-    f7 = crash_poly_713()
     f23 = crash_poly_2317()
-    checks = [
-        _near("f7(0.78795)", float(f7(0.78795)), 0.7147, 5e-4),
-        _near("f7(0.780736)", float(f7(0.780736)), 0.7002, 5e-4),
-    ]
+    checks = _published(6)
     one = f23(Fraction(1))
     checks.append(
         ("f23(1) = 1 in exact arithmetic", one == 1, "got %s" % one)
@@ -180,79 +146,19 @@ def test_criterion_06_crash_polynomials():
 
 
 def test_criterion_07_degeneracy_corrections():
-    checks = [
-        _near(
-            "713 level-1 c_e at p_g = 0.70% (pp)",
-            100 * degeneracy_correction("713-L1", 0.0070),
-            0.62,
-            0.005,
-        )
-    ]
-    pf = hashing_threshold("forward", tol=1e-12)
-    fp = indep_fixed_point(1.0 - 2.0 * pf, 1.0, 1.0)
-    p_g = (1.0 - fp.x_g) / 2.0
-    checks.append(
-        _near(
-            "2317 c_e at the forward threshold",
-            degeneracy_correction("2317", p_g),
-            0.00035,
-            2e-5,
-        )
-    )
-    checks.append(
-        _near(
-            "713 level-2 c_e at p_g = 0.70%",
-            degeneracy_correction("713-L2", 0.0070),
-            6.5e-6,
-            1e-6,
-        )
-    )
-    _report("criterion 7 (degeneracy corrections)", checks)
+    _report("criterion 7 (degeneracy corrections)", _published(7))
 
 
 def test_criterion_08_relaxed_crash_threshold():
-    p_r = crash_difference_threshold(crash_poly_2317(), 0.00035, 0.04805, tol=1e-9)
-    checks = [
-        _near("p_r from baseline 4.805% (pp)", 100 * p_r, 4.801, 0.002),
-        _near(
-            "zero-margin solve returns the baseline (pp)",
-            100 * crash_difference_threshold(crash_poly_2317(), 0.0, 0.04805),
-            4.805,
-            1e-4,
-        ),
-    ]
-    _report("criterion 8 (relaxed crash-probability threshold)", checks)
+    _report("criterion 8 (relaxed crash-probability threshold)", _published(8))
 
 
 def test_criterion_09_fixed_fidelity_points():
-    cases = (
-        ("713", "knill", 3.472, 0.90602),
-        ("713", "depolarizing", 4.039, 0.91122),
-        ("713", "forward", 2.9595, 0.87703),
-        ("2317", "forward", 3.5471, 0.85108),
-    )
-    checks = []
-    for code, family, want_pp, want_fid in cases:
-        p, fid = fixed_fidelity_point(code, family)
-        checks.append(
-            _near("%s %s rate (pp)" % (code, family), 100 * p, want_pp, 0.005)
-        )
-        checks.append(
-            _near("%s %s fidelity" % (code, family), fid, want_fid, 5e-4)
-        )
-    _report("criterion 9 (fixed-fidelity points)", checks)
+    _report("criterion 9 (fixed-fidelity points)", _published(9))
 
 
 def test_criterion_10_overhead():
-    checks = [
-        _near(
-            "success of 14 steps at p = 15.3% (pp)",
-            100 * overhead_success(0.153, 14),
-            9.79,
-            0.01,
-        )
-    ]
-    _report("criterion 10 (post-selection overhead)", checks)
+    _report("criterion 10 (post-selection overhead)", _published(10))
 
 
 def test_criterion_11_internal_consistency():

@@ -1,9 +1,13 @@
 """End-to-end tests of the command line interface, run in process."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
+import psthresh
+from psthresh import cli
 from psthresh.cli import main
 
 QUICK_MC = ["--population", "400", "--levels", "8", "--seed", "5"]
@@ -263,6 +267,24 @@ def test_concat_error_bar(capsys):
     assert payload["threshold_percent_std"] == float(err_value)
 
 
+def test_concat_error_bar_bracket_failure(capsys):
+    # each seed checks the bracket, as a single-seed solve does
+    code, out, err = run(
+        capsys,
+        ["concat", "--model", "one-type", "--lo", "0.22", "--hi", "0.3"]
+        + QUICK_MC
+        + ["--tol", "5e-3", "--seeds", "2"],
+    )
+    assert (code, out) == (3, "")
+    assert "does not converge" in err
+
+
+def test_concat_at_rejects_seeds(capsys):
+    code, out, err = run(capsys, ["concat", "--model", "one-type", "--at", "0.1", "--seeds", "5"])
+    assert (code, out) == (64, "")
+    assert "--seeds" in err
+
+
 # ---------------------------------------------------------------------------
 # capacity
 
@@ -285,49 +307,75 @@ def test_capacity_formats(capsys):
 
 
 # ---------------------------------------------------------------------------
-# tables
+# reproduce
 
 
-EXPECTED_TABLES = (
-    "capacity.csv",
-    "fixedpoints.csv",
-    "hashingfault.csv",
-    "thresholds.csv",
-    "thresholdvalues2317.csv",
-)
+def _fast_targets():
+    """The TARGETS rows of criteria 4, 6 and 10 (all solved in well under
+    a second) and one recorded row."""
+    rows = [row for row in cli.TARGETS if row.criterion in (4, 6, 10)]
+    return rows + [next(row for row in cli.TARGETS if row.compute is None)]
 
 
-def test_tables(tmp_path, capsys):
-    code, out, _ = run(capsys, ["tables", "--outdir", str(tmp_path)])
-    assert code == 0
-    printed = out.strip().split("\n")
-    assert [p.rsplit("/", 1)[-1] for p in printed] == list(EXPECTED_TABLES)
-
-    for name in EXPECTED_TABLES:
-        text = (tmp_path / name).read_text()
-        lines = text.split("\n")
-        assert lines[0] == "# generated-by: psthresh tables"
-        assert lines[1].startswith("# git: ")
-        assert lines[2] == "# seed: 1"
-
-    fixed = (tmp_path / "fixedpoints.csv").read_text()
-    assert "713,knill,3.472,0.90602" in fixed
-    assert "2317,forward,3.5471,0.85108" in fixed
-    capacity = (tmp_path / "capacity.csv").read_text()
-    assert "hashing,11.0028,6.3097" in capacity
-    thresholds = (tmp_path / "thresholds.csv").read_text()
-    assert "hashing,8.2751,6.9024,4.8182" in thresholds
+def test_reproduce(monkeypatch, capsys):
+    rows = _fast_targets()
+    monkeypatch.setattr(cli, "TARGETS", tuple(rows))
+    code, out, err = run(capsys, ["reproduce"])
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == len(rows)
+    for row, line in zip(rows, lines):
+        head, got, want, tol, verdict = line.rsplit(None, 4)
+        assert head.split(None, 1) == [str(row.criterion or "-"), row.label]
+        assert float(want) == row.want
+        if row.compute is None:
+            assert (got, tol, verdict) == ("-", "-", "-")
+        else:
+            assert verdict == "hit"
+            assert float(tol) == row.tol
+            assert abs(float(got) - row.want) <= row.tol
 
 
-def test_tables_rerun_byte_identical(tmp_path, capsys):
-    run(capsys, ["tables", "--outdir", str(tmp_path)])
-    first = {n: (tmp_path / n).read_bytes() for n in EXPECTED_TABLES}
-    run(capsys, ["tables", "--outdir", str(tmp_path)])
-    second = {n: (tmp_path / n).read_bytes() for n in EXPECTED_TABLES}
+def test_reproduce_miss_exits_1(monkeypatch, capsys):
+    miss = cli.Target(None, "deliberate miss", 1.0, 0.5, lambda: 2.0)
+    monkeypatch.setattr(cli, "TARGETS", tuple(_fast_targets()) + (miss,))
+    code, out, _ = run(capsys, ["reproduce"])
+    assert code == 1
+    verdicts = [line.rsplit(None, 1)[1] for line in out.splitlines()]
+    assert verdicts.count("miss") == 1
+    assert out.splitlines()[-1].split() == ["-", "deliberate", "miss", "2", "1", "0.5", "miss"]
+
+
+def test_reproduce_rerun_byte_identical(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "TARGETS", tuple(_fast_targets()))
+    _, first, _ = run(capsys, ["reproduce"])
+    _, second, _ = run(capsys, ["reproduce"])
     assert first == second
 
 
-def test_tables_custom_seed(tmp_path, capsys):
-    code, _, _ = run(capsys, ["tables", "--outdir", str(tmp_path), "--seed", "7"])
-    assert code == 0
-    assert "# seed: 7" in (tmp_path / "capacity.csv").read_text()
+def test_targets_table():
+    labels = [row.label for row in cli.TARGETS]
+    assert len(set(labels)) == len(labels)
+    for row in cli.TARGETS:
+        if row.compute is not None:
+            assert row.tol > 0, row.label
+
+
+def _package_imports(path):
+    """Names that a file imports from the package's layer modules (not
+    from psthresh.cli)."""
+    layers = {"codes", "noise", "pauli", "postselect", "threshold"}
+    names = set()
+    for node in ast.walk(ast.parse(Path(path).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module is not None:
+            module = node.module if node.level else node.module.removeprefix("psthresh.")
+            if module in layers:
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_public_names_are_what_cli_and_acceptance_import():
+    used = _package_imports(cli.__file__) | _package_imports(
+        Path(__file__).with_name("test_acceptance.py")
+    )
+    assert sorted(psthresh.__all__) == sorted(used)

@@ -23,11 +23,9 @@ from psthresh.codes import (
     PARITY_CHECK_713,
     combine_classes,
     coset_class_713,
-    crash_difference,
     crash_poly_2317,
     crash_poly_713,
     crash_polynomial,
-    crash_probability,
     decompose_713,
     degeneracy_correction,
     distance_classes_from_x,
@@ -38,10 +36,8 @@ from psthresh.codes import (
     golay_logical_diagonal,
     golay_sector_entropy,
     golay_syndrome_weights,
-    golay_weight_distribution,
     postselect_classes,
     recover_713,
-    syndrome_class_entropy,
 )
 from psthresh.pauli import pauli_commutes
 from psthresh.threshold import McConfig, _mc_level, model_level0
@@ -147,21 +143,6 @@ def test_postselect_rejects_empty():
         postselect_classes([0, 1, 0, 0], [0, 0, 1, 0])
 
 
-def test_syndrome_class_entropy_formula():
-    def h2(q):
-        if q <= 0 or q >= 1:
-            return 0.0
-        return -q * np.log2(q) - (1 - q) * np.log2(1 - q)
-
-    for x in (0.95, 0.7, 0.3):
-        a = distance_classes_from_x(x)
-        want = (a[0] + a[3]) * h2(a[3] / (a[0] + a[3])) + (a[1] + a[2]) * h2(
-            a[2] / (a[1] + a[2])
-        )
-        assert syndrome_class_entropy(a) == pytest.approx(want, abs=1e-13)
-    assert syndrome_class_entropy(distance_classes_from_x(1.0)) == 0.0
-
-
 # ---------------------------------------------------------------------------
 # crash polynomials
 
@@ -199,8 +180,6 @@ def test_crash_polynomial_general():
     # f(x) = (3x - x^3)/2 is the unique choice with f(1)=1, f'(1)=0
     assert poly.coefficient(1) == Fraction(3, 2)
     assert poly.coefficient(3) == Fraction(-1, 2)
-    assert crash_probability(poly, 1.0) == 0
-    assert crash_difference(poly, 1.0, 0.0) == pytest.approx(0.5)
 
 
 def test_degeneracy_correction():
@@ -401,7 +380,11 @@ def test_first_level_fidelity():
 
 
 def test_golay_weight_distribution():
-    assert golay_weight_distribution() == {
+    weights = {}
+    for c in golay_codewords():
+        w = bin(int(c)).count("1")
+        weights[w] = weights.get(w, 0) + 1
+    assert weights == {
         0: 1,
         7: 253,
         8: 506,

@@ -13,13 +13,11 @@ from hypothesis import strategies as st
 from psthresh.noise import (
     Depolarizing,
     Forward,
-    Independent,
     RateError,
     diagonal_q,
     knill,
     measurement_m,
     model_family,
-    parse_model,
     two_qubit_dist,
 )
 from psthresh.pauli import LABEL_INDEX, TWO_QUBIT_LABELS, pauli_commutes
@@ -27,9 +25,9 @@ from psthresh.pauli import LABEL_INDEX, TWO_QUBIT_LABELS, pauli_commutes
 probs = st.floats(min_value=0.0, max_value=1.0)
 
 
-@given(probs.filter(lambda p: p <= 0.5), probs.filter(lambda p: p <= 0.5))
-def test_distributions_normalized(pf, pb):
-    for model in (Depolarizing(pf), Forward(pf), Independent(pf, pb, 0.0)):
+@given(probs.filter(lambda p: p <= 0.5))
+def test_distributions_normalized(pf):
+    for model in (Depolarizing(pf), Forward(pf)):
         d = two_qubit_dist(model)
         assert d.min() >= 0
         assert d.sum() == pytest.approx(1.0)
@@ -51,25 +49,20 @@ def test_forward_q_closed_form():
 
 
 def test_forward_is_independent_limit():
+    # forward noise is two independent error bits at rate pf, a source
+    # phase flip and a destination bit flip, with no backward errors
     pf = 0.042
-    np.testing.assert_allclose(
-        two_qubit_dist(Forward(pf)),
-        two_qubit_dist(Independent(pf, 0.0, 0.0)),
-        atol=1e-15,
-    )
+    x_bits = {"I": 0, "X": 1, "Y": 1, "Z": 0}
+    z_bits = {"I": 0, "X": 0, "Y": 1, "Z": 1}
 
+    def bit(hit, p):
+        return p if hit else 1.0 - p
 
-def test_independent_spot_values():
-    pf, pb = 0.02, 0.07
-    d = two_qubit_dist(Independent(pf, pb, 0.0))
-
-    def at(lab):
-        return d[LABEL_INDEX[lab]]
-
-    assert at("XI") == pytest.approx((1 - pf) ** 2 * (1 - pb) * pb)
-    assert at("ZX") == pytest.approx(pf**2 * (1 - pb) ** 2)
-    assert at("XZ") == pytest.approx((1 - pf) ** 2 * pb**2)
-    assert at("YY") == pytest.approx(pf**2 * pb**2)
+    want = [
+        bit(x_bits[s], 0.0) * bit(z_bits[s], pf) * bit(x_bits[d], pf) * bit(z_bits[d], 0.0)
+        for s, d in TWO_QUBIT_LABELS
+    ]
+    np.testing.assert_allclose(two_qubit_dist(Forward(pf)), want, atol=1e-15)
 
 
 @given(probs.filter(lambda p: p <= 0.3))
@@ -91,7 +84,6 @@ def test_knill_is_depolarizing_with_full_measurement():
     assert measurement_m(knill(0.069024)) == pytest.approx(1 - 8 / 15 * 0.069024)
     assert measurement_m(Depolarizing(0.08)) == 1.0
     assert measurement_m(Forward(0.3)) == 1.0
-    assert measurement_m(Independent(0.1, 0.1, 0.02)) == pytest.approx(0.96)
 
 
 def test_validation():
@@ -103,21 +95,6 @@ def test_validation():
         Forward(1.2)
     with pytest.raises(TypeError):
         two_qubit_dist("depolarizing")
-
-
-def test_parse_model():
-    assert parse_model("depolarizing:p=0.08,r=1") == Depolarizing(0.08, 1.0)
-    assert parse_model("knill:p=0.069") == Depolarizing(0.069, 1.0)
-    assert parse_model("forward:pf=0.048") == Forward(0.048)
-    assert parse_model("independent:pf=0.01,pb=0.02,pm=0.003") == Independent(
-        0.01, 0.02, 0.003
-    )
-    with pytest.raises(ValueError):
-        parse_model("bogus:p=0.1")
-    with pytest.raises(ValueError):
-        parse_model("forward:p=0.1")
-    with pytest.raises(ValueError):
-        parse_model("forward:pf")
 
 
 def test_model_family():

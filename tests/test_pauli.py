@@ -7,7 +7,7 @@ the hand-coded component pairs are never the only source of truth.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from psthresh.pauli import (
@@ -16,19 +16,13 @@ from psthresh.pauli import (
     channel_to_dist,
     cnot_conjugate,
     commutation_signs,
-    compose,
     dist_to_channel,
     fidelity,
     measure_traceout,
-    measurement_correct_prob,
     pauli_commutes,
     total_cnot_noise,
     traceout_crosscheck,
 )
-
-channels = st.lists(
-    st.floats(min_value=-1.0, max_value=1.0), min_size=3, max_size=3
-).map(np.array)
 
 dists = st.lists(
     st.floats(min_value=0.0, max_value=1.0), min_size=4, max_size=4
@@ -73,12 +67,6 @@ def test_dist_to_channel_rejects_junk():
         dist_to_channel([0.3, 0.3, 0.3, 0.3])
     with pytest.raises(ValueError):
         channel_to_dist([1.0, 1.0, -1.0])
-
-
-@given(channels, channels)
-@settings(max_examples=50)
-def test_compose_is_elementwise(a, b):
-    np.testing.assert_allclose(compose(a, b), np.asarray(a) * np.asarray(b))
 
 
 def test_cnot_conjugate_matches_superoperator():
@@ -147,13 +135,6 @@ def test_traceout_crosscheck_small():
         m = rng.uniform(0.9, 1.0)
         worst = max(worst, traceout_crosscheck(s, d, q, m_noise=m))
     assert worst < 1e-12
-
-
-def test_measurement_correct_prob():
-    # a noiseless channel keeps the measurement outcome certain; a fully
-    # depolarizing one makes it a coin flip
-    assert measurement_correct_prob(np.array([1.0, 1.0, 1.0]), "Z") == pytest.approx(1.0)
-    assert measurement_correct_prob(np.array([0.0, 0.0, 0.0]), "Z") == pytest.approx(0.5)
 
 
 def test_fidelity_pure_state():

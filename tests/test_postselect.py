@@ -1,7 +1,5 @@
 """Tests for the purification step and its fixed point."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,7 +8,6 @@ from hypothesis import strategies as st
 from psthresh.noise import (
     Depolarizing,
     Forward,
-    Independent,
     diagonal_q,
     knill,
     measurement_m,
@@ -18,6 +15,7 @@ from psthresh.noise import (
 from psthresh.pauli import (
     LABEL_INDEX,
     VALIDITY_TOL,
+    commutation_signs,
     dist_to_channel,
     measure_traceout,
     total_cnot_noise,
@@ -31,21 +29,8 @@ from psthresh.postselect import (
     model_fixed_point,
     model_teleport_output,
     post_step,
-    scalar_post,
     teleport_output,
 )
-
-
-@given(st.floats(min_value=-3, max_value=3), st.floats(min_value=-3, max_value=3))
-def test_scalar_post_is_tanh_addition(a, b):
-    got = scalar_post(math.tanh(a), math.tanh(b))
-    assert got == pytest.approx(math.tanh(a + b), abs=1e-12)
-
-
-def test_scalar_post_identities():
-    assert scalar_post(0.3, 0.0) == pytest.approx(0.3)
-    assert scalar_post(0.3, 1.0) == pytest.approx(1.0)
-    assert scalar_post(0.2, 0.7) == pytest.approx(scalar_post(0.7, 0.2))
 
 
 def test_post_step_noiseless_is_identity_on_perfect_channel():
@@ -217,21 +202,24 @@ def _random_channel(rng):
     return dist_to_channel(rng.dirichlet(np.full(4, 0.3)))
 
 
-def _random_model(rng, k):
+def _random_q_m(rng, k):
+    """Gate noise Q and measurement scalar m of a random model, or of a
+    random two-qubit Pauli distribution with a random m."""
     p = rng.uniform(0.0, 0.3)
     if k % 3 == 0:
-        return Depolarizing(p, rng.uniform(0.0, 1.0))
-    if k % 3 == 1:
-        return Forward(p)
-    return Independent(p, rng.uniform(0.0, 0.3), rng.uniform(0.0, 0.3))
+        model = Depolarizing(p, rng.uniform(0.0, 1.0))
+    elif k % 3 == 1:
+        model = Forward(p)
+    else:
+        return commutation_signs() @ rng.dirichlet(np.ones(16)), rng.uniform(0.0, 1.0)
+    return diagonal_q(model), measurement_m(model)
 
 
 def test_post_step_matches_traceout_composition():
     rng = np.random.default_rng(5)
     for k in range(300):
         c = _random_channel(rng)
-        model = _random_model(rng, k)
-        q, m = diagonal_q(model), measurement_m(model)
+        q, m = _random_q_m(rng, k)
         accept, _ = measure_traceout(total_cnot_noise(q, c, c), m_noise=m)
         x, y, z = accept.channel
         assert np.array_equal(post_step(c, q, m=m), np.array([z, y, x]))

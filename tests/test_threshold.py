@@ -15,14 +15,12 @@ from psthresh.noise import Depolarizing, Forward, model_family
 from psthresh.postselect import NoConvergenceError, model_teleport_output
 from psthresh.threshold import (
     ABOVE_INFIDELITY,
-    ALPHA_CONVERGENCE,
     BracketError,
     McConfig,
     bisect,
     capacity_one_type,
     capacity_three_type,
     concat_threshold_mc,
-    convergence_delta,
     crash_difference_threshold,
     entropy_match_threshold,
     fixed_fidelity_point,
@@ -35,7 +33,6 @@ from psthresh.threshold import (
     model_level0,
     model_pair_entropy,
     one_type_dist,
-    overhead_exponent,
     overhead_success,
     shannon_entropy,
     sweep_r,
@@ -320,6 +317,9 @@ def test_mc_error_bar():
     assert err == pytest.approx(np.std(ests, ddof=1))
     with pytest.raises(ValueError):
         mc_threshold_error_bar(one_type_dist, 0.05, 0.18, QUICK, n_seeds=1)
+    # every seed checks its bracket, as one concat_threshold_mc does
+    with pytest.raises(BracketError, match="does not converge at lo"):
+        mc_threshold_error_bar(one_type_dist, 0.22, 0.3, QUICK, n_seeds=2, tol=5e-3)
 
 
 def test_level0_breakdown_is_above():
@@ -412,21 +412,8 @@ def test_fixed_fidelity_rejects_unknown():
 
 
 # ---------------------------------------------------------------------------
-# convergence and overhead
-
-
-def test_alpha_convergence():
-    assert ALPHA_CONVERGENCE == pytest.approx(0.5288, abs=1e-4)
-
-
-def test_convergence_delta():
-    assert convergence_delta(0.05, 0.05, 3, 4) == 0.0
-    got = convergence_delta(0.05, 0.04, 3, 2)
-    assert got == pytest.approx((0.01 / 0.05) * 3 ** (2 * ALPHA_CONVERGENCE))
+# overhead
 
 
 def test_overhead():
     assert overhead_success(0.153, 14) == pytest.approx(0.0978065, abs=1e-6)
-    p, base = 0.153, 7.0
-    n = overhead_exponent(p, base)
-    assert base**-n == pytest.approx(1 - p, abs=1e-12)
