@@ -5,8 +5,9 @@ outside its tolerance, 2 when a deterministic solve cannot bracket its
 crossing (or a sweep has failed rows), 3 when a Monte Carlo verdict is
 inconclusive or its bracket fails, 64 for usage errors, which include
 out-of-range values (--tol not above 0, a rate or fraction outside
-[0, 1], too few points, population, levels or seeds) and --seeds above
-1 with --at.
+[0, 1], too few points, population, levels or seeds) and flags the
+chosen mode would ignore: --r with a model other than depolarizing,
+--points with --r-values, and --lo, --hi or --seeds above 1 with --at.
 
 Percentages are printed with 6 significant digits unless --raw asks for
 plain probabilities; sweeps use 9 significant digits.  Output for a
@@ -107,7 +108,7 @@ class Target(NamedTuple):
     compute: Callable[[], float] | None
 
 
-def _level0(model: str, r: float = 0.0):
+def _level0(model: str, r: float = None):
     """Level-0 distribution family of a concat --model choice."""
     if model == "one-type":
         return one_type_dist
@@ -135,7 +136,7 @@ def _hashing_rows(name, threshold_pp, pxz_pp, py_pp):
 def _forward_fixed_point():
     """Decoupled fixed point at the forward hashing threshold."""
     pf = hashing_threshold("forward", tol=1e-12)
-    return indep_fixed_point(1.0 - 2.0 * pf, 1.0, 1.0)
+    return indep_fixed_point(1.0 - 2.0 * pf)
 
 
 def _mc_row(model, lo, hi, want_pp):
@@ -143,7 +144,7 @@ def _mc_row(model, lo, hi, want_pp):
     McConfig, bisected from the bracket [lo, hi]."""
     return Target(
         5, "%s MC threshold (pp)" % model, want_pp, 0.05,
-        lambda: 100 * concat_threshold_mc(_level0(model), lo, hi, McConfig(), tol=2e-4),
+        lambda: 100 * concat_threshold_mc(_level0(model), lo, hi),
     )
 
 
@@ -208,7 +209,7 @@ TARGETS = (
     Target(
         8, "p_r from baseline 4.805% (pp)", 4.801, 0.002,
         lambda: 100 * crash_difference_threshold(
-            crash_poly_2317(), _C_E_2317_FORWARD.want, _P_E_2317_FORWARD.want / 100, tol=1e-9
+            crash_poly_2317(), _C_E_2317_FORWARD.want, _P_E_2317_FORWARD.want / 100
         ),
     ),
     Target(
@@ -251,7 +252,15 @@ TARGETS = (
 # subcommands
 
 
+def _usage_error(args, message) -> int:
+    """Report a flag combination the subcommand rejects."""
+    print("%s: %s" % (args.command, message), file=sys.stderr)
+    return EXIT_USAGE
+
+
 def cmd_hashing(args) -> int:
+    if args.r is not None and args.model != "depolarizing":
+        return _usage_error(args, "--r applies to --model depolarizing only")
     family = model_family(args.model, r=args.r)
     try:
         thr = hashing_threshold(
@@ -273,7 +282,8 @@ def cmd_hashing(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    results = sweep_r(r_values=args.r_values, points=args.points, tol=args.tol)
+    grid = {"r_values": args.r_values} if args.points is None else {"points": args.points}
+    results = sweep_r(tol=args.tol, **grid)
     rows = [(("%.9g" % r), ("%.9g" % (100.0 * thr))) for r, thr in results]
     failed = any(thr != thr for _, thr in results)  # NaN check
     if args.format == "json":
@@ -298,30 +308,31 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_concat(args) -> int:
+    if args.r is not None and args.model != "depolarizing":
+        return _usage_error(args, "--r applies to --model depolarizing only")
     dist_fn = _level0(args.model, r=args.r)
     config = McConfig(
         population=args.population, levels=args.levels, seed=args.seed
     )
 
     if args.at is not None:
+        if args.lo is not None or args.hi is not None:
+            return _usage_error(args, "--at takes no --lo or --hi")
         if args.seeds > 1:
-            print("concat: --seeds needs --lo and --hi, not --at", file=sys.stderr)
-            return EXIT_USAGE
+            return _usage_error(args, "--seeds needs --lo and --hi, not --at")
         verdict, level = mc_verdict_at(dist_fn, args.at, config)
+        row = {"level": level, "model": args.model, "p": args.at, "verdict": verdict}
         if args.format == "json":
-            print(
-                json.dumps(
-                    {"model": args.model, "p": args.at, "verdict": verdict, "level": level},
-                    sort_keys=True,
-                )
-            )
+            print(json.dumps(row, sort_keys=True))
+        elif args.format == "csv":
+            print(",".join(sorted(row)))
+            print(",".join(str(row[key]) for key in sorted(row)))
         else:
             print("%s %d" % (verdict, level))
         return EXIT_INCONCLUSIVE if verdict == "inconclusive" else EXIT_OK
 
     if args.lo is None or args.hi is None:
-        print("concat: need --at, or both --lo and --hi", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(args, "need --at, or both --lo and --hi")
     try:
         if args.seeds > 1:
             mean, std, _ = mc_threshold_error_bar(
@@ -405,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hashing", help="hashing-bound threshold of a noise family")
     p.add_argument("--model", choices=SOLVER_FAMILIES, required=True)
-    p.add_argument("--r", type=_unit, default=0.0, help="measurement fraction (depolarizing)")
+    p.add_argument("--r", type=_unit, help="measurement fraction (depolarizing only)")
     p.add_argument("--lo", type=_unit, default=1e-3)
     p.add_argument("--hi", type=_unit, default=0.25)
     p.add_argument("--tol", type=_positive, default=1e-6)
@@ -415,8 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_hashing)
 
     p = sub.add_parser("sweep", help="depolarizing threshold vs measurement fraction r")
-    p.add_argument("--points", type=_points, default=11)
-    p.add_argument("--r-values", type=_unit, nargs="+", default=None)
+    grid = p.add_mutually_exclusive_group()
+    grid.add_argument("--points", type=_points, help="evenly spaced r in [0, 1]")
+    grid.add_argument("--r-values", type=_unit, nargs="+")
     p.add_argument("--tol", type=_positive, default=1e-6)
     p.add_argument("--assert-monotone", action="store_true")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -427,13 +439,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--model", choices=("one-type",) + SOLVER_FAMILIES, required=True,
         help="level-0 distribution: a raw one-type channel or a teleported model",
     )
-    p.add_argument("--r", type=_unit, default=0.0)
-    p.add_argument("--at", type=_unit, default=None, help="single verdict at this rate")
-    p.add_argument("--lo", type=_unit, default=None)
-    p.add_argument("--hi", type=_unit, default=None)
-    p.add_argument("--population", type=_count, default=10_000)
-    p.add_argument("--levels", type=_count, default=12)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--r", type=_unit, help="measurement fraction (depolarizing only)")
+    p.add_argument("--at", type=_unit, help="single verdict at this rate")
+    p.add_argument("--lo", type=_unit)
+    p.add_argument("--hi", type=_unit)
+    p.add_argument("--population", type=_count, default=McConfig.population)
+    p.add_argument("--levels", type=_count, default=McConfig.levels)
+    p.add_argument("--seed", type=int, default=McConfig.seed)
     p.add_argument("--seeds", type=_count, default=1, help="average this many seeds (error bar)")
     p.add_argument("--tol", type=_positive, default=2e-4)
     p.add_argument("--raw", action="store_true")

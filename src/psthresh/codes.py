@@ -42,19 +42,6 @@ PARITY_CHECK_713 = (
 #: coset sizes of the four distance classes (minimum weight 0, 1, 2, 3)
 CLASS_SIZES_713 = (8, 56, 56, 8)
 
-LOGICAL_X_713 = "XXXXXXX"
-LOGICAL_Z_713 = "ZZZZZZZ"
-
-
-def stabilizer_generators_713() -> list:
-    """The six stabilizer generators: the parity-check rows as X-type
-    strings followed by the same rows as Z-type strings."""
-    gens = []
-    for letter in "XZ":
-        for row in PARITY_CHECK_713:
-            gens.append("".join(letter if b else "I" for b in row))
-    return gens
-
 
 def _row_int(row) -> int:
     out = 0
@@ -174,12 +161,6 @@ class CrashPolynomial:
 
     def __call__(self, x):
         return sum(c * x**w for w, c in self.terms)
-
-    def coefficient(self, weight: int) -> Fraction:
-        for w, c in self.terms:
-            if w == weight:
-                return c
-        return Fraction(0)
 
     def derivative_at_one(self, order: int):
         """Exact value of the order-th derivative at x = 1."""

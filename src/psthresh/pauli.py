@@ -10,8 +10,6 @@ Conventions used throughout the package:
 * Two-qubit diagonal objects (CNOT gate noise Q, conjugated noise R, total
   noise N) are length-16 vectors in source-major label order
   II, IX, IY, IZ, XI, ..., ZZ; see ``TWO_QUBIT_LABELS``.
-* A density vector is the length-4 vector ``[1, c_X, c_Y, c_Z]`` of Pauli
-  coefficients of a single-qubit density matrix.
 
 Everything here is a pure function on immutable values.
 """
@@ -159,20 +157,6 @@ def measure_traceout(n, m_noise: float = 1.0):
     else:
         reject = TraceoutBranch(float(rej[0]), rej[1:] / rej[0])
     return accept, reject
-
-
-def fidelity(rho, nu) -> float:
-    """Fidelity of a state with density vector ``rho`` against the pure
-    state ``nu``: half the inner product of the two density vectors."""
-    rho = np.asarray(rho, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    if rho.shape != (4,) or nu.shape != (4,):
-        raise ValueError("density vectors have 4 components")
-    if abs(rho[0] - 1.0) > 1e-9 or abs(nu[0] - 1.0) > 1e-9:
-        raise ValueError("density vectors must have leading component 1")
-    if abs(np.dot(nu[1:], nu[1:]) - 1.0) > 1e-9:
-        raise ValueError("second argument must be a pure state")
-    return 0.5 * float(rho @ nu)
 
 
 _PAULI_MATS = {

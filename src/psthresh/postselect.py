@@ -9,11 +9,11 @@ which swaps its x and z components.  Iterating this step from the
 noiseless channel (1, 1, 1) drives the pair toward a fixed point; the
 fixed point exists only below the threshold of the gate noise.
 
-The step runs in closed form on Python floats: the accept branch reads
-only 8 of the 16 gate-noise entries Q (II, IZ, XI, XZ, YI, YZ, ZI, ZZ),
-in the operation order of ``pauli.total_cnot_noise`` followed by
-``pauli.measure_traceout``, so it gives the same bits as that
-composition.
+The step, ``_step``, runs in closed form on Python floats: the accept
+branch reads only 8 of the 16 gate-noise entries Q (II, IZ, XI, XZ, YI,
+YZ, ZI, ZZ), in the operation order of ``pauli.total_cnot_noise``
+followed by ``pauli.measure_traceout``, so it gives the same bits as
+that composition.
 """
 
 from __future__ import annotations
@@ -54,7 +54,9 @@ def _accept_q(q) -> tuple:
 
 
 def _step(x: float, y: float, z: float, qa: tuple, m: float) -> tuple:
-    """post_step on floats, with qa = _accept_q(q).
+    """One purification step of the channel (x, y, z) under gate noise
+    q, with qa = _accept_q(q), and measurement scalar m; returns the new
+    (x, y, z), with x and z already swapped by the Hadamard.
 
     Both CNOT inputs carry (x, y, z), so the conjugated entries read are
     R_IZ = z z, R_XI = x x, R_XZ = y y, R_YI = y x, R_YZ = x y and
@@ -75,20 +77,8 @@ def _step(x: float, y: float, z: float, qa: tuple, m: float) -> tuple:
     return az / acc0, ay / acc0, ax / acc0
 
 
-def post_step(channel, q, m: float = 1.0) -> np.ndarray:
-    """One purification step on channel (x, y, z) under gate noise with
-    diagonal entries q and measurement noise scalar m.
-
-    Both pair members carry the same channel.  The step is the accept
-    branch of the measured, traced-out noisy CNOT, followed by the
-    Hadamard swap of the x and z components.
-    """
-    x, y, z = np.asarray(channel, dtype=float).tolist()
-    return np.array(_step(x, y, z, _accept_q(q), float(m)))
-
-
 def fixed_point(q, tol: float = 1e-14, max_iter: int = 10**6, m: float = 1.0) -> FixedPointResult:
-    """Iterate post_step from the noiseless channel until successive
+    """Iterate _step from the noiseless channel until successive
     iterates agree within tol (sup norm).
 
     Raises NoConvergenceError if the iteration runs out of steps or the
@@ -120,19 +110,17 @@ def fixed_point(q, tol: float = 1e-14, max_iter: int = 10**6, m: float = 1.0) ->
     )
 
 
-def indep_fixed_point(f: float, b: float, m: float, tol: float = 1e-14) -> IndepFixedPoint:
-    """Fixed point of the decoupled bit/phase recursion used for
-    independent noise: x_g is the good (post-selected) component and
-    x_b the bad one, with f and b the forward and backward diagonal
-    factors and m the measurement scalar.
+def indep_fixed_point(f: float) -> IndepFixedPoint:
+    """Fixed point of the decoupled bit/phase recursion for forward
+    noise with diagonal factor f: x_g is the good (post-selected)
+    component and x_b the bad one.
     """
     x_g = 1.0
     x_b = 1.0
     for _ in range(10**6):
-        fm = f * m
-        x_g2 = b * (x_b + x_b * fm) / (1.0 + x_b * x_b * fm)
+        x_g2 = (x_b + x_b * f) / (1.0 + x_b * x_b * f)
         x_b2 = x_g2 * x_g2 * f
-        if abs(x_g2 - x_g) < tol and abs(x_b2 - x_b) < tol:
+        if abs(x_g2 - x_g) < 1e-14 and abs(x_b2 - x_b) < 1e-14:
             return IndepFixedPoint(x_g=x_g2, x_b=x_b2)
         if not (math.isfinite(x_g2) and math.isfinite(x_b2)):
             raise NoConvergenceError("independent recursion diverged")
@@ -163,19 +151,13 @@ def teleport_output(channel, q, m: float = 1.0) -> np.ndarray:
     return np.clip(p, 0.0, None)
 
 
-def combined_noise(x_g: float, f: float, m: float) -> float:
-    """Diagonal component of the teleported error seen by one sector
-    when bit and phase decouple: x_g**3 * f**2 * m."""
-    return x_g**3 * f * f * m
-
-
-def model_fixed_point(model, tol: float = 1e-14, max_iter: int = 10**6) -> FixedPointResult:
+def model_fixed_point(model) -> FixedPointResult:
     """fixed_point driven directly by a noise model, with the model's
     own measurement scalar."""
-    return fixed_point(diagonal_q(model), tol=tol, max_iter=max_iter, m=measurement_m(model))
+    return fixed_point(diagonal_q(model), m=measurement_m(model))
 
 
-def model_teleport_output(model, tol: float = 1e-14) -> np.ndarray:
+def model_teleport_output(model) -> np.ndarray:
     """Teleported error distribution at the model's fixed point."""
     q, m = diagonal_q(model), measurement_m(model)
-    return teleport_output(fixed_point(q, tol=tol, m=m).channel, q, m=m)
+    return teleport_output(fixed_point(q, m=m).channel, q, m=m)

@@ -29,7 +29,6 @@ from .codes import (
 from .noise import Depolarizing, Forward, RateError, model_family
 from .postselect import (
     NoConvergenceError,
-    combined_noise,
     indep_fixed_point,
     model_teleport_output,
 )
@@ -124,18 +123,18 @@ def hashing_threshold(
     return bisect(lambda p: not above(p), lo, hi, tol)
 
 
-def sweep_r(r_values=None, points: int = 11, **kwargs):
-    """Depolarizing hashing threshold as a function of the measurement
-    error fraction r; returns a list of (r, threshold) pairs, with NaN
-    thresholds where the bracket fails or the model rejects r.  Other
-    errors, such as a bad tolerance, are raised."""
+def sweep_r(r_values=None, points: int = 11, tol: float = 1e-6):
+    """Depolarizing hashing threshold, solved to tol, as a function of
+    the measurement error fraction r; returns a list of (r, threshold)
+    pairs, with NaN thresholds where the bracket fails or the model
+    rejects r.  Other errors, such as a bad tolerance, are raised."""
     if r_values is None:
         r_values = [i / (points - 1) for i in range(points)]
     out = []
     for r in r_values:
         rr = float(r)
         try:
-            thr = hashing_threshold(lambda p: Depolarizing(p, r=rr), **kwargs)
+            thr = hashing_threshold(lambda p: Depolarizing(p, r=rr), tol=tol)
         except (BracketError, RateError):
             thr = float("nan")
         out.append((rr, thr))
@@ -146,23 +145,27 @@ def sweep_r(r_values=None, points: int = 11, **kwargs):
 # hashing capacities of fixed one-parameter channels
 
 
-def capacity_one_type(tol: float = 1e-9) -> float:
+def capacity_one_type() -> float:
     """Flip rate p of a single-type channel (0, 0, p) at which its
     sector entropy h(p) reaches half a bit."""
-    return bisect(lambda p: shannon_entropy([1 - p, p]) < 0.5, 0.0, 0.5, tol)
+    return bisect(lambda p: shannon_entropy([1 - p, p]) < 0.5, 0.0, 0.5, 1e-9)
 
 
-def capacity_three_type(tol: float = 1e-9) -> float:
+def capacity_three_type() -> float:
     """Error rate p of the symmetric channel (p, p, p) at which the full
     distribution's entropy reaches one bit."""
     return bisect(
-        lambda p: shannon_entropy([1 - 3 * p, p, p, p]) < 1.0, 0.0, 1.0 / 3.0, tol
+        lambda p: shannon_entropy([1 - 3 * p, p, p, p]) < 1.0, 0.0, 1.0 / 3.0, 1e-9
     )
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo population dynamics on the concatenated [[7,1,3]] code
 
+
+#: Mean infidelity under which the concatenation flow has reached the
+#: perfect attractor and so is below threshold.
+BELOW_INFIDELITY = 1e-6
 
 #: Mean infidelity past which the concatenation flow is on its way to an
 #: upper attractor (0.5 with one sector randomised, 0.75 with both) and so
@@ -179,7 +182,7 @@ class McConfig:
     level resamples each individual from seven parents.  Randomness is
     drawn from counter-based streams keyed by (seed, level).  The flow
     runs for at most `levels` levels; it stops as below threshold once
-    the mean infidelity falls under target_infidelity, and as above once
+    the mean infidelity falls under BELOW_INFIDELITY, and as above once
     it passes ABOVE_INFIDELITY.
 
     A level runs in row blocks of 256 individuals, so that each block's
@@ -193,7 +196,6 @@ class McConfig:
     population: int = 10_000
     levels: int = 12
     seed: int = 1
-    target_infidelity: float = 1e-6
 
     def __post_init__(self):
         if not self.population >= 1:
@@ -273,7 +275,7 @@ def mc_verdict(dist0, config: McConfig = McConfig()):
     concatenation flow started from error distribution dist0.
 
     The verdict names the attractor the flow reaches.  Below threshold:
-    the population-mean infidelity drops under target_infidelity within
+    the population-mean infidelity drops under BELOW_INFIDELITY within
     the level budget.  Above: the mean infidelity passes
     ABOVE_INFIDELITY, on the way to a randomised sector.  A flow that
     does neither within config.levels levels is inconclusive.
@@ -285,7 +287,7 @@ def mc_verdict(dist0, config: McConfig = McConfig()):
         else:
             popn = _mc_level(popn, config, level)
         infidelity = 1.0 - popn[:, 0].mean()
-        if infidelity < config.target_infidelity:
+        if infidelity < BELOW_INFIDELITY:
             return "below", level
         if infidelity > ABOVE_INFIDELITY:
             return "above", level
@@ -410,27 +412,27 @@ def entropy_match_threshold(
 
 def forward_combined_diagonal(pf: float) -> float:
     """Sector diagonal of the teleported error for forward noise at rate
-    pf, from the decoupled fixed point."""
+    pf, from the decoupled fixed point: x_g**3 f**2."""
     f = 1.0 - 2.0 * pf
-    fp = indep_fixed_point(f, 1.0, 1.0)
-    return combined_noise(fp.x_g, f, 1.0)
+    return indep_fixed_point(f).x_g**3 * f * f
 
 
 def crash_difference_threshold(
     poly: CrashPolynomial,
     delta: float,
     p_baseline: float,
-    lo: float = 1e-4,
     tol: float = 1e-9,
 ) -> float:
     """Forward rate p at which the code's crash probability sits delta
     below its value at p_baseline, i.e. the rate whose crash margin
-    equals the degeneracy correction delta."""
+    equals the degeneracy correction delta, bisected on
+    [1e-4, p_baseline]."""
     base = poly(forward_combined_diagonal(p_baseline))
 
     def margin(p):
         return (poly(forward_combined_diagonal(p)) - base) / 2.0
 
+    lo = 1e-4
     if margin(lo) < delta:
         raise BracketError("crash margin never reaches delta above lo=%g" % lo)
     return bisect(lambda p: margin(p) > delta, lo, p_baseline, tol)
@@ -440,7 +442,7 @@ def crash_difference_threshold(
 # fixed-fidelity points (where one level of encoding stops helping)
 
 
-def _forward_class_state(pf: float, tol: float = 1e-15):
+def _forward_class_state(pf: float):
     """Fixed point of the class-level recursion for forward noise:
     good and bad ancilla class distributions and the gate class
     distribution."""
@@ -451,7 +453,7 @@ def _forward_class_state(pf: float, tol: float = 1e-15):
         _, good2 = postselect_classes(bad, combine_classes(bad, gate))
         delta = max(abs(a - b) for a, b in zip(good, good2))
         good = good2
-        if delta < tol:
+        if delta < 1e-15:
             break
     bad = combine_classes(combine_classes(good, good), gate)
     return good, bad, gate
@@ -465,7 +467,7 @@ def _forward_class_level1(pf: float) -> float:
     return teleported[0] + teleported[1]
 
 
-def fixed_fidelity_point(code: str, family: str, tol: float = 1e-9):
+def fixed_fidelity_point(code: str, family: str):
     """Error rate and fidelity at which one level of encoding leaves the
     fidelity unchanged, i.e. where first-level and unencoded fidelities
     cross.
@@ -473,6 +475,7 @@ def fixed_fidelity_point(code: str, family: str, tol: float = 1e-9):
     Supported: ('713', 'knill' | 'depolarizing' | 'forward') and
     ('2317', 'forward').  Returns (rate, fidelity).
     """
+    tol = 1e-9
     if code == "713" and family in ("knill", "depolarizing"):
         fam = model_family(family)
 

@@ -106,7 +106,7 @@ def test_criterion_02_entropy_at_threshold():
 
 def test_criterion_03_forward_fixed_point_scalars():
     pf = hashing_threshold("forward", tol=1e-12)
-    fp = indep_fixed_point(1.0 - 2.0 * pf, 1.0, 1.0)
+    fp = indep_fixed_point(1.0 - 2.0 * pf)
     full = model_fixed_point(Forward(pf)).channel
     checks = _published(3) + [
         _near("full-route x agrees", full[0], fp.x_g, 1e-10),

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface, run in process."""
 
 import ast
+import dataclasses
 import json
 from pathlib import Path
 
@@ -105,6 +106,9 @@ def test_usage_errors():
         ["sweep", "--points", "1"],
         ["sweep", "--points", "0"],
         ["sweep", "--r-values", "1.5"],
+        ["sweep", "--r-values", "0", "1", "--points", "7"],
+        # the default grid size, given explicitly, still conflicts
+        ["sweep", "--r-values", "0", "1", "--points", "11"],
         ["concat", "--model", "one-type", "--lo", "0.05", "--hi", "0.18", "--tol", "0"],
         ["concat", "--model", "one-type", "--at", "0.1", "--population", "0"],
         ["concat", "--model", "one-type", "--at", "0.1", "--levels", "0"],
@@ -121,6 +125,33 @@ def test_bad_input_is_usage_error(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("usage: psthresh %s" % argv[0])
     assert "error: argument %s" % argv[-2] in captured.err
+
+
+# command lines with a flag the chosen mode would ignore, and that flag
+_IGNORED_FLAGS = [
+    (["hashing", "--model", "knill", "--r", "0.7"], "--r"),
+    (["hashing", "--model", "forward", "--r", "0"], "--r"),
+    (["concat", "--model", "forward", "--r", "0.4", "--at", "0.03"], "--r"),
+    (["concat", "--model", "one-type", "--r", "0.9", "--at", "0.1"], "--r"),
+    (["concat", "--model", "knill", "--r", "0.5", "--lo", "0.05", "--hi", "0.09"], "--r"),
+    (["concat", "--model", "one-type", "--at", "0.1", "--lo", "0.05", "--hi", "0.18"], "--lo"),
+    (["concat", "--model", "one-type", "--at", "0.1", "--lo", "0.05"], "--lo"),
+    (["concat", "--model", "one-type", "--at", "0.1", "--hi", "0.18"], "--hi"),
+]
+
+
+@pytest.mark.parametrize("argv,flag", _IGNORED_FLAGS, ids=[" ".join(a) for a, _ in _IGNORED_FLAGS])
+def test_ignored_flag_is_usage_error(capsys, argv, flag):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (64, "")
+    assert err.startswith("%s: " % argv[0]) and flag in err
+
+
+def test_r_reaches_depolarizing(capsys):
+    # depolarizing noise at r = 1 is knill noise
+    _, knill_out, _ = run(capsys, ["hashing", "--model", "knill"])
+    code, out, _ = run(capsys, ["hashing", "--model", "depolarizing", "--r", "1"])
+    assert (code, out) == (0, knill_out)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +314,28 @@ def test_concat_at_rejects_seeds(capsys):
     code, out, err = run(capsys, ["concat", "--model", "one-type", "--at", "0.1", "--seeds", "5"])
     assert (code, out) == (64, "")
     assert "--seeds" in err
+
+
+def test_concat_verdict_csv_and_json_agree(capsys):
+    argv = ["concat", "--model", "one-type", "--at", "0.05", "--format"]
+    code, csv_out, _ = run(capsys, argv + ["csv"] + QUICK_MC)
+    assert code == 0
+    header, row = csv_out.strip().split("\n")
+    assert header == "level,model,p,verdict"
+    code, json_out, _ = run(capsys, argv + ["json"] + QUICK_MC)
+    assert code == 0
+    payload = json.loads(json_out)
+    assert sorted(payload) == header.split(",")
+    level, model, p, verdict = row.split(",")
+    assert (int(level), model, float(p), verdict) == (
+        payload["level"], payload["model"], payload["p"], payload["verdict"]
+    )
+
+
+def test_concat_flags_default_to_mc_config():
+    args = cli.build_parser().parse_args(["concat", "--model", "one-type"])
+    for field in dataclasses.fields(cli.McConfig):
+        assert getattr(args, field.name) == field.default, field.name
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from psthresh.pauli import (
     cnot_conjugate,
     commutation_signs,
     dist_to_channel,
-    fidelity,
     measure_traceout,
     pauli_commutes,
     total_cnot_noise,
@@ -135,9 +134,3 @@ def test_traceout_crosscheck_small():
         m = rng.uniform(0.9, 1.0)
         worst = max(worst, traceout_crosscheck(s, d, q, m_noise=m))
     assert worst < 1e-12
-
-
-def test_fidelity_pure_state():
-    rho = np.array([1.0, 0.2, 0.1, 0.3])
-    nu_z = np.array([1.0, 0.0, 0.0, 1.0])
-    assert fidelity(rho, nu_z) == pytest.approx((1 + 0.3) / 2)

@@ -23,19 +23,18 @@ from psthresh.pauli import (
 from psthresh.postselect import (
     FixedPointResult,
     NoConvergenceError,
-    combined_noise,
+    _accept_q,
+    _step,
     fixed_point,
     indep_fixed_point,
     model_fixed_point,
     model_teleport_output,
-    post_step,
     teleport_output,
 )
 
 
 def test_post_step_noiseless_is_identity_on_perfect_channel():
-    q = np.ones(16)
-    np.testing.assert_allclose(post_step(np.ones(3), q), np.ones(3))
+    assert _step(1.0, 1.0, 1.0, _accept_q(np.ones(16)), 1.0) == (1.0, 1.0, 1.0)
 
 
 def test_fixed_point_is_stationary():
@@ -43,7 +42,8 @@ def test_fixed_point_is_stationary():
     q = diagonal_q(model)
     res = model_fixed_point(model)
     assert res.residual < 1e-13
-    np.testing.assert_allclose(post_step(res.channel, q), res.channel, atol=1e-12)
+    step = _step(*res.channel.tolist(), _accept_q(q), measurement_m(model))
+    np.testing.assert_allclose(step, res.channel, atol=1e-12)
 
 
 def test_fixed_point_forward_reference_region():
@@ -59,17 +59,16 @@ def test_fixed_point_forward_reference_region():
 def test_indep_route_matches_full_iteration():
     pf = 0.03
     full = fixed_point(diagonal_q(Forward(pf)))
-    ind = indep_fixed_point(1 - 2 * pf, 1.0, 1.0)
+    ind = indep_fixed_point(1 - 2 * pf)
     assert ind.x_g == pytest.approx(full.channel[0], abs=1e-12)
     assert ind.x_b == pytest.approx(full.channel[2], abs=1e-12)
 
 
 def test_indep_fixed_point_self_consistent():
-    f, b, m = 0.92, 0.97, 0.99
-    ind = indep_fixed_point(f, b, m)
-    fm = f * m
+    f = 0.92
+    ind = indep_fixed_point(f)
     assert ind.x_g == pytest.approx(
-        b * (ind.x_b + ind.x_b * fm) / (1 + ind.x_b**2 * fm), abs=1e-12
+        (ind.x_b + ind.x_b * f) / (1 + ind.x_b**2 * f), abs=1e-12
     )
     assert ind.x_b == pytest.approx(ind.x_g**2 * f, abs=1e-12)
 
@@ -112,10 +111,6 @@ def test_fixed_point_breakdown():
         NoConvergenceError,
         "post-selection broke down after 0 iterations: degenerate acceptance weight 0",
     )
-
-
-def test_combined_noise_formula():
-    assert combined_noise(0.9, 0.8, 0.7) == pytest.approx(0.9**3 * 0.8**2 * 0.7)
 
 
 def _reference_fixed_point(q, tol=1e-14, max_iter=10**6, m=1.0):
@@ -222,7 +217,7 @@ def test_post_step_matches_traceout_composition():
         q, m = _random_q_m(rng, k)
         accept, _ = measure_traceout(total_cnot_noise(q, c, c), m_noise=m)
         x, y, z = accept.channel
-        assert np.array_equal(post_step(c, q, m=m), np.array([z, y, x]))
+        assert _step(*c.tolist(), _accept_q(q), float(m)) == (z, y, x)
 
 
 def _crafted_q(**entries):
