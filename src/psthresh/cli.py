@@ -5,9 +5,10 @@ outside its tolerance, 2 when a deterministic solve cannot bracket its
 crossing (or a sweep has failed rows), 3 when a Monte Carlo verdict is
 inconclusive or its bracket fails, 64 for usage errors, which include
 out-of-range values (--tol not above 0, a rate or fraction outside
-[0, 1], too few points, population, levels or seeds) and flags the
-chosen mode would ignore: --r with a model other than depolarizing,
---points with --r-values, and --lo, --hi or --seeds above 1 with --at.
+[0, 1], too few points, population, levels or seeds, a negative seed)
+and flags the chosen mode would ignore: --r with a model other than
+depolarizing, --points with --r-values, and --lo, --hi, --tol, --raw or
+--seeds above 1 with --at.
 
 Percentages are printed with 6 significant digits unless --raw asks for
 plain probabilities; sweeps use 9 significant digits.  Output for a
@@ -84,6 +85,7 @@ def _checked(convert, ok, requirement):
 _positive = _checked(float, lambda x: x > 0, "> 0")
 _unit = _checked(float, lambda x: 0 <= x <= 1, "in [0, 1]")
 _count = _checked(int, lambda n: n >= 1, ">= 1")
+_seed = _checked(int, lambda n: n >= 0, ">= 0")
 _points = _checked(int, lambda n: n >= 2, ">= 2")
 
 
@@ -318,6 +320,8 @@ def cmd_concat(args) -> int:
     if args.at is not None:
         if args.lo is not None or args.hi is not None:
             return _usage_error(args, "--at takes no --lo or --hi")
+        if args.tol is not None or args.raw:
+            return _usage_error(args, "--at takes no --tol or --raw")
         if args.seeds > 1:
             return _usage_error(args, "--seeds needs --lo and --hi, not --at")
         verdict, level = mc_verdict_at(dist_fn, args.at, config)
@@ -333,14 +337,16 @@ def cmd_concat(args) -> int:
 
     if args.lo is None or args.hi is None:
         return _usage_error(args, "need --at, or both --lo and --hi")
+    # unset, the solvers' own default tolerance applies
+    tol = {} if args.tol is None else {"tol": args.tol}
     try:
         if args.seeds > 1:
             mean, std, _ = mc_threshold_error_bar(
-                dist_fn, args.lo, args.hi, config, n_seeds=args.seeds, tol=args.tol
+                dist_fn, args.lo, args.hi, config, n_seeds=args.seeds, **tol
             )
             thr, err = mean, std
         else:
-            thr = concat_threshold_mc(dist_fn, args.lo, args.hi, config, tol=args.tol)
+            thr = concat_threshold_mc(dist_fn, args.lo, args.hi, config, **tol)
             err = None
     except BracketError as exc:
         print("concat: %s" % exc, file=sys.stderr)
@@ -445,10 +451,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hi", type=_unit)
     p.add_argument("--population", type=_count, default=McConfig.population)
     p.add_argument("--levels", type=_count, default=McConfig.levels)
-    p.add_argument("--seed", type=int, default=McConfig.seed)
+    p.add_argument("--seed", type=_seed, default=McConfig.seed)
     p.add_argument("--seeds", type=_count, default=1, help="average this many seeds (error bar)")
-    p.add_argument("--tol", type=_positive, default=2e-4)
-    p.add_argument("--raw", action="store_true")
+    p.add_argument("--tol", type=_positive, help="bisection tolerance (default 2e-4)")
+    p.add_argument("--raw", action="store_true", help="print the probability, not a percentage")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.set_defaults(func=cmd_concat)
 

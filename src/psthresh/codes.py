@@ -14,14 +14,17 @@ Three layers are provided here:
   inputs stay exact;
 * the full 64-syndrome decomposition of a 7-qubit product of single
   qubit error distributions (a Walsh-Hadamard transform over the
-  character group), with syndrome-wise recovery, used by the Monte Carlo
-  population dynamics;
+  character group), with syndrome-wise recovery, used by the first-level
+  fidelity; and, for the Monte Carlo population dynamics, the syndrome
+  weights of such a product and the class row of one drawn syndrome,
+  from the same character product;
 * the binary Golay [23,12] coset weight enumerators behind the
   [[23,1,7]] entropy and crash-probability estimates.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -249,12 +252,12 @@ def degeneracy_correction(scheme: str, p_g: float) -> float:
 # map from character label u to the (syndrome, class) output position is
 # folded into the columns of the transform matrix.
 #
-# The Monte Carlo level calls this on row blocks of 256 individuals, so
-# that both buffers (1 MiB) stay in a core's L2 through the product, the
-# transform and the syndrome draw.  A row's bits do not depend on the
-# batch around it from 5 rows up; for 1-4 rows OpenBLAS (0.3.31) takes
-# another kernel, whose bits differ, so the level folds a tail of 1-4
-# rows into the block before it.
+# first_level_fidelity uses the full decomposition.  The Monte Carlo level
+# does not: it keeps one drawn syndrome per individual, and builds only
+# that syndrome's class row (see the drawn-syndrome section below).  A
+# row's bits do not depend on the batch around it from 5 rows up; for 1-4
+# rows OpenBLAS (0.3.31) takes another kernel for the 256x256 transform,
+# whose bits differ.
 
 #: parity-check column of each qubit, row k at index k
 _H_COLS = tuple(zip(*PARITY_CHECK_713))
@@ -356,6 +359,95 @@ def first_level_fidelity(dist) -> float:
     joint = decompose_713(np.tile(dist, (7, 1)))
     weights, cond = recover_713(joint)
     return float((weights[0] * cond[0, :, 0]).sum())
+
+
+# ---------------------------------------------------------------------------
+# drawn-syndrome class rows of 7-qubit error products
+#
+# The Monte Carlo level keeps, for each individual, the class row of one
+# syndrome drawn from the syndrome weights, so it needs the 64 weights
+# and one class row instead of the full [64, 4] joint.  With the character
+# labels of decompose_713, the weight of syndrome s sums the joint over
+# both parity bits, which keeps only the 64 characters whose parity bits
+# are zero: it is their 64-point Walsh-Hadamard transform, over 64.  The
+# drawn syndrome's four class values are four 64-long signed sums, one per
+# parity character, mixed by a 2x2 transform over 256 and relabelled by
+# the syndrome as decompose_713 relabels them.
+#
+# The character product is stored parity-major, column 64 k + c for the
+# parity character k = px | pz << 1 and the syndrome character c = a | b << 3
+# (a and b the bit and phase halves), so that the parity-free characters
+# are its first 64 columns and each row reshapes to [4, 64] for the signed
+# sums.  Weights and their cumulative sums are laid out [64, batch], so the
+# cumulative sum runs over contiguous rows.  A row's bits do not depend on
+# the batch around it, down to a single row (test_drawn_rows_match_any_batch
+# in tests/test_codes.py).
+
+
+@lru_cache(maxsize=1)
+def _syndrome_tables():
+    """Per-qubit character signs sig[7, 4, 256] in parity-major column
+    order, the 64-point Walsh-Hadamard signs h[64, 64], the syndrome
+    weight transform h / 64, and the class tables [64, 4, 4]: entry
+    [s, j, k] is the weight of parity character k in class j of
+    syndrome s."""
+    sig = _decomposition_tables()[0]
+    col = np.arange(256)
+    k, c = col >> 6, col & 63
+    sig = sig[:, :, (c & 7) | ((k & 1) << 3) | ((c >> 3) << 4) | ((k >> 1) << 7)]
+    signs = _popcount_signs(np.arange(64))[:, :64]
+
+    # the logical bit of a sector is its parity label, flipped when the
+    # sector's syndrome half is nontrivial; parity character k = px | pz << 1
+    # enters parity label (vx, vz) with sign (-1)^(px vx + pz vz)
+    classes = np.empty((64, 4, 4))
+    for s in range(64):
+        for vx, vz, k in itertools.product((0, 1), (0, 1), range(4)):
+            cls = ((0, 3), (1, 2))[vx ^ (s & 7 != 0)][vz ^ (s >> 3 != 0)]
+            classes[s, cls, k] = (-1) ** ((k & 1) * vx + (k >> 1) * vz) / 256.0
+
+    tables = (np.ascontiguousarray(sig), signs, signs / 64.0, classes)
+    for arr in tables:
+        arr.setflags(write=False)
+    return tables
+
+
+def _syndrome_buffers(rows: int):
+    """Work buffers for blocks of up to `rows` rows: the character product
+    and one qubit's character sums ([rows, 256] each), and the syndrome
+    weights and their cumulative sums ([64, rows] each)."""
+    return np.empty((rows, 256)), np.empty((rows, 256)), np.empty((64, rows)), np.empty((64, rows))
+
+
+def _cumulative_syndrome_weights(children: np.ndarray, buffers):
+    """Character product [batch, 256] (parity-major) of children
+    [batch, 7, 4], and the cumulative sums [64, batch] of its syndrome
+    weights, in syndrome order, in the leading part of buffers."""
+    sig, _, weight_transform, _ = _syndrome_tables()
+    n = children.shape[0]
+    qh, term = buffers[0][:n], buffers[1][:n]
+    weights, cum = buffers[2][:, :n], buffers[3][:, :n]
+    np.matmul(children[:, 0], sig[0], qh)
+    for i in range(1, 7):
+        qh *= np.matmul(children[:, i], sig[i], term)
+    np.matmul(weight_transform, qh[:, :64].T, weights)
+    return qh, np.cumsum(weights, axis=0, out=cum)
+
+
+def _drawn_syndromes(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Syndrome drawn by each uniform in u: the number of cumulative
+    weights under it, capped at 63.  cum holds one column per uniform, or
+    one column shared by all."""
+    return np.minimum(np.add.reduce(cum < u, axis=0, dtype=np.intp), 63)
+
+
+def _drawn_class_rows(qh: np.ndarray, syndromes: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Unrecovered class row (the decompose_713 row) of each syndrome, for
+    the character products qh [batch, 256] or one row shared by all."""
+    _, signs, _, classes = _syndrome_tables()
+    parity = np.matmul(qh.reshape(-1, 4, 64), signs[syndromes][:, :, None])
+    np.matmul(classes[syndromes], parity, out[:, :, None])
+    return out
 
 
 # ---------------------------------------------------------------------------

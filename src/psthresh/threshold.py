@@ -12,14 +12,18 @@ reproducible and levels could be drawn independently.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
 from .codes import (
     CrashPolynomial,
+    _cumulative_syndrome_weights,
+    _drawn_class_rows,
+    _drawn_syndromes,
+    _syndrome_buffers,
     combine_classes,
     crash_poly_2317,
-    decompose_713,
     distance_classes_from_x,
     first_level_fidelity,
     golay_sector_entropy,
@@ -185,12 +189,14 @@ class McConfig:
     the mean infidelity falls under BELOW_INFIDELITY, and as above once
     it passes ABOVE_INFIDELITY.
 
-    A level runs in row blocks of 256 individuals, so that each block's
-    character product, transform and syndrome draw stay in cache; a
-    tail of 1-4 rows joins the block before it, because OpenBLAS takes
-    another kernel, with other bits, for batches under 5 rows (see
-    decompose_713).  Level 1, where every individual is dist0, is
-    decomposed once.  Results do not depend on the block size.
+    A level runs in row blocks of 256 individuals.  Each block's
+    character product ([256, 256]), syndrome weights and their cumulative
+    sums ([64, 256] each) stay in cache from the product through the
+    syndrome draw to the drawn syndrome's class row, and the buffers are
+    reused from block to block.  Recovery is then applied to the chosen
+    rows of the whole level at once.  Level 1, where every individual is
+    dist0, builds one row's product and the class rows of all 64
+    syndromes.  Results do not depend on the block size.
     """
 
     population: int = 10_000
@@ -198,26 +204,18 @@ class McConfig:
     seed: int = 1
 
     def __post_init__(self):
-        if not self.population >= 1:
-            raise ValueError("population must be at least 1, got %r" % (self.population,))
+        for name, least in (("population", 1), ("levels", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+                raise ValueError(
+                    "%s must be an integer >= %d, got %r" % (name, least, value)
+                )
 
 
-#: individuals per decomposition block: two [block, 256] buffers of
-#: doubles (1 MiB) fit in a core's L2
+#: individuals per block of a population level: the character product
+#: and one qubit's character sums ([block, 256] doubles each, 1 MiB) fit in
+#: a core's L2
 _BLOCK_ROWS = 256
-
-#: smallest batch that decompose_713 computes with the large-batch kernel
-_MIN_BLOCK_ROWS = 5
-
-
-def _row_blocks(n: int):
-    """(start, stop) row ranges of _BLOCK_ROWS covering n rows, the last
-    one extended by a tail of fewer than _MIN_BLOCK_ROWS rows."""
-    edges = list(range(0, n, _BLOCK_ROWS))
-    if len(edges) > 1 and n - edges[-1] < _MIN_BLOCK_ROWS:
-        edges.pop()
-    edges.append(n)
-    return zip(edges[:-1], edges[1:])
 
 
 def _level_draws(pop: int, seed: int, level: int):
@@ -228,28 +226,22 @@ def _level_draws(pop: int, seed: int, level: int):
     return idx, rng.random(pop)
 
 
-def _draw_syndromes(joint: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Syndrome drawn by each uniform in u from the syndrome weights of
-    joint, which holds one decomposition per uniform or one shared by
-    all."""
-    # adding the four slices gives the bits of joint.sum(axis=2) at a
-    # quarter of its cost
-    weights = joint[..., 0] + joint[..., 1] + joint[..., 2] + joint[..., 3]
-    cum = np.cumsum(weights, axis=1)
-    return np.minimum((cum < u[:, None]).sum(axis=1), 63)
-
-
 def _mc_level(popn: np.ndarray, config: McConfig, level: int) -> np.ndarray:
     """One level of the population dynamics: each individual is rebuilt
-    from seven parents drawn from popn.  Its syndrome is drawn from the
-    block's syndrome weights while the block is in cache, and recovery
-    is applied to that syndrome alone, for the whole level at once."""
+    from seven parents drawn from popn.  Per block, its syndrome is drawn
+    from the block's syndrome weights and only that syndrome's class row
+    is built; recovery is applied to those rows for the whole level at
+    once."""
     pop = popn.shape[0]
     idx, u = _level_draws(pop, config.seed, level)
     chosen = np.empty_like(popn)
-    for start, stop in _row_blocks(pop):
-        joint = decompose_713(popn[idx[start:stop]])
-        chosen[start:stop] = joint[np.arange(stop - start), _draw_syndromes(joint, u[start:stop])]
+    buffers = _syndrome_buffers(min(pop, _BLOCK_ROWS))
+    for start in range(0, pop, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, pop)
+        # np.take gathers the parents several times faster than popn[idx]
+        children = np.take(popn, idx[start:stop], axis=0)
+        qh, cum = _cumulative_syndrome_weights(children, buffers)
+        _drawn_class_rows(qh, _drawn_syndromes(cum, u[start:stop]), chosen[start:stop])
     _, cond = recover_713(chosen[:, None, :])
     return cond[:, 0]
 
@@ -257,17 +249,19 @@ def _mc_level(popn: np.ndarray, config: McConfig, level: int) -> np.ndarray:
 def _mc_first_level(dist0: np.ndarray, config: McConfig) -> np.ndarray:
     """_mc_level at level 1 from a population that is dist0 throughout.
 
-    Every block of seven parents is then the same, so it is decomposed
-    and recovered once, on as many identical rows as the smallest block
-    of the population holds, and each individual takes the conditional
-    row of its drawn syndrome.  The parent indices are still drawn, so
-    the uniforms come from the same place in the stream.
+    Every block of seven parents is then the same, so the character
+    product and syndrome weights are computed for one row, the class rows
+    of all 64 syndromes are built from it and recovered once, and each
+    individual takes the conditional row of its drawn syndrome.  The
+    parent indices are still drawn, so the uniforms come from the same
+    place in the stream.
     """
     _, u = _level_draws(config.population, config.seed, 1)
-    rows = min(config.population, _MIN_BLOCK_ROWS)
-    joint = decompose_713(np.tile(dist0, (rows, 7, 1)))[:1]
-    _, cond = recover_713(joint)
-    return cond[0, _draw_syndromes(joint, u)]
+    qh, cum = _cumulative_syndrome_weights(np.tile(dist0, (1, 7, 1)), _syndrome_buffers(1))
+    syndromes = _drawn_syndromes(cum, u)
+    rows = _drawn_class_rows(qh, np.arange(64), np.empty((64, 4)))
+    _, cond = recover_713(rows[None])
+    return cond[0, syndromes]
 
 
 def mc_verdict(dist0, config: McConfig = McConfig()):

@@ -114,6 +114,9 @@ def test_usage_errors():
         ["concat", "--model", "one-type", "--at", "0.1", "--levels", "0"],
         ["concat", "--model", "one-type", "--lo", "0.05", "--hi", "0.18", "--seeds", "0"],
         ["concat", "--model", "one-type", "--at", "-0.1"],
+        ["concat", "--model", "one-type", "--at", "0.1", "--seed", "-1"],
+        ["concat", "--model", "one-type", "--lo", "0.05", "--hi", "0.18", "--seed", "-1"],
+        ["concat", "--model", "one-type", "--at", "0.1", "--seed", "1.5"],
     ],
     ids=" ".join,
 )
@@ -137,6 +140,11 @@ _IGNORED_FLAGS = [
     (["concat", "--model", "one-type", "--at", "0.1", "--lo", "0.05", "--hi", "0.18"], "--lo"),
     (["concat", "--model", "one-type", "--at", "0.1", "--lo", "0.05"], "--lo"),
     (["concat", "--model", "one-type", "--at", "0.1", "--hi", "0.18"], "--hi"),
+    (["concat", "--model", "one-type", "--at", "0.05", "--tol", "0.5"], "--tol"),
+    # the default tolerance, given explicitly, is still ignored by --at
+    (["concat", "--model", "one-type", "--at", "0.05", "--tol", "2e-4"], "--tol"),
+    (["concat", "--model", "one-type", "--at", "0.05", "--raw"], "--raw"),
+    (["concat", "--model", "one-type", "--at", "0.05", "--tol", "0.5", "--raw"], "--raw"),
 ]
 
 
@@ -330,6 +338,16 @@ def test_concat_verdict_csv_and_json_agree(capsys):
     assert (int(level), model, float(p), verdict) == (
         payload["level"], payload["model"], payload["p"], payload["verdict"]
     )
+
+
+def test_concat_tol_defaults_to_solver(capsys):
+    # unset, --tol bisects to concat_threshold_mc's default tolerance
+    argv = ["concat", "--model", "one-type", "--lo", "0.05", "--hi", "0.18"] + QUICK_MC
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    config = cli.McConfig(population=400, levels=8, seed=5)
+    assert out == "%.6g\n" % (100 * cli.concat_threshold_mc(cli.one_type_dist, 0.05, 0.18, config))
+    assert run(capsys, argv + ["--tol", "2e-4"])[1] == out
 
 
 def test_concat_flags_default_to_mc_config():

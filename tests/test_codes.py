@@ -36,6 +36,10 @@ from psthresh.codes import (
     golay_syndrome_weights,
     postselect_classes,
     recover_713,
+    _cumulative_syndrome_weights,
+    _drawn_class_rows,
+    _drawn_syndromes,
+    _syndrome_buffers,
 )
 from psthresh.pauli import pauli_commutes
 from psthresh.threshold import McConfig, _mc_level, model_level0
@@ -342,6 +346,104 @@ def test_decompose_rows_match_any_batch(knill_population):
     full = decompose_713(children)
     for start, stop in ((0, 5), (0, 16), (100, 356), (7932, 8192), (8187, 8192)):
         np.testing.assert_array_equal(decompose_713(children[start:stop]), full[start:stop])
+
+
+# ---------------------------------------------------------------------------
+# drawn-syndrome class rows
+
+
+@lru_cache(maxsize=1)
+def _reference_draw_tables():
+    """The reference character signs in parity-major column order (column
+    64 k + c for parity character k = px | pz << 1 and syndrome character
+    c = a | b << 3), the 64-point signs, and the class tables: entry
+    [s, j, k] weighs parity character k in class j of syndrome s."""
+    sig, wht, _ = _reference_tables()
+    k, c = np.divmod(np.arange(256), 64)
+    u = (c & 7) | ((k & 1) << 3) | ((c >> 3) << 4) | ((k >> 1) << 7)
+    cls_of = {(0, 0): 0, (1, 0): 1, (1, 1): 2, (0, 1): 3}
+    classes = np.zeros((64, 4, 4))
+    for s, vx, vz, px, pz in itertools.product(range(64), (0, 1), (0, 1), (0, 1), (0, 1)):
+        lx = vx ^ (1 if s & 7 else 0)
+        lz = vz ^ (1 if s >> 3 else 0)
+        classes[s, cls_of[(lx, lz)], px | (pz << 1)] = (-1) ** (px * vx + pz * vz) / 256.0
+    return sig[:, :, u], wht[:64, :64], classes
+
+
+def _reference_drawn_rows(children, u):
+    """The drawn-syndrome method written plainly on the whole batch: the
+    character product, the 64-point transform of its parity-free
+    characters as syndrome weights, the syndrome each uniform draws from
+    their cumulative sum, and that syndrome's class row from four signed
+    sums.  Returns (syndromes, unrecovered class rows)."""
+    sig, signs, classes = _reference_draw_tables()
+    q = children[:, 0] @ sig[0]
+    for i in range(1, 7):
+        q = q * (children[:, i] @ sig[i])
+    weights = (signs / 64.0) @ q[:, :64].T
+    pick = np.minimum((np.cumsum(weights, axis=0) < u).sum(axis=0), 63)
+    parity = q.reshape(-1, 4, 64) @ signs[pick][:, :, None]
+    return pick, (classes[pick] @ parity)[:, :, 0]
+
+
+def _drawn_rows(children, u):
+    """(syndromes, unrecovered class rows) from the level's kernel."""
+    qh, cum = _cumulative_syndrome_weights(children, _syndrome_buffers(children.shape[0]))
+    syndromes = _drawn_syndromes(cum, u)
+    return syndromes, _drawn_class_rows(qh, syndromes, np.empty((children.shape[0], 4)))
+
+
+# 256 is a full block of a population level, 16 the last block of a 10^4
+# population; 1, 3 and 5 are short tails, and 259 spans more than a block
+@pytest.mark.parametrize("batch", [1, 3, 5, 16, 256, 259])
+def test_drawn_rows_match_decompose(batch, knill_population):
+    rng = np.random.default_rng(100 + batch)
+    raw = rng.random((batch, 7, 4)) ** 3
+    drawn = rng.integers(0, knill_population.shape[0], size=(batch, 7))
+    u = rng.random(batch)
+    for children in (raw / raw.sum(axis=2, keepdims=True), knill_population[drawn]):
+        joint = decompose_713(children)
+        cum = np.cumsum(joint.sum(axis=2), axis=1)
+        want = np.minimum((cum < u[:, None]).sum(axis=1), 63)
+        syndromes, rows = _drawn_rows(children, u)
+        np.testing.assert_array_equal(syndromes, want)
+        np.testing.assert_allclose(rows, joint[np.arange(batch), want], rtol=0, atol=1e-13)
+
+
+def test_drawn_rows_match_reference(knill_population):
+    rng = np.random.default_rng(2)
+    children = knill_population[rng.integers(0, 10_000, (2000, 7))]
+    u = rng.random(2000)
+    for got, want in zip(_drawn_rows(children, u), _reference_drawn_rows(children, u)):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_drawn_rows_match_any_batch(knill_population):
+    # a population level relies on this down to a single row: blocks of
+    # 256 leave a tail of any size, and level 1 builds one row
+    rng = np.random.default_rng(0)
+    children = knill_population[rng.integers(0, 10_000, (8192, 7))]
+    u = rng.random(8192)
+    syndromes, rows = _drawn_rows(children, u)
+    blocks = [(0, n) for n in range(1, 6)] + [(8191, 8192), (8188, 8192), (3, 7), (0, 16), (100, 356)]
+    for start, stop in blocks:
+        got_syndromes, got_rows = _drawn_rows(children[start:stop], u[start:stop])
+        np.testing.assert_array_equal(got_syndromes, syndromes[start:stop])
+        np.testing.assert_array_equal(got_rows, rows[start:stop])
+
+
+def test_drawn_rows_from_one_shared_row():
+    # level 1 draws every uniform from one row's weights and builds the
+    # class rows of all 64 syndromes from that row
+    dist = np.array([0.9, 0.04, 0.02, 0.04])
+    children = np.tile(dist, (64, 7, 1))
+    u = np.random.default_rng(4).random(64)
+    syndromes, rows = _drawn_rows(children, u)
+    qh, cum = _cumulative_syndrome_weights(children[:1], _syndrome_buffers(1))
+    np.testing.assert_array_equal(_drawn_syndromes(cum, u), syndromes)
+    shared = _drawn_class_rows(qh, np.arange(64), np.empty((64, 4)))
+    np.testing.assert_array_equal(shared[syndromes], rows)
+    np.testing.assert_allclose(shared, decompose_713(children[0])[0], rtol=0, atol=1e-15)
 
 
 def test_decompose_rejects_bad_shape():

@@ -39,10 +39,9 @@ from psthresh.threshold import (
     teleport_entropy,
     _mc_first_level,
     _mc_level,
-    _row_blocks,
 )
 
-from test_codes import _reference_decompose
+from test_codes import _reference_drawn_rows
 
 
 def test_shannon_entropy():
@@ -203,6 +202,30 @@ def test_mc_config_rejects_empty_population():
             McConfig(population=population)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("population", 2.5),
+        ("population", "100"),
+        ("population", True),
+        ("levels", 0),
+        ("levels", -3),
+        ("levels", 2.0),
+        ("seed", -1),
+        ("seed", 1.5),
+        ("seed", None),
+    ],
+)
+def test_mc_config_rejects_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        McConfig(**{field: value})
+
+
+def test_mc_config_accepts_integers():
+    config = McConfig(population=np.int64(3), levels=1, seed=0)
+    assert mc_verdict(one_type_dist(0.05), config)[1] == 1
+
+
 def test_mc_verdict_deterministic():
     dist = one_type_dist(0.10)
     assert mc_verdict(dist, QUICK) == mc_verdict(dist, QUICK)
@@ -226,36 +249,19 @@ def test_mc_verdict_near_threshold_converges():
     assert 0.16 < ABOVE_INFIDELITY < 0.5
 
 
-#: rows per reference decomposition, independent of the level's blocks:
-#: from 5 rows up a row's bits do not depend on its batch (see
-#: test_decompose_rows_match_any_batch), and no population tested here
-#: leaves a chunk of 1-4 rows
-REFERENCE_CHUNK = 1024
-
-
 def _reference_level(popn, config, level):
-    """One population level as first written: the reference decomposition
-    and recovery on all 64 syndromes of every block, then the syndrome
-    draw."""
+    """One population level by the drawn-syndrome method written plainly:
+    the whole population at once, without blocks or reused buffers, then
+    recovery of the drawn rows."""
     pop = popn.shape[0]
     rng = np.random.default_rng((config.seed, level))
     idx = rng.integers(0, pop, size=(pop, 7))
-    children = popn[idx]
-    weights = np.empty((pop, 64))
-    cond = np.empty((pop, 64, 4))
-    for start in range(0, pop, REFERENCE_CHUNK):
-        stop = min(start + REFERENCE_CHUNK, pop)
-        weights[start:stop], cond[start:stop] = recover_713(
-            _reference_decompose(children[start:stop])
-        )
-    u = rng.random(pop)
-    cum = np.cumsum(weights, axis=1)
-    pick = np.minimum((cum < u[:, None]).sum(axis=1), 63)
-    return cond[np.arange(pop), pick]
+    _, rows = _reference_drawn_rows(popn[idx], rng.random(pop))
+    _, cond = recover_713(rows[:, None, :])
+    return cond[:, 0]
 
 
-# 2 * 256 + 3 leaves a 3-row tail at the level's block size, which has
-# to join the block before it to keep the large-batch bits
+# 2 * 256 + 3 leaves a 3-row block after two full ones
 @pytest.mark.parametrize("population", [2000, 2 * 256 + 3])
 def test_mc_level_matches_full_recovery(population):
     config = McConfig(population=population, seed=3)
@@ -266,25 +272,8 @@ def test_mc_level_matches_full_recovery(population):
         np.testing.assert_array_equal(popn, ref)
 
 
-def test_row_blocks():
-    def sizes(n):
-        return [stop - start for start, stop in _row_blocks(n)]
-
-    assert sizes(10_000) == [256] * 39 + [16]
-    assert sizes(2 * 256 + 3) == [256, 259]
-    assert sizes(2 * 256 + 4) == [256, 260]
-    assert sizes(2 * 256 + 5) == [256, 256, 5]
-    assert sizes(512) == [256, 256]
-    assert sizes(3) == [3]
-    assert sizes(0) == []
-    for n in (1, 4, 5, 255, 257, 260, 261, 10_000):
-        blocks = list(_row_blocks(n))
-        assert blocks[0][0] == 0 and blocks[-1][1] == n
-        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
-        assert all(stop - start >= min(n, 5) for start, stop in blocks)
-
-
-# 3 fits in one small-batch block, 261 leaves a 5-row block of its own
+# 3 fits in one small block, 261 leaves a 5-row block and 2 * 256 + 3 a
+# 3-row one
 @pytest.mark.parametrize("population", [3, 261, 2 * 256 + 3, 2000])
 @pytest.mark.parametrize("dist", ["knill", "one-type"])
 def test_first_level_matches_tiled_level(population, dist):
