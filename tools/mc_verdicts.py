@@ -51,8 +51,8 @@ def main(argv=None):
             def seeded(dist_fn, lo, hi):
                 return solve(dist_fn, lo, hi, config)
 
-            def recorded(dist_fn, p, config):
-                verdict, level = verdict_at(dist_fn, p, config)
+            def recorded(dist_fn, p, probe_config):
+                verdict, level = verdict_at(dist_fn, p, probe_config)
                 print(json.dumps({"family": family, "seed": seed, "p": p,
                                   "verdict": verdict, "level": level}), flush=True)
                 return verdict, level
