@@ -348,6 +348,40 @@ def test_decompose_rows_match_any_batch(knill_population):
         np.testing.assert_array_equal(decompose_713(children[start:stop]), full[start:stop])
 
 
+def test_decompose_rejects_bad_shape():
+    with pytest.raises(ValueError):
+        decompose_713(np.ones((6, 4)) / 4)
+
+
+def test_recover_relabels_to_identity():
+    rng = np.random.default_rng(3)
+    raw = rng.random((2, 7, 4))
+    joint = decompose_713(raw / raw.sum(axis=2, keepdims=True))
+    weights, cond = recover_713(joint)
+    np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
+    np.testing.assert_allclose(cond.sum(axis=2), 1.0, atol=1e-12)
+    # after relabelling the recovered class leads every conditional
+    assert (cond[..., 0:1] >= cond - 1e-15).all()
+
+
+def test_recover_zero_weight_syndromes():
+    joint = np.zeros((1, 64, 4))
+    joint[0, 0, 0] = 1.0
+    weights, cond = recover_713(joint)
+    assert weights[0, 0] == 1.0
+    np.testing.assert_array_equal(cond[0, 1], [1.0, 0.0, 0.0, 0.0])
+
+
+def test_first_level_fidelity():
+    assert first_level_fidelity([1.0, 0.0, 0.0, 0.0]) == pytest.approx(1.0)
+    p = 0.01
+    fid = first_level_fidelity([1 - p, p / 3, p / 3, p / 3])
+    assert 0 < 1 - fid < 30 * p**2
+    assert fid > first_level_fidelity([0.9, 0.1 / 3, 0.1 / 3, 0.1 / 3])
+    with pytest.raises(ValueError):
+        first_level_fidelity([1.0, 0.0, 0.0])
+
+
 # ---------------------------------------------------------------------------
 # drawn-syndrome class rows
 
@@ -444,40 +478,6 @@ def test_drawn_rows_from_one_shared_row():
     shared = _drawn_class_rows(qh, np.arange(64), np.empty((64, 4)))
     np.testing.assert_array_equal(shared[syndromes], rows)
     np.testing.assert_allclose(shared, decompose_713(children[0])[0], rtol=0, atol=1e-15)
-
-
-def test_decompose_rejects_bad_shape():
-    with pytest.raises(ValueError):
-        decompose_713(np.ones((6, 4)) / 4)
-
-
-def test_recover_relabels_to_identity():
-    rng = np.random.default_rng(3)
-    raw = rng.random((2, 7, 4))
-    joint = decompose_713(raw / raw.sum(axis=2, keepdims=True))
-    weights, cond = recover_713(joint)
-    np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
-    np.testing.assert_allclose(cond.sum(axis=2), 1.0, atol=1e-12)
-    # after relabelling the recovered class leads every conditional
-    assert (cond[..., 0:1] >= cond - 1e-15).all()
-
-
-def test_recover_zero_weight_syndromes():
-    joint = np.zeros((1, 64, 4))
-    joint[0, 0, 0] = 1.0
-    weights, cond = recover_713(joint)
-    assert weights[0, 0] == 1.0
-    np.testing.assert_array_equal(cond[0, 1], [1.0, 0.0, 0.0, 0.0])
-
-
-def test_first_level_fidelity():
-    assert first_level_fidelity([1.0, 0.0, 0.0, 0.0]) == pytest.approx(1.0)
-    p = 0.01
-    fid = first_level_fidelity([1 - p, p / 3, p / 3, p / 3])
-    assert 0 < 1 - fid < 30 * p**2
-    assert fid > first_level_fidelity([0.9, 0.1 / 3, 0.1 / 3, 0.1 / 3])
-    with pytest.raises(ValueError):
-        first_level_fidelity([1.0, 0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
