@@ -17,14 +17,14 @@ Three layers are provided here:
   character group), with syndrome-wise recovery, used by the first-level
   fidelity; and, for the Monte Carlo population dynamics, the syndrome
   weights of such a product and the class row of one drawn syndrome,
-  from the same character product;
+  from the same character product and with the full decomposition's
+  bits;
 * the binary Golay [23,12] coset weight enumerators behind the
   [[23,1,7]] entropy and crash-probability estimates.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -254,10 +254,11 @@ def degeneracy_correction(scheme: str, p_g: float) -> float:
 #
 # first_level_fidelity uses the full decomposition.  The Monte Carlo level
 # does not: it keeps one drawn syndrome per individual, and builds only
-# that syndrome's class row (see the drawn-syndrome section below).  A
-# row's bits do not depend on the batch around it from 5 rows up; for 1-4
-# rows OpenBLAS (0.3.31) takes another kernel for the 256x256 transform,
-# whose bits differ.
+# that syndrome's class row, with the same bits (see the drawn-syndrome
+# section below).  From 5 rows up the transform sums each output over the
+# characters in ascending order, so a row's bits do not depend on the
+# batch around it; for 1-4 rows OpenBLAS (0.3.31) takes another kernel for
+# the 256x256 transform, whose bits differ.
 
 #: parity-check column of each qubit, row k at index k
 _H_COLS = tuple(zip(*PARITY_CHECK_713))
@@ -306,6 +307,16 @@ def _decomposition_tables():
     return sig, transform
 
 
+def _character_product(children: np.ndarray, qh: np.ndarray, term: np.ndarray) -> None:
+    """Product over the seven qubits of their character sums, for
+    children [batch, 7, 4], into qh [batch, 256]; term is scratch of the
+    same shape."""
+    sig = _decomposition_tables()[0]
+    np.matmul(children[:, 0], sig[0], qh)
+    for i in range(1, 7):
+        qh *= np.matmul(children[:, i], sig[i], term)
+
+
 def decompose_713(children: np.ndarray) -> np.ndarray:
     """Joint (syndrome, class) probabilities of a block of seven qubits
     with independent error distributions.
@@ -315,7 +326,7 @@ def decompose_713(children: np.ndarray) -> np.ndarray:
     (bit | phase << 3), each half packed with parity-check row k at bit
     k, and axis 2 the logical class.
     """
-    sig, transform = _decomposition_tables()
+    transform = _decomposition_tables()[1]
     children = np.asarray(children, dtype=float)
     if children.ndim == 2:
         children = children[None]
@@ -323,9 +334,7 @@ def decompose_713(children: np.ndarray) -> np.ndarray:
         raise ValueError("expected children of shape [batch, 7, 4]")
     qh = np.empty((children.shape[0], 256))
     term = np.empty_like(qh)
-    np.matmul(children[:, 0], sig[0], qh)
-    for i in range(1, 7):
-        qh *= np.matmul(children[:, i], sig[i], term)
+    _character_product(children, qh, term)
     return np.matmul(qh, transform, term).reshape(-1, 64, 4)
 
 
@@ -366,88 +375,101 @@ def first_level_fidelity(dist) -> float:
 #
 # The Monte Carlo level keeps, for each individual, the class row of one
 # syndrome drawn from the syndrome weights, so it needs the 64 weights
-# and one class row instead of the full [64, 4] joint.  With the character
-# labels of decompose_713, the weight of syndrome s sums the joint over
-# both parity bits, which keeps only the 64 characters whose parity bits
-# are zero: it is their 64-point Walsh-Hadamard transform, over 64.  The
-# drawn syndrome's four class values are four 64-long signed sums, one per
-# parity character, mixed by a 2x2 transform over 256 and relabelled by
-# the syndrome as decompose_713 relabels them.
+# and one class row instead of the full [64, 4] joint.  The weight of
+# syndrome s sums the joint over its four classes, which keeps only the
+# 64 characters whose parity bits are zero: it is their 64-point
+# Walsh-Hadamard transform, over 64.
 #
-# The character product is stored parity-major, column 64 k + c for the
-# parity character k = px | pz << 1 and the syndrome character c = a | b << 3
-# (a and b the bit and phase halves), so that the parity-free characters
-# are its first 64 columns and each row reshapes to [4, 64] for the signed
-# sums.  Weights and their cumulative sums are laid out [64, batch], so the
-# cumulative sum runs over contiguous rows.  A row's bits do not depend on
-# the batch around it, down to a single row (test_drawn_rows_match_any_batch
-# in tests/test_codes.py).
+# The drawn syndrome's class row takes four columns of the decomposition
+# transform.  Each of its columns factors into a sign per character that
+# depends on the syndrome alone (the syndrome character, and the parity
+# flips by which a nontrivial syndrome relabels the classes) times the
+# column of the same class at syndrome 0.  So the row is the character
+# product times the drawn syndrome's signs, times one [256, 4] matrix
+# shared by all rows.  Every product with a sign is exact, and the
+# matmul sums the characters in ascending order, as decompose_713's
+# transform does from 5 rows up, so the row has decompose_713's bits.
+# That holds for any batch from 2 rows; a single row goes through gemv,
+# which sums in another order, so it is computed in a 2-row gemm, and so
+# are its syndrome weights.  Weights and class rows are laid out one row
+# per individual ([batch, 64] and [batch, 4]): the weights' matmul then
+# gives a row the same bits in any batch, which the transposed layout
+# does not from about 245 rows up.
 
 
 @lru_cache(maxsize=1)
 def _syndrome_tables():
-    """Per-qubit character signs sig[7, 4, 256] in parity-major column
-    order, the 64-point Walsh-Hadamard signs h[64, 64], the syndrome
-    weight transform h / 64, and the class tables [64, 4, 4]: entry
-    [s, j, k] is the weight of parity character k in class j of
-    syndrome s."""
-    sig = _decomposition_tables()[0]
-    col = np.arange(256)
-    k, c = col >> 6, col & 63
-    sig = sig[:, :, (c & 7) | ((k & 1) << 3) | ((c >> 3) << 4) | ((k >> 1) << 7)]
-    signs = _popcount_signs(np.arange(64))[:, :64]
-
-    # the logical bit of a sector is its parity label, flipped when the
-    # sector's syndrome half is nontrivial; parity character k = px | pz << 1
-    # enters parity label (vx, vz) with sign (-1)^(px vx + pz vz)
-    classes = np.empty((64, 4, 4))
-    for s in range(64):
-        for vx, vz, k in itertools.product((0, 1), (0, 1), range(4)):
-            cls = ((0, 3), (1, 2))[vx ^ (s & 7 != 0)][vz ^ (s >> 3 != 0)]
-            classes[s, cls, k] = (-1) ** ((k & 1) * vx + (k >> 1) * vz) / 256.0
-
-    tables = (np.ascontiguousarray(sig), signs, signs / 64.0, classes)
+    """The syndrome weight transform [64, 64] (applied to the parity-free
+    characters, syndrome character c = a | b << 3), the per-syndrome
+    character signs [64, 256], and the class columns [256, 8] of
+    syndrome 0, padded with zeros to 8 columns, which keeps the matmul on
+    its sequential kernel."""
+    _, transform = _decomposition_tables()
+    signs = np.ascontiguousarray(transform[:, 0::4].T) * 256.0
+    classes = np.zeros((256, 8))
+    classes[:, :4] = transform[:, :4]
+    # parity-free characters u = a | b << 4, in the order c = a | b << 3
+    parity_free = (np.arange(64) & 7) | ((np.arange(64) >> 3) << 4)
+    weight_transform = signs[:, parity_free] / 64.0
+    tables = (weight_transform, signs, classes)
     for arr in tables:
         arr.setflags(write=False)
     return tables
 
 
 def _syndrome_buffers(rows: int):
-    """Work buffers for blocks of up to `rows` rows: the character product
-    and one qubit's character sums ([rows, 256] each), and the syndrome
-    weights and their cumulative sums ([64, rows] each)."""
-    return np.empty((rows, 256)), np.empty((rows, 256)), np.empty((64, rows)), np.empty((64, rows))
+    """Work buffers for blocks of up to `rows` rows (at least 2): the
+    character product and one qubit's character sums ([rows, 256] each),
+    the parity-free characters, the syndrome weights and their cumulative
+    sums ([rows, 64] each), and the class rows [rows, 8]."""
+    rows = max(rows, 2)
+    return (
+        np.empty((rows, 256)),
+        np.zeros((rows, 256)),
+        np.zeros((rows, 64)),
+        np.empty((rows, 64)),
+        np.empty((rows, 64)),
+        np.empty((rows, 8)),
+    )
 
 
 def _cumulative_syndrome_weights(children: np.ndarray, buffers):
-    """Character product [batch, 256] (parity-major) of children
-    [batch, 7, 4], and the cumulative sums [64, batch] of its syndrome
-    weights, in syndrome order, in the leading part of buffers."""
-    sig, _, weight_transform, _ = _syndrome_tables()
+    """Character product [batch, 256] of children [batch, 7, 4], and the
+    cumulative sums [batch, 64] of its syndrome weights, in syndrome
+    order, in the leading rows of buffers."""
+    weight_transform = _syndrome_tables()[0]
     n = children.shape[0]
+    m = max(n, 2)  # one row would go through gemv
     qh, term = buffers[0][:n], buffers[1][:n]
-    weights, cum = buffers[2][:, :n], buffers[3][:, :n]
-    np.matmul(children[:, 0], sig[0], qh)
-    for i in range(1, 7):
-        qh *= np.matmul(children[:, i], sig[i], term)
-    np.matmul(weight_transform, qh[:, :64].T, weights)
-    return qh, np.cumsum(weights, axis=0, out=cum)
+    parity_free, weights, cum = buffers[2][:m], buffers[3][:m], buffers[4][:n]
+    _character_product(children, qh, term)
+    np.copyto(parity_free[:n].reshape(n, 8, 8), qh.reshape(n, 2, 8, 2, 8)[:, 0, :, 0, :])
+    # the transform is symmetric; passed transposed, OpenBLAS gives a row
+    # the same bits in any batch, which it does not in C order
+    np.matmul(parity_free, weight_transform.T, weights)
+    return qh, np.cumsum(weights[:n], axis=1, out=cum)
 
 
 def _drawn_syndromes(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Syndrome drawn by each uniform in u: the number of cumulative
-    weights under it, capped at 63.  cum holds one column per uniform, or
-    one column shared by all."""
-    return np.minimum(np.add.reduce(cum < u, axis=0, dtype=np.intp), 63)
+    weights under it, capped at 63.  cum holds one row per uniform, or
+    one row shared by all."""
+    return np.minimum(np.add.reduce(cum < u[:, None], axis=1, dtype=np.intp), 63)
 
 
-def _drawn_class_rows(qh: np.ndarray, syndromes: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Unrecovered class row (the decompose_713 row) of each syndrome, for
-    the character products qh [batch, 256] or one row shared by all."""
-    _, signs, _, classes = _syndrome_tables()
-    parity = np.matmul(qh.reshape(-1, 4, 64), signs[syndromes][:, :, None])
-    np.matmul(classes[syndromes], parity, out[:, :, None])
-    return out
+def _drawn_class_rows(qh: np.ndarray, syndromes: np.ndarray, buffers) -> np.ndarray:
+    """Unrecovered class row [batch, 4] (the decompose_713 row) of each
+    syndrome, for the character products qh [batch, 256] or one row
+    shared by all, in the leading rows of buffers."""
+    _, signs, classes = _syndrome_tables()
+    n = syndromes.shape[0]
+    m = max(n, 2)  # one row would go through gemv
+    term, rows = buffers[1][:m], buffers[5][:m]
+    # mode="raise" would copy through a buffer; syndromes are in 0..63
+    np.take(signs, syndromes, axis=0, out=term[:n], mode="clip")
+    term[:n] *= qh
+    np.matmul(term, classes, rows)
+    return rows[:n, :4]
 
 
 # ---------------------------------------------------------------------------

@@ -191,12 +191,13 @@ class McConfig:
 
     A level runs in row blocks of 256 individuals.  Each block's
     character product ([256, 256]), syndrome weights and their cumulative
-    sums ([64, 256] each) stay in cache from the product through the
+    sums ([256, 64] each) stay in cache from the product through the
     syndrome draw to the drawn syndrome's class row, and the buffers are
-    reused from block to block.  Recovery is then applied to the chosen
-    rows of the whole level at once.  Level 1, where every individual is
-    dist0, builds one row's product and the class rows of all 64
-    syndromes.  Results do not depend on the block size.
+    reused from block to block.  That row has the bits of the same row of
+    the full decomposition (decompose_713).  Recovery is then applied to
+    the chosen rows of the whole level at once.  Level 1, where every
+    individual is dist0, builds one row's product and the class rows of
+    all 64 syndromes.  Results do not depend on the block size.
     """
 
     population: int = 10_000
@@ -241,7 +242,7 @@ def _mc_level(popn: np.ndarray, config: McConfig, level: int) -> np.ndarray:
         # np.take gathers the parents several times faster than popn[idx]
         children = np.take(popn, idx[start:stop], axis=0)
         qh, cum = _cumulative_syndrome_weights(children, buffers)
-        _drawn_class_rows(qh, _drawn_syndromes(cum, u[start:stop]), chosen[start:stop])
+        chosen[start:stop] = _drawn_class_rows(qh, _drawn_syndromes(cum, u[start:stop]), buffers)
     _, cond = recover_713(chosen[:, None, :])
     return cond[:, 0]
 
@@ -257,9 +258,10 @@ def _mc_first_level(dist0: np.ndarray, config: McConfig) -> np.ndarray:
     place in the stream.
     """
     _, u = _level_draws(config.population, config.seed, 1)
-    qh, cum = _cumulative_syndrome_weights(np.tile(dist0, (1, 7, 1)), _syndrome_buffers(1))
+    buffers = _syndrome_buffers(64)
+    qh, cum = _cumulative_syndrome_weights(np.tile(dist0, (1, 7, 1)), buffers)
     syndromes = _drawn_syndromes(cum, u)
-    rows = _drawn_class_rows(qh, np.arange(64), np.empty((64, 4)))
+    rows = _drawn_class_rows(qh, np.arange(64), buffers)
     _, cond = recover_713(rows[None])
     return cond[0, syndromes]
 

@@ -40,6 +40,7 @@ from psthresh.codes import (
     _drawn_class_rows,
     _drawn_syndromes,
     _syndrome_buffers,
+    _syndrome_tables,
 )
 from psthresh.pauli import pauli_commutes
 from psthresh.threshold import McConfig, _mc_level, model_level0
@@ -388,43 +389,49 @@ def test_first_level_fidelity():
 
 @lru_cache(maxsize=1)
 def _reference_draw_tables():
-    """The reference character signs in parity-major column order (column
-    64 k + c for parity character k = px | pz << 1 and syndrome character
-    c = a | b << 3), the 64-point signs, and the class tables: entry
-    [s, j, k] weighs parity character k in class j of syndrome s."""
-    sig, wht, _ = _reference_tables()
-    k, c = np.divmod(np.arange(256), 64)
-    u = (c & 7) | ((k & 1) << 3) | ((c >> 3) << 4) | ((k >> 1) << 7)
-    cls_of = {(0, 0): 0, (1, 0): 1, (1, 1): 2, (0, 1): 3}
-    classes = np.zeros((64, 4, 4))
-    for s, vx, vz, px, pz in itertools.product(range(64), (0, 1), (0, 1), (0, 1), (0, 1)):
-        lx = vx ^ (1 if s & 7 else 0)
-        lz = vz ^ (1 if s >> 3 else 0)
-        classes[s, cls_of[(lx, lz)], px | (pz << 1)] = (-1) ** (px * vx + pz * vz) / 256.0
-    return sig[:, :, u], wht[:64, :64], classes
+    """The reference character signs, the 64-point signs, and the
+    reference transform as [character, syndrome, class]."""
+    sig, wht, perm = _reference_tables()
+    transform = np.zeros((256, 256))
+    transform[:, perm] = wht.T / 256.0
+    return sig, wht[:64, :64], transform.reshape(256, 64, 4)
 
 
 def _reference_drawn_rows(children, u):
     """The drawn-syndrome method written plainly on the whole batch: the
     character product, the 64-point transform of its parity-free
     characters as syndrome weights, the syndrome each uniform draws from
-    their cumulative sum, and that syndrome's class row from four signed
-    sums.  Returns (syndromes, unrecovered class rows)."""
-    sig, signs, classes = _reference_draw_tables()
+    their cumulative sum, and that syndrome's four columns of the
+    decomposition transform, summed over the characters in ascending
+    order (np.cumsum adds in order).  Returns (syndromes, unrecovered
+    class rows)."""
+    sig, signs, transform = _reference_draw_tables()
     q = children[:, 0] @ sig[0]
     for i in range(1, 7):
         q = q * (children[:, i] @ sig[i])
-    weights = (signs / 64.0) @ q[:, :64].T
-    pick = np.minimum((np.cumsum(weights, axis=0) < u).sum(axis=0), 63)
-    parity = q.reshape(-1, 4, 64) @ signs[pick][:, :, None]
-    return pick, (classes[pick] @ parity)[:, :, 0]
+    parity_free = q.reshape(-1, 2, 8, 2, 8)[:, 0, :, 0, :].reshape(-1, 64)
+    weights = parity_free @ (signs / 64.0).T
+    pick = np.minimum((np.cumsum(weights, axis=1) < u[:, None]).sum(axis=1), 63)
+    terms = q[:, :, None] * transform[:, pick].transpose(1, 0, 2)
+    return pick, np.cumsum(terms, axis=1)[:, -1]
 
 
 def _drawn_rows(children, u):
     """(syndromes, unrecovered class rows) from the level's kernel."""
-    qh, cum = _cumulative_syndrome_weights(children, _syndrome_buffers(children.shape[0]))
+    buffers = _syndrome_buffers(children.shape[0])
+    qh, cum = _cumulative_syndrome_weights(children, buffers)
     syndromes = _drawn_syndromes(cum, u)
-    return syndromes, _drawn_class_rows(qh, syndromes, np.empty((children.shape[0], 4)))
+    return syndromes, _drawn_class_rows(qh, syndromes, buffers)
+
+
+def test_transform_factors_by_syndrome():
+    # each column of the decomposition transform is a per-syndrome sign
+    # times the column of the same class at syndrome 0, bit for bit
+    weight_transform, signs, classes = _syndrome_tables()
+    transform = _reference_draw_tables()[2]
+    np.testing.assert_array_equal(signs.T[:, :, None] * classes[:, None, :4], transform)
+    np.testing.assert_array_equal(classes[:, 4:], 0.0)
+    np.testing.assert_array_equal(weight_transform, _reference_draw_tables()[1] / 64.0)
 
 
 # 256 is a full block of a population level, 16 the last block of a 10^4
@@ -442,12 +449,18 @@ def test_drawn_rows_match_decompose(batch, knill_population):
         syndromes, rows = _drawn_rows(children, u)
         np.testing.assert_array_equal(syndromes, want)
         np.testing.assert_allclose(rows, joint[np.arange(batch), want], rtol=0, atol=1e-13)
+        if batch >= 5:
+            # from 5 rows up decompose_713 sums in the same order
+            np.testing.assert_array_equal(rows, joint[np.arange(batch), want])
 
 
-def test_drawn_rows_match_reference(knill_population):
+# OpenBLAS sums in order on large batches whatever the kernel's layout;
+# 16 and 256 rows check that the kernel does on blocks too
+@pytest.mark.parametrize("batch", [2, 16, 256, 2000])
+def test_drawn_rows_match_reference(batch, knill_population):
     rng = np.random.default_rng(2)
-    children = knill_population[rng.integers(0, 10_000, (2000, 7))]
-    u = rng.random(2000)
+    children = knill_population[rng.integers(0, 10_000, (batch, 7))]
+    u = rng.random(batch)
     for got, want in zip(_drawn_rows(children, u), _reference_drawn_rows(children, u)):
         np.testing.assert_array_equal(got, want)
 
@@ -459,11 +472,15 @@ def test_drawn_rows_match_any_batch(knill_population):
     children = knill_population[rng.integers(0, 10_000, (8192, 7))]
     u = rng.random(8192)
     syndromes, rows = _drawn_rows(children, u)
-    blocks = [(0, n) for n in range(1, 6)] + [(8191, 8192), (8188, 8192), (3, 7), (0, 16), (100, 356)]
+    cum = _cumulative_syndrome_weights(children, _syndrome_buffers(8192))[1]
+    blocks = [(0, n) for n in range(1, 6)] + [(8191, 8192), (8188, 8192), (3, 7), (0, 16),
+                                              (100, 356), (7000, 7255), (7000, 7259)]
     for start, stop in blocks:
         got_syndromes, got_rows = _drawn_rows(children[start:stop], u[start:stop])
         np.testing.assert_array_equal(got_syndromes, syndromes[start:stop])
         np.testing.assert_array_equal(got_rows, rows[start:stop])
+        got_cum = _cumulative_syndrome_weights(children[start:stop], _syndrome_buffers(stop - start))[1]
+        np.testing.assert_array_equal(got_cum, cum[start:stop])
 
 
 def test_drawn_rows_from_one_shared_row():
@@ -473,11 +490,12 @@ def test_drawn_rows_from_one_shared_row():
     children = np.tile(dist, (64, 7, 1))
     u = np.random.default_rng(4).random(64)
     syndromes, rows = _drawn_rows(children, u)
-    qh, cum = _cumulative_syndrome_weights(children[:1], _syndrome_buffers(1))
+    buffers = _syndrome_buffers(64)
+    qh, cum = _cumulative_syndrome_weights(children[:1], buffers)
     np.testing.assert_array_equal(_drawn_syndromes(cum, u), syndromes)
-    shared = _drawn_class_rows(qh, np.arange(64), np.empty((64, 4)))
+    shared = _drawn_class_rows(qh, np.arange(64), buffers)
     np.testing.assert_array_equal(shared[syndromes], rows)
-    np.testing.assert_allclose(shared, decompose_713(children[0])[0], rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(shared, decompose_713(children[:5])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -21,15 +21,9 @@ import json
 import sys
 from pathlib import Path
 
+from bench_record import parse_seeds
+
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def parse_seeds(text):
-    """'1-5' or '1,3,7' -> list of ints."""
-    if "-" in text:
-        lo, hi = map(int, text.split("-"))
-        return list(range(lo, hi + 1))
-    return [int(s) for s in text.split(",")]
 
 
 def main(argv=None):
