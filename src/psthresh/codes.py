@@ -309,7 +309,7 @@ def _decomposition_tables():
 
 def _character_product(children: np.ndarray, qh: np.ndarray, term: np.ndarray) -> None:
     """Product over the seven qubits of their character sums, for
-    children [batch, 7, 4], into qh [batch, 256]; term is scratch of the
+    children [batch, 7, 4], into qh [batch, 256]; term is a work buffer of the
     same shape."""
     sig = _decomposition_tables()[0]
     np.matmul(children[:, 0], sig[0], qh)
@@ -374,36 +374,33 @@ def first_level_fidelity(dist) -> float:
 # drawn-syndrome class rows of 7-qubit error products
 #
 # The Monte Carlo level keeps, for each individual, the class row of one
-# syndrome drawn from the syndrome weights, so it needs the 64 weights
-# and one class row instead of the full [64, 4] joint.  The weight of
-# syndrome s sums the joint over its four classes, which keeps only the
-# 64 characters whose parity bits are zero: it is their 64-point
-# Walsh-Hadamard transform, over 64.
+# syndrome drawn from the syndrome weights.  The weight of syndrome s sums
+# the joint over its four classes, which keeps only the 64 characters
+# whose parity bits are zero: it is their 64-point Walsh-Hadamard
+# transform, over 64.  A column of the decomposition transform is a sign
+# per character that depends on the syndrome alone (its syndrome
+# character, and the parity flips by which a nontrivial syndrome
+# relabels the classes) times the column of the same class at syndrome
+# 0.  So the drawn syndrome's class row is the character product times
+# that syndrome's signs (exact), times the class columns of syndrome 0,
+# in a gemm that adds the characters in ascending order, as the
+# transform of decompose_713 does from 5 rows up: the row has
+# decompose_713's bits.
 #
-# The drawn syndrome's class row takes four columns of the decomposition
-# transform.  Each of its columns factors into a sign per character that
-# depends on the syndrome alone (the syndrome character, and the parity
-# flips by which a nontrivial syndrome relabels the classes) times the
-# column of the same class at syndrome 0.  So the row is the character
-# product times the drawn syndrome's signs, times one [256, 4] matrix
-# shared by all rows.  Every product with a sign is exact, and the
-# matmul sums the characters in ascending order, as decompose_713's
-# transform does from 5 rows up, so the row has decompose_713's bits.
-# That holds for any batch from 2 rows; a single row goes through gemv,
-# which sums in another order, so it is computed in a 2-row gemm, and so
-# are its syndrome weights.  Weights and class rows are laid out one row
-# per individual ([batch, 64] and [batch, 4]): the weights' matmul then
-# gives a row the same bits in any batch, which the transposed layout
-# does not from about 245 rows up.
+# OpenBLAS (0.3.31) gives a row the same bits in any batch only in some
+# layouts: one row goes through gemv, which adds in another order, so it
+# runs as a 2-row gemm; the class columns are padded to 8, since with 4
+# a block adds in another order; and the weights' matmul takes the
+# (symmetric) weight transform transposed.  The test_drawn_rows_* tests
+# in tests/test_codes.py check each of these.
 
 
 @lru_cache(maxsize=1)
 def _syndrome_tables():
     """The syndrome weight transform [64, 64] (applied to the parity-free
     characters, syndrome character c = a | b << 3), the per-syndrome
-    character signs [64, 256], and the class columns [256, 8] of
-    syndrome 0, padded with zeros to 8 columns, which keeps the matmul on
-    its sequential kernel."""
+    character signs [64, 256], and the class columns of syndrome 0,
+    padded with zero columns to [256, 8]."""
     _, transform = _decomposition_tables()
     signs = np.ascontiguousarray(transform[:, 0::4].T) * 256.0
     classes = np.zeros((256, 8))
@@ -444,8 +441,6 @@ def _cumulative_syndrome_weights(children: np.ndarray, buffers):
     parity_free, weights, cum = buffers[2][:m], buffers[3][:m], buffers[4][:n]
     _character_product(children, qh, term)
     np.copyto(parity_free[:n].reshape(n, 8, 8), qh.reshape(n, 2, 8, 2, 8)[:, 0, :, 0, :])
-    # the transform is symmetric; passed transposed, OpenBLAS gives a row
-    # the same bits in any batch, which it does not in C order
     np.matmul(parity_free, weight_transform.T, weights)
     return qh, np.cumsum(weights[:n], axis=1, out=cum)
 

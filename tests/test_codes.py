@@ -467,7 +467,10 @@ def test_drawn_rows_match_reference(batch, knill_population):
 
 def test_drawn_rows_match_any_batch(knill_population):
     # a population level relies on this down to a single row: blocks of
-    # 256 leave a tail of any size, and level 1 builds one row
+    # 256 leave a tail of any size, and level 1 builds one row.  The
+    # cumulative weights are compared too, since a draw flips only when a
+    # uniform falls between two roundings of a weight; 255 and 259 rows
+    # are batches where the weights' matmul in C order changes bits
     rng = np.random.default_rng(0)
     children = knill_population[rng.integers(0, 10_000, (8192, 7))]
     u = rng.random(8192)

@@ -41,7 +41,7 @@ from psthresh.threshold import (
     _mc_level,
 )
 
-from test_codes import _reference_drawn_rows
+from test_codes import _reference_decompose, _reference_drawn_rows
 
 
 def test_shannon_entropy():
@@ -261,15 +261,31 @@ def _reference_level(popn, config, level):
     return cond[:, 0]
 
 
+def _full_recovery_level(popn, config, level):
+    """One population level by the full decomposition: recovery on all
+    64 syndromes of every row, then the syndrome draw from the recovered
+    weights."""
+    pop = popn.shape[0]
+    rng = np.random.default_rng((config.seed, level))
+    idx = rng.integers(0, pop, size=(pop, 7))
+    weights, cond = recover_713(_reference_decompose(popn[idx]))
+    pick = np.minimum((np.cumsum(weights, axis=1) < rng.random(pop)[:, None]).sum(axis=1), 63)
+    return cond[np.arange(pop), pick]
+
+
 # 2 * 256 + 3 leaves a 3-row block after two full ones
 @pytest.mark.parametrize("population", [2000, 2 * 256 + 3])
 def test_mc_level_matches_full_recovery(population):
+    # the drawn rows have the full decomposition's bits, so the level
+    # keeps its populations (and the solves their probes)
     config = McConfig(population=population, seed=3)
-    popn = ref = np.tile(model_level0("knill")(0.065), (config.population, 1))
+    popn = ref = full = np.tile(model_level0("knill")(0.065), (config.population, 1))
     for level in range(1, 9):
         popn = _mc_level(popn, config, level)
         ref = _reference_level(ref, config, level)
+        full = _full_recovery_level(full, config, level)
         np.testing.assert_array_equal(popn, ref)
+        np.testing.assert_array_equal(popn, full)
 
 
 # 3 fits in one small block, 261 leaves a 5-row block and 2 * 256 + 3 a
