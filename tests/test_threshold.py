@@ -273,15 +273,16 @@ def _full_recovery_level(popn, config, level):
     return cond[np.arange(pop), pick]
 
 
-# 2 * 256 + 3 leaves a 3-row block after two full ones
-@pytest.mark.parametrize("population", [2000, 2 * 256 + 3])
-def test_mc_level_matches_full_recovery(population):
+# 2 * 256 + 3 leaves a 3-row block after two full ones; 3 parts split
+# 2000 (8 blocks) over three worker processes
+@pytest.mark.parametrize("population, parts", [(2000, 1), (2 * 256 + 3, 1), (2000, 3)])
+def test_mc_level_matches_full_recovery(population, parts, worker_pool):
     # the drawn rows have the full decomposition's bits, so the level
     # keeps its populations (and the solves their probes)
     config = McConfig(population=population, seed=3)
     popn = ref = full = np.tile(model_level0("knill")(0.065), (config.population, 1))
     for level in range(1, 9):
-        popn = _mc_level(popn, config, level)
+        popn = _mc_level(popn, config, level, worker_pool, parts)
         ref = _reference_level(ref, config, level)
         full = _full_recovery_level(full, config, level)
         np.testing.assert_array_equal(popn, ref)
@@ -299,6 +300,30 @@ def test_first_level_matches_tiled_level(population, dist):
     got = _mc_first_level(dist0, config)
     np.testing.assert_array_equal(got, _mc_level(tiled, config, 1))
     np.testing.assert_array_equal(got, _reference_level(tiled, config, 1))
+
+
+@pytest.mark.parametrize(
+    "dist0",
+    [
+        [math.nan, 0.0, 0.0, 0.0],
+        [1.2, -0.2, 0.0, 0.0],
+        [0.5, 0.1, 0.0, 0.0],
+        [[1.0, 0.0, 0.0, 0.0]],
+        [1.0, 0.0, 0.0],
+    ],
+    ids=["nan", "negative", "sum below 1", "shape 1x4", "length 3"],
+)
+def test_mc_verdict_rejects_bad_distributions(dist0):
+    with pytest.raises(ValueError, match="dist0"):
+        mc_verdict(dist0, QUICK)
+
+
+def test_mc_verdict_accepts_rounded_distributions():
+    # a sum off by rounding is within 1e-9, and the input is not normalised
+    dist = model_level0("knill")(0.0688)
+    assert abs(dist.sum() - 1.0) <= 1e-9
+    assert mc_verdict(dist, QUICK) == mc_verdict(list(dist), QUICK)
+    assert mc_verdict([1 - 1e-10, 0.0, 0.0, 0.0], QUICK) == ("below", 1)
 
 
 def test_mc_threshold_small_population():
