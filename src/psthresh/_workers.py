@@ -78,14 +78,14 @@ class WorkerPool:
                     )
                 )
 
-    def map(self, fn, arg_tuples) -> list:
+    def map(self, fn, arg_tuples: list) -> list:
         """[fn(*args) for args in arg_tuples], the i-th call in worker i.
 
         fn must be importable by name.  An exception in a call is raised
         here as RuntimeError with the worker's traceback text; a worker
-        that dies raises RuntimeError naming its exit code.
+        that dies raises RuntimeError naming its exit code.  An interrupt
+        (KeyboardInterrupt) is raised as it is, after closing the pool.
         """
-        arg_tuples = list(arg_tuples)
         with self.lock:
             self._check_open()
             if len(arg_tuples) > len(self.procs):
@@ -94,7 +94,7 @@ class WorkerPool:
             proc = None
             try:
                 for proc, args in zip(procs, arg_tuples):
-                    pickle.dump((fn, tuple(args)), proc.stdin, pickle.HIGHEST_PROTOCOL)
+                    pickle.dump((fn, args), proc.stdin, pickle.HIGHEST_PROTOCOL)
                     proc.stdin.flush()
                 replies = []
                 for proc in procs:

@@ -392,9 +392,9 @@ def concat_threshold_mc(
     (above).  dist_fn maps the error rate to the level-0 distribution.
     Inconclusive verdicts count as above, so the estimate errs low.
 
-    The first solve in a process whose population _worker_count splits
-    starts the worker processes that run the levels of every verdict
-    after it; they are closed at interpreter exit.
+    The first solve in a process whose population is large enough to
+    share starts the worker processes (see McConfig) that run the levels
+    of every verdict after it; they are closed at interpreter exit.
     """
     workers = _worker_count(config.population)
     if workers:

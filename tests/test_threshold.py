@@ -275,7 +275,14 @@ def _full_recovery_level(popn, config, level):
 
 # 2 * 256 + 3 leaves a 3-row block after two full ones; 3 parts split
 # 2000 (8 blocks) over three worker processes
-@pytest.mark.parametrize("population, parts", [(2000, 1), (2 * 256 + 3, 1), (2000, 3)])
+@pytest.mark.parametrize(
+    "population, parts",
+    [
+        pytest.param(2000, 1, id="2000"),
+        pytest.param(2 * 256 + 3, 1, id="515"),
+        pytest.param(2000, 3, id="2000-3 workers"),
+    ],
+)
 def test_mc_level_matches_full_recovery(population, parts, worker_pool):
     # the drawn rows have the full decomposition's bits, so the level
     # keeps its populations (and the solves their probes)

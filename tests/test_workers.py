@@ -112,10 +112,29 @@ def test_worker_ignores_sigint(worker_pool):
 
 
 def test_closed_workers_exit():
-    pool = _workers.WorkerPool(2)
+    pool = _workers.WorkerPool(1)
+    pool.grow(2)
     assert pool.map(eval, [("1",), ("2",)]) == [1, 2]
     pool.close()
     assert [proc.returncode for proc in pool.procs] == [0, 0]
+    with pytest.raises(RuntimeError, match="closed"):
+        pool.map(eval, [("1",)])
+
+
+class _Interrupt:
+    """An argument whose pickling is interrupted, as by Ctrl-C."""
+
+    def __reduce__(self):
+        raise KeyboardInterrupt
+
+
+def test_interrupted_exchange_closes_the_pool():
+    # worker 0 has a request whose reply is never read: the pool is out of step
+    pool = _workers.WorkerPool(2)
+    with pytest.raises(KeyboardInterrupt):
+        pool.map(eval, [("1",), (_Interrupt(),)])
+    assert pool.closed
+    assert all(proc.returncode is not None for proc in pool.procs)
     with pytest.raises(RuntimeError, match="closed"):
         pool.map(eval, [("1",)])
 
