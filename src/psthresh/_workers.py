@@ -91,7 +91,6 @@ class WorkerPool:
             if len(arg_tuples) > len(self.procs):
                 raise ValueError("%d calls for %d workers" % (len(arg_tuples), len(self.procs)))
             procs = self.procs[: len(arg_tuples)]
-            proc = None
             try:
                 for proc, args in zip(procs, arg_tuples):
                     pickle.dump((fn, args), proc.stdin, pickle.HIGHEST_PROTOCOL)
