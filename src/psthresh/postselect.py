@@ -9,11 +9,12 @@ which swaps its x and z components.  Iterating this step from the
 noiseless channel (1, 1, 1) drives the pair toward a fixed point; the
 fixed point exists only below the threshold of the gate noise.
 
-The step, ``_step``, runs in closed form on Python floats: the accept
-branch reads only 8 of the 16 gate-noise entries Q (II, IZ, XI, XZ, YI,
-YZ, ZI, ZZ), in the operation order of ``pauli.total_cnot_noise``
-followed by ``pauli.measure_traceout``, so it gives the same bits as
-that composition.
+The iteration, ``_iterate``, is one loop over Python floats that holds
+the step in closed form: the accept branch reads only 8 of the 16
+gate-noise entries Q (II, IZ, XI, XZ, YI, YZ, ZI, ZZ), in the operation
+order of ``pauli.total_cnot_noise`` followed by
+``pauli.measure_traceout``, so it gives the same bits as that
+composition.  ``fixed_point`` runs it from the noiseless channel.
 """
 
 from __future__ import annotations
@@ -26,8 +27,16 @@ import numpy as np
 from .noise import diagonal_q, measurement_m
 from .pauli import _H4, LABEL_INDEX, VALIDITY_TOL
 
-#: the Q entries the accept branch of a purification step reads
-_ACCEPT_LABELS = ("II", "IZ", "XI", "XZ", "YI", "YZ", "ZI", "ZZ")
+#: indices of the Q entries the accept branch of a purification step reads
+_ACCEPT_INDEX = np.array(
+    [LABEL_INDEX[lab] for lab in ("II", "IZ", "XI", "XZ", "YI", "YZ", "ZI", "ZZ")]
+)
+
+#: indices of the Q entries the teleported distribution reads: IZ, XI, XZ
+_TELEPORT_INDEX = np.array([LABEL_INDEX[lab] for lab in ("IZ", "XI", "XZ")])
+
+#: maps [1, x, y, z] to the distribution (p_I, p_X, p_Y, p_Z)
+_QUARTER_H4 = 0.25 * _H4
 
 
 class NoConvergenceError(RuntimeError):
@@ -47,67 +56,77 @@ class IndepFixedPoint:
     x_b: float
 
 
-def _accept_q(q) -> tuple:
-    """The 8 entries of q that _step reads, as Python floats."""
-    q = np.asarray(q, dtype=float)
-    return tuple(float(q[LABEL_INDEX[lab]]) for lab in _ACCEPT_LABELS)
+def _accept_q(q) -> list:
+    """The 8 entries of q that a purification step reads, as Python
+    floats."""
+    return np.asarray(q, dtype=float)[_ACCEPT_INDEX].tolist()
 
 
-def _step(x: float, y: float, z: float, qa: tuple, m: float) -> tuple:
-    """One purification step of the channel (x, y, z) under gate noise
-    q, with qa = _accept_q(q), and measurement scalar m; returns the new
-    (x, y, z), with x and z already swapped by the Hadamard.
+def _iterate(
+    qa, m: float, x: float, y: float, z: float, tol: float, max_iter: int
+) -> FixedPointResult:
+    """Purification steps from the channel (x, y, z) under gate noise q,
+    with qa = _accept_q(q), and measurement scalar m, until successive
+    iterates agree within tol (sup norm).
 
-    Both CNOT inputs carry (x, y, z), so the conjugated entries read are
-    R_IZ = z z, R_XI = x x, R_XZ = y y, R_YI = y x, R_YZ = x y and
-    R_ZI = R_ZZ = z; the accept branch is (1/2)(A + mB) over the
-    sigma-I column A and sigma-Z column B of N = Q R.
+    One step: both CNOT inputs carry (x, y, z), so the conjugated
+    entries read are R_IZ = z z, R_XI = x x, R_XZ = y y, R_YI = y x,
+    R_YZ = x y and R_ZI = R_ZZ = z; the accept branch is (1/2)(A + mB)
+    over the sigma-I column A and sigma-Z column B of N = Q R, and the
+    Hadamard swaps the new x and z.  Raises NoConvergenceError as
+    fixed_point does.
     """
     q0, q3, q4, q7, q8, q11, q12, q15 = qa
-    b0 = m * (q3 * (z * z))
-    acc0 = 0.5 * (q0 + b0)
-    if acc0 <= 0:
-        raise ValueError("degenerate acceptance weight %g" % acc0)
-    rej0 = 0.5 * (q0 - b0)
-    if rej0 < -VALIDITY_TOL:
-        raise ValueError("negative rejection weight %g" % rej0)
-    ax = 0.5 * (q4 * (x * x) + m * (q7 * (y * y)))
-    ay = 0.5 * (q8 * (y * x) + m * (q11 * (x * y)))
-    az = 0.5 * (q12 * z + m * (q15 * z))
-    return az / acc0, ay / acc0, ax / acc0
+    neg_tol, neg_validity_tol = -tol, -VALIDITY_TOL
+    for i in range(1, max_iter + 1):
+        b0 = m * (q3 * (z * z))
+        acc0 = 0.5 * (q0 + b0)
+        if acc0 <= 0:
+            raise NoConvergenceError(
+                "post-selection broke down after %d iterations: "
+                "degenerate acceptance weight %g" % (i - 1, acc0)
+            )
+        if 0.5 * (q0 - b0) < neg_validity_tol:
+            raise NoConvergenceError(
+                "post-selection broke down after %d iterations: "
+                "negative rejection weight %g" % (i - 1, 0.5 * (q0 - b0))
+            )
+        # the accept branch's (x, y, z) over its weight, x and z swapped
+        nz = 0.5 * (q4 * (x * x) + m * (q7 * (y * y))) / acc0
+        ny = 0.5 * (q8 * (y * x) + m * (q11 * (x * y))) / acc0
+        nx = 0.5 * (q12 * z + m * (q15 * z)) / acc0
+        dx, dy, dz = nx - x, ny - y, nz - z
+        x, y, z = nx, ny, nz
+        # finite differences from a finite iterate: the new one is finite
+        if neg_tol < dx < tol and neg_tol < dy < tol and neg_tol < dz < tol:
+            return FixedPointResult(
+                channel=np.array([x, y, z]),
+                iterations=i,
+                residual=max(abs(dx), abs(dy), abs(dz)),
+            )
+        # x * 0.0 is 0 for finite x and NaN for an infinite or NaN x
+        if x * 0.0 + y * 0.0 + z * 0.0 != 0.0:
+            raise NoConvergenceError("post-selection diverged after %d iterations" % i)
+    raise NoConvergenceError(
+        "no fixed point within %d iterations (residual %.3g)"
+        % (max_iter, max(abs(dx), abs(dy), abs(dz)))
+    )
 
 
 def fixed_point(q, tol: float = 1e-14, max_iter: int = 10**6, m: float = 1.0) -> FixedPointResult:
-    """Iterate _step from the noiseless channel until successive
-    iterates agree within tol (sup norm).
+    """Iterate the purification step from the noiseless channel until
+    successive iterates agree within tol (sup norm).
 
     Raises NoConvergenceError if the iteration runs out of steps or the
     acceptance probability breaks down, which is how an above-threshold
-    gate noise manifests.
+    gate noise manifests, and ValueError unless tol > 0 and
+    max_iter >= 1.
     """
-    qa = _accept_q(q)
-    m = float(m)
-    x = y = z = 1.0
-    for i in range(1, max_iter + 1):
-        try:
-            nx, ny, nz = _step(x, y, z, qa, m)
-        except ValueError as exc:
-            raise NoConvergenceError(
-                "post-selection broke down after %d iterations: %s" % (i - 1, exc)
-            ) from exc
-        if not (math.isfinite(nx) and math.isfinite(ny) and math.isfinite(nz)):
-            raise NoConvergenceError(
-                "post-selection diverged after %d iterations" % i
-            )
-        residual = max(abs(nx - x), abs(ny - y), abs(nz - z))
-        x, y, z = nx, ny, nz
-        if residual < tol:
-            return FixedPointResult(
-                channel=np.array([x, y, z]), iterations=i, residual=residual
-            )
-    raise NoConvergenceError(
-        "no fixed point within %d iterations (residual %.3g)" % (max_iter, residual)
-    )
+    if not tol > 0:
+        raise ValueError("tol must be > 0, got %r" % (tol,))
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1, got %r" % (max_iter,))
+    return _iterate(_accept_q(q), float(m), 1.0, 1.0, 1.0, tol, max_iter)
 
 
 def indep_fixed_point(f: float) -> IndepFixedPoint:
@@ -132,23 +151,14 @@ def teleport_output(channel, q, m: float = 1.0) -> np.ndarray:
     """Error distribution (p_I, p_X, p_Y, p_Z) on the data qubit after
     teleporting through an ancilla pair in state channel = (x, y, z),
     with gate noise q and measurement scalar m."""
-    x, y, z = np.asarray(channel, dtype=float)
-
-    def g(lbl):
-        return q[LABEL_INDEX[lbl]]
-
-    coeffs = np.array(
-        [
-            1.0,
-            m * x * z * g("XI"),
-            m * m * y * y * g("XZ"),
-            m * x * z * g("IZ"),
-        ]
-    )
-    p = 0.25 * _H4 @ coeffs
+    x, y, z = np.asarray(channel, dtype=float).tolist()
+    m = float(m)
+    q_iz, q_xi, q_xz = np.asarray(q, dtype=float)[_TELEPORT_INDEX].tolist()
+    coeffs = np.array([1.0, m * x * z * q_xi, m * m * y * y * q_xz, m * x * z * q_iz])
+    p = _QUARTER_H4 @ coeffs
     if np.any(p < -1e-12):
         raise ValueError("teleported distribution has negative weight: %r" % (p,))
-    return np.clip(p, 0.0, None)
+    return np.maximum(p, 0.0)
 
 
 def model_fixed_point(model) -> FixedPointResult:

@@ -1,10 +1,13 @@
 """Tests for the purification step and its fixed point."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from psthresh import postselect
 from psthresh.noise import (
     Depolarizing,
     Forward,
@@ -13,6 +16,7 @@ from psthresh.noise import (
     measurement_m,
 )
 from psthresh.pauli import (
+    _H4,
     LABEL_INDEX,
     VALIDITY_TOL,
     commutation_signs,
@@ -24,17 +28,27 @@ from psthresh.postselect import (
     FixedPointResult,
     NoConvergenceError,
     _accept_q,
-    _step,
+    _iterate,
     fixed_point,
     indep_fixed_point,
     model_fixed_point,
     model_teleport_output,
     teleport_output,
 )
+from psthresh.threshold import hashing_threshold
+
+
+def _step(c, q, m):
+    """One purification step from the channel c = (x, y, z), taken by
+    the solver's own loop: tol = inf, above every finite residual,
+    stops it after the first step."""
+    res = _iterate(_accept_q(q), float(m), *c, math.inf, 1)
+    assert res.iterations == 1
+    return tuple(res.channel.tolist())
 
 
 def test_post_step_noiseless_is_identity_on_perfect_channel():
-    assert _step(1.0, 1.0, 1.0, _accept_q(np.ones(16)), 1.0) == (1.0, 1.0, 1.0)
+    assert _step((1.0, 1.0, 1.0), np.ones(16), 1.0) == (1.0, 1.0, 1.0)
 
 
 def test_fixed_point_is_stationary():
@@ -42,7 +56,7 @@ def test_fixed_point_is_stationary():
     q = diagonal_q(model)
     res = model_fixed_point(model)
     assert res.residual < 1e-13
-    step = _step(*res.channel.tolist(), _accept_q(q), measurement_m(model))
+    step = _step(res.channel.tolist(), q, measurement_m(model))
     np.testing.assert_allclose(step, res.channel, atol=1e-12)
 
 
@@ -99,6 +113,22 @@ def test_model_teleport_output_matches_manual():
 def test_fixed_point_iteration_budget():
     with pytest.raises(NoConvergenceError):
         fixed_point(diagonal_q(Depolarizing(0.05)), max_iter=1)
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"max_iter": 0}, "max_iter must be >= 1, got 0"),
+        ({"max_iter": -3}, "max_iter must be >= 1, got -3"),
+        ({"tol": 0.0}, "tol must be > 0, got 0.0"),
+        ({"tol": -1e-9}, "tol must be > 0, got -1e-09"),
+        ({"tol": math.nan}, "tol must be > 0, got nan"),
+    ],
+)
+def test_fixed_point_rejects_bad_budget_and_tol(kwargs, message):
+    with pytest.raises(ValueError) as info:
+        fixed_point(diagonal_q(Depolarizing(0.05)), **kwargs)
+    assert str(info.value) == message
 
 
 def test_fixed_point_breakdown():
@@ -217,7 +247,7 @@ def test_post_step_matches_traceout_composition():
         q, m = _random_q_m(rng, k)
         accept, _ = measure_traceout(total_cnot_noise(q, c, c), m_noise=m)
         x, y, z = accept.channel
-        assert _step(*c.tolist(), _accept_q(q), float(m)) == (z, y, x)
+        assert _step(c.tolist(), q, m) == (z, y, x)
 
 
 def _crafted_q(**entries):
@@ -243,3 +273,70 @@ def test_fixed_point_raises_on_non_finite_iterate():
     q = _crafted_q(XI=1e308, XZ=1e308)
     got = _assert_same_as_reference(q)
     assert got == (NoConvergenceError, "post-selection diverged after 1 iterations")
+
+
+@pytest.mark.parametrize(
+    "family",
+    ["knill", "forward", lambda p: Depolarizing(p, 0.5)],
+    ids=["knill", "forward", "r=0.5"],
+)
+def test_hashing_threshold_matches_reference_solver(monkeypatch, family):
+    # model_teleport_output reaches fixed_point by its module-global name
+    fast = hashing_threshold(family, tol=1e-9)
+    calls = []
+
+    def reference(q, **kwargs):
+        calls.append(q)
+        return _reference_fixed_point(q, **kwargs)
+
+    monkeypatch.setattr(postselect, "fixed_point", reference)
+    assert hashing_threshold(family, tol=1e-9) == fast
+    assert len(calls) > 20
+
+
+def _reference_teleport_output(channel, q, m=1.0):
+    """teleport_output as the numpy composition 0.25 * H4 @ coeffs over
+    numpy scalars."""
+    x, y, z = np.asarray(channel, dtype=float)
+    coeffs = np.array(
+        [
+            1.0,
+            m * x * z * q[LABEL_INDEX["XI"]],
+            m * m * y * y * q[LABEL_INDEX["XZ"]],
+            m * x * z * q[LABEL_INDEX["IZ"]],
+        ]
+    )
+    p = 0.25 * _H4 @ coeffs
+    if np.any(p < -1e-12):
+        raise ValueError("teleported distribution has negative weight: %r" % (p,))
+    return np.clip(p, 0.0, None)
+
+
+def _teleport_outcome(solve, c, q, m):
+    try:
+        out = solve(c, q, m=m)
+    except ValueError as exc:
+        return str(exc)
+    assert out.dtype == np.float64 and out.shape == (4,)
+    return out.tobytes()
+
+
+def test_teleport_output_matches_reference():
+    rng = np.random.default_rng(17)
+    for k in range(300):
+        c = _random_channel(rng)
+        q, m = _random_q_m(rng, k)
+        if k % 4 == 0:
+            m = np.float64(m)
+        got = _teleport_outcome(teleport_output, c, q, m)
+        assert got == _teleport_outcome(_reference_teleport_output, c, q, m)
+    # fixed points of the models themselves, and a negative weight
+    cases = [(fixed_point(q, m=m).channel, q, m) for q, m in (
+        (diagonal_q(model), measurement_m(model))
+        for model in (knill(0.05), Forward(0.04), Depolarizing(0.07, 0.3))
+    )]
+    cases.append((np.ones(3), _crafted_q(XI=2.0, IZ=-1.0), 1.0))
+    for c, q, m in cases:
+        got = _teleport_outcome(teleport_output, c, q, m)
+        assert got == _teleport_outcome(_reference_teleport_output, c, q, m)
+    assert got.startswith("teleported distribution has negative weight")
