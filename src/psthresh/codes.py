@@ -28,9 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, log2
+from math import comb, fsum, log2
 
 import numpy as np
+
+from .noise import _check_prob
 
 # ---------------------------------------------------------------------------
 # [[7,1,3]] structure
@@ -44,6 +46,24 @@ PARITY_CHECK_713 = (
 
 #: coset sizes of the four distance classes (minimum weight 0, 1, 2, 3)
 CLASS_SIZES_713 = (8, 56, 56, 8)
+
+
+#: number of set bits of each byte value
+_BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.intp)
+
+
+def _popcount(v) -> np.ndarray:
+    """Number of set bits of each entry of the non-negative int array v,
+    a byte at a time by table lookup (np.bitwise_count needs numpy 2)."""
+    v = np.asarray(v, dtype=np.int64)
+    if (v < 0).any():
+        raise ValueError("popcount of a negative int")
+    out = _BYTE_POPCOUNT[v & 0xFF]
+    v = v >> 8
+    while v.any():
+        out += _BYTE_POPCOUNT[v & 0xFF]
+        v >>= 8
+    return out
 
 
 def _row_int(row) -> int:
@@ -234,6 +254,7 @@ def degeneracy_correction(scheme: str, p_g: float) -> float:
             "unknown scheme %r (expected one of %s)"
             % (scheme, ", ".join(sorted(_DEGENERACY)))
         ) from None
+    _check_prob("p_g", p_g)
     return coeff * p_g**power
 
 
@@ -271,12 +292,8 @@ _KLEIN = np.array(
 
 def _popcount_signs(masks: np.ndarray) -> np.ndarray:
     """(-1)^popcount(c & mask) for c in 0..255, one row per mask."""
-    c = np.arange(256)
-    v = c[None, :] & np.asarray(masks)[:, None]
-    pc = np.zeros_like(v)
-    for b in range(8):
-        pc += (v >> b) & 1
-    return np.where(pc % 2 == 0, 1.0, -1.0)
+    v = np.arange(256)[None, :] & np.asarray(masks)[:, None]
+    return np.where(_popcount(v) % 2 == 0, 1.0, -1.0)
 
 
 @lru_cache(maxsize=1)
@@ -358,13 +375,32 @@ def recover_713(joint: np.ndarray):
     return weights, cond
 
 
+def _check_distribution(name: str, dist) -> np.ndarray:
+    """dist as a float array; ValueError naming it unless it is a
+    length-4 vector of finite, non-negative entries that sum to 1 within
+    1e-9."""
+    dist = np.asarray(dist, dtype=float)
+    # a NaN fails v >= 0 and an inf makes the sum inf; on four values,
+    # Python is a few us faster than numpy
+    if not (
+        dist.shape == (4,)
+        and all(v >= 0.0 for v in dist.tolist())
+        and abs(fsum(dist.tolist()) - 1.0) <= 1e-9
+    ):
+        raise ValueError(
+            "%s must be 4 finite non-negative probabilities summing to 1, got %r" % (name, dist)
+        )
+    return dist
+
+
 def first_level_fidelity(dist) -> float:
     """Probability of no logical error after one level of encoding and
     syndrome-wise recovery, for seven qubits drawn independently from
-    the same error distribution."""
-    dist = np.asarray(dist, dtype=float)
-    if dist.shape != (4,):
-        raise ValueError("expected a length-4 Pauli distribution")
+    the same error distribution.
+
+    dist must be a Pauli distribution as mc_verdict's dist0 is, or
+    ValueError is raised."""
+    dist = _check_distribution("dist", dist)
     joint = decompose_713(np.tile(dist, (7, 1)))
     weights, cond = recover_713(joint)
     return float((weights[0] * cond[0, :, 0]).sum())
@@ -480,22 +516,16 @@ GOLAY_COSET_LEADERS = (0, 0b1, 0b11, 0b111)
 GOLAY_COSET_COUNTS = (1, 23, 253, 1771)
 
 
-def _poly_mul_mod2(a: int, b: int) -> int:
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        a <<= 1
-        b >>= 1
-    return r
-
-
 @lru_cache(maxsize=1)
 def golay_codewords() -> np.ndarray:
-    """All 4096 codewords of the [23,12] Golay code as 23-bit ints."""
-    words = np.array(
-        [_poly_mul_mod2(GOLAY_GENERATOR, m) for m in range(4096)], dtype=np.int64
-    )
+    """All 4096 codewords of the [23,12] Golay code as 23-bit ints: word
+    m is the GF(2) polynomial product of message m and the generator,
+    built as the XOR of the generator shifted by j over the set bits j
+    of m."""
+    m = np.arange(4096)
+    words = np.zeros(4096, dtype=np.int64)
+    for j in range(12):
+        words[(m >> j) & 1 == 1] ^= GOLAY_GENERATOR << j
     words.setflags(write=False)
     return words
 
@@ -504,27 +534,25 @@ def golay_codewords() -> np.ndarray:
 def golay_coset_enumerators():
     """Per coset-weight class j: weight enumerators (even[24], odd[24])
     of the even-weight and odd-weight halves of the coset."""
-    words = golay_codewords()
-    weights = np.array([bin(int(c)).count("1") for c in words])
-    even = words[weights % 2 == 0]
-    odd = words[weights % 2 == 1]
-    out = []
-    for leader in GOLAY_COSET_LEADERS:
-        a = np.zeros(GOLAY_N + 1, dtype=np.int64)
-        b = np.zeros(GOLAY_N + 1, dtype=np.int64)
-        for c in even:
-            a[bin(int(c) ^ leader).count("1")] += 1
-        for c in odd:
-            b[bin(int(c) ^ leader).count("1")] += 1
-        a.setflags(write=False)
-        b.setflags(write=False)
-        out.append((a, b))
-    return tuple(out)
+    # weights[j] = weight of every codeword plus the class-j leader; row 0
+    # (leader 0) splits the words by parity
+    weights = _popcount(golay_codewords() ^ np.array(GOLAY_COSET_LEADERS)[:, None])
+    odd = weights[0] & 1 == 1
+    enums = tuple(
+        tuple(np.bincount(w[half], minlength=GOLAY_N + 1).astype(np.int64, copy=False) for half in (~odd, odd))
+        for w in weights
+    )
+    for pair in enums:
+        for arr in pair:
+            arr.setflags(write=False)
+    return enums
 
 
 def golay_syndrome_weights(p: float):
     """Probabilities (kept[4], flipped[4]) that an i.i.d. flip pattern at
-    rate p lands in the even or odd half of a class-j coset, per coset."""
+    rate p lands in the even or odd half of a class-j coset, per coset.
+    Raises ValueError unless 0 <= p <= 1."""
+    _check_prob("p", p)
     pw = np.array([p**w * (1 - p) ** (GOLAY_N - w) for w in range(GOLAY_N + 1)])
     enums = golay_coset_enumerators()
     kept = np.array([float(a @ pw) for a, _ in enums])

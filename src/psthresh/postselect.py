@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .noise import diagonal_q, measurement_m
-from .pauli import _H4, LABEL_INDEX, VALIDITY_TOL
+from .pauli import LABEL_INDEX, VALIDITY_TOL
 
 #: indices of the Q entries the accept branch of a purification step reads
 _ACCEPT_INDEX = np.array(
@@ -33,10 +33,7 @@ _ACCEPT_INDEX = np.array(
 )
 
 #: indices of the Q entries the teleported distribution reads: IZ, XI, XZ
-_TELEPORT_INDEX = np.array([LABEL_INDEX[lab] for lab in ("IZ", "XI", "XZ")])
-
-#: maps [1, x, y, z] to the distribution (p_I, p_X, p_Y, p_Z)
-_QUARTER_H4 = 0.25 * _H4
+_TELEPORT_INDEX = tuple(LABEL_INDEX[lab] for lab in ("IZ", "XI", "XZ"))
 
 
 class NoConvergenceError(RuntimeError):
@@ -150,15 +147,25 @@ def indep_fixed_point(f: float) -> IndepFixedPoint:
 def teleport_output(channel, q, m: float = 1.0) -> np.ndarray:
     """Error distribution (p_I, p_X, p_Y, p_Z) on the data qubit after
     teleporting through an ancilla pair in state channel = (x, y, z),
-    with gate noise q and measurement scalar m."""
+    with gate noise q and measurement scalar m.
+
+    The distribution is (1/4) H [1, m x z q_XI, m^2 y^2 q_XZ, m x z q_IZ]
+    over the +-1 Hadamard pattern H of pauli.  Each row adds its four
+    quarter-weighted terms t0..t3 as (t0 + t2) + (t1 + t3), the order of
+    numpy's 4x4 matvec (OpenBLAS 0.3.31), so the result has that
+    product's bits.
+    """
     x, y, z = np.asarray(channel, dtype=float).tolist()
     m = float(m)
-    q_iz, q_xi, q_xz = np.asarray(q, dtype=float)[_TELEPORT_INDEX].tolist()
-    coeffs = np.array([1.0, m * x * z * q_xi, m * m * y * y * q_xz, m * x * z * q_iz])
-    p = _QUARTER_H4 @ coeffs
-    if np.any(p < -1e-12):
-        raise ValueError("teleported distribution has negative weight: %r" % (p,))
-    return np.maximum(p, 0.0)
+    q_iz, q_xi, q_xz = [float(q[i]) for i in _TELEPORT_INDEX]
+    a = 0.25 * (m * x * z * q_xi)
+    b = 0.25 * (m * m * y * y * q_xz)
+    c = 0.25 * (m * x * z * q_iz)
+    p = [(0.25 + b) + (a + c), (0.25 - b) + (a - c), (0.25 + b) - (a + c), (0.25 - b) - (a - c)]
+    if any(v < -1e-12 for v in p):
+        raise ValueError("teleported distribution has negative weight: %r" % (np.array(p),))
+    # as np.maximum(p, 0.0): -0.0 becomes 0.0 and NaN stays
+    return np.array([0.0 if v <= 0.0 else v for v in p])
 
 
 def model_fixed_point(model) -> FixedPointResult:

@@ -22,6 +22,7 @@ import numpy as np
 
 from .codes import (
     CrashPolynomial,
+    _check_distribution,
     _cumulative_syndrome_weights,
     _drawn_class_rows,
     _drawn_syndromes,
@@ -34,7 +35,7 @@ from .codes import (
     postselect_classes,
     recover_713,
 )
-from .noise import Depolarizing, Forward, RateError, model_family
+from .noise import Depolarizing, Forward, RateError, _check_prob, model_family
 from .postselect import (
     NoConvergenceError,
     indep_fixed_point,
@@ -342,16 +343,7 @@ def mc_verdict(dist0, config: McConfig = McConfig()):
     the worker processes of a solve (concat_threshold_mc) when one has
     started them in this process, and in-process otherwise.
     """
-    dist0 = np.asarray(dist0, dtype=float)
-    if not (
-        dist0.shape == (4,)
-        and np.isfinite(dist0).all()
-        and (dist0 >= 0).all()
-        and abs(dist0.sum() - 1.0) <= 1e-9
-    ):
-        raise ValueError(
-            "dist0 must be 4 finite non-negative probabilities summing to 1, got %r" % (dist0,)
-        )
+    dist0 = _check_distribution("dist0", dist0)
     pool = _running_workers()
     parts = min(_worker_count(config.population), pool.size) if pool is not None else 1
     for level in range(1, config.levels + 1):
@@ -604,5 +596,8 @@ def fixed_fidelity_point(code: str, family: str):
 
 def overhead_success(p: float, n: int) -> float:
     """Probability (1 - p)**n that n independently post-selected steps
-    all succeed."""
+    all succeed.  Raises ValueError unless 0 <= p <= 1 and n >= 0."""
+    _check_prob("p", p)
+    if n < 0:
+        raise ValueError("n must be >= 0, got %r" % (n,))
     return (1.0 - p) ** n

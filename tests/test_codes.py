@@ -7,15 +7,22 @@ distribution for the Walsh-Hadamard decomposition.
 """
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, inf, nan
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import psthresh
+from psthresh import codes
 from psthresh.codes import (
     CLASS_SIZES_713,
+    GOLAY_GENERATOR,
     GOLAY_COSET_COUNTS,
     GOLAY_COSET_LEADERS,
     PARITY_CHECK_713,
@@ -37,8 +44,11 @@ from psthresh.codes import (
     postselect_classes,
     recover_713,
     _cumulative_syndrome_weights,
+    _decomposition_tables,
     _drawn_class_rows,
     _drawn_syndromes,
+    _popcount,
+    _popcount_signs,
     _syndrome_buffers,
     _syndrome_tables,
 )
@@ -202,6 +212,12 @@ def test_degeneracy_correction():
         degeneracy_correction("317", 0.01)
 
 
+@pytest.mark.parametrize("p_g", [-1, -0.1, 1.5, nan])
+def test_degeneracy_correction_rejects_bad_rate(p_g):
+    with pytest.raises(ValueError, match="p_g"):
+        degeneracy_correction("713-L1", p_g)
+
+
 # ---------------------------------------------------------------------------
 # syndrome decomposition
 
@@ -277,16 +293,21 @@ def test_decompose_batched():
         )
 
 
+def _reference_popcount_signs(masks):
+    """_popcount_signs as first written: popcount by an 8-pass bit loop."""
+    c = np.arange(256)
+    v = c[None, :] & np.asarray(masks)[:, None]
+    pc = np.zeros_like(v)
+    for b in range(8):
+        pc += (v >> b) & 1
+    return np.where(pc % 2 == 0, 1.0, -1.0)
+
+
 @lru_cache(maxsize=1)
 def _reference_tables():
     cols = [sum(row[i] << k for k, row in enumerate(PARITY_CHECK_713)) for i in range(7)]
     u = np.arange(256)
-
-    def signs(masks):
-        v = np.asarray(masks)[:, None] & u[None, :]
-        pc = sum((v >> b) & 1 for b in range(8))
-        return np.where(pc % 2 == 0, 1.0, -1.0)
-
+    signs = _reference_popcount_signs
     s_x = signs([c | (1 << 3) for c in cols])
     s_z = signs([(c << 4) | (1 << 7) for c in cols])
     sig = np.stack([np.ones_like(s_x), s_x, s_x * s_z, s_z], axis=1)
@@ -381,6 +402,33 @@ def test_first_level_fidelity():
     assert fid > first_level_fidelity([0.9, 0.1 / 3, 0.1 / 3, 0.1 / 3])
     with pytest.raises(ValueError):
         first_level_fidelity([1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [
+        [0.5, 0.5, 0.5, 0.5],
+        [1.2, -0.2, 0.0, 0.0],
+        [nan, 0.0, 0.0, 0.0],
+        [inf, 0.0, 0.0, 0.0],
+        [0.5, 0.1, 0.0, 0.0],
+        [[1.0, 0.0, 0.0, 0.0]],
+    ],
+    ids=["sum 2", "negative", "nan", "inf", "sum below 1", "shape 1x4"],
+)
+def test_first_level_fidelity_rejects_bad_distributions(dist):
+    # the rule of mc_verdict's dist0: [0.5] * 4 gave a "fidelity" of 32
+    with pytest.raises(ValueError, match="dist must be 4 finite non-negative"):
+        first_level_fidelity(dist)
+
+
+def test_first_level_fidelity_sum_tolerance():
+    # a sum within 1e-9 of 1 passes, as an input off by rounding does
+    assert 0.0 < first_level_fidelity([0.97, 0.01, 0.01, 0.01 + 5e-10]) < 1.0
+    # -0.0 is non-negative, as for numpy's >= 0
+    assert first_level_fidelity(np.array([-0.0, 1.0, 0.0, 0.0])) == pytest.approx(1.0)
+    with pytest.raises(ValueError):
+        first_level_fidelity([0.97, 0.01, 0.01, 0.01 + 2e-9])
 
 
 # ---------------------------------------------------------------------------
@@ -529,23 +577,116 @@ def test_golay_coset_counts():
         assert count == comb(23, w)
 
 
-def test_golay_enumerators_leader_independent():
-    # every coset of a class shares one weight enumerator; recompute a
-    # few classes from different leaders
-    words = golay_codewords()
+def _reference_golay_codewords():
+    """golay_codewords as first written: one polynomial product mod 2
+    per message."""
+
+    def mul(a, b):
+        r = 0
+        while b:
+            if b & 1:
+                r ^= a
+            a <<= 1
+            b >>= 1
+        return r
+
+    words = np.array([mul(GOLAY_GENERATOR, m) for m in range(4096)], dtype=np.int64)
+    words.setflags(write=False)
+    return words
+
+
+def _reference_golay_enumerators(leaders=GOLAY_COSET_LEADERS):
+    """golay_coset_enumerators as first written, for the cosets of the
+    given leaders: one bin().count per word and leader."""
+    words = _reference_golay_codewords()
     weights = np.array([bin(int(c)).count("1") for c in words])
     even = words[weights % 2 == 0]
     odd = words[weights % 2 == 1]
-    enums = golay_coset_enumerators()
-    for j, leader in ((1, 1 << 13), (2, 0b101), (3, 0b10011)):
+    out = []
+    for leader in leaders:
         a = np.zeros(24, dtype=np.int64)
         b = np.zeros(24, dtype=np.int64)
         for c in even:
             a[bin(int(c) ^ leader).count("1")] += 1
         for c in odd:
             b[bin(int(c) ^ leader).count("1")] += 1
+        a.setflags(write=False)
+        b.setflags(write=False)
+        out.append((a, b))
+    return tuple(out)
+
+
+def _assert_same_table(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, tuple):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same_table(g, w)
+        return
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.flags.c_contiguous == want.flags.c_contiguous
+    assert got.flags.f_contiguous == want.flags.f_contiguous
+    assert got.flags.writeable == want.flags.writeable
+    assert got.tobytes(order="A") == want.tobytes(order="A")
+
+
+def test_popcount_matches_bin_count():
+    small = np.arange(2**16)
+    rng = np.random.default_rng(12)
+    large = np.concatenate([rng.integers(0, 2**24, 10**4), [2**24 - 1]])
+    for v in (small, large):
+        np.testing.assert_array_equal(_popcount(v), [bin(int(x)).count("1") for x in v])
+    # a 2-d array keeps its shape
+    assert _popcount(np.arange(6).reshape(2, 3)).tolist() == [[0, 1, 1], [2, 1, 2]]
+    with pytest.raises(ValueError):
+        _popcount(np.array([3, -1]))
+
+
+def test_golay_tables_match_reference_builds():
+    _assert_same_table(golay_codewords(), _reference_golay_codewords())
+    _assert_same_table(golay_coset_enumerators(), _reference_golay_enumerators())
+
+
+def test_golay_enumerators_leader_independent():
+    # every coset of a class shares one weight enumerator; recompute a
+    # few classes from different leaders
+    enums = golay_coset_enumerators()
+    other = _reference_golay_enumerators((1 << 13, 0b101, 0b10011))
+    for j, (a, b) in enumerate(other, start=1):
         np.testing.assert_array_equal(a, enums[j][0])
         np.testing.assert_array_equal(b, enums[j][1])
+
+
+def test_decomposition_tables_match_reference_popcount(monkeypatch):
+    cols = [sum(row[i] << k for k, row in enumerate(PARITY_CHECK_713)) for i in range(7)]
+    for masks in ([c | (1 << 3) for c in cols], [(c << 4) | (1 << 7) for c in cols], np.arange(256)):
+        _assert_same_table(_popcount_signs(masks), _reference_popcount_signs(masks))
+    got = _decomposition_tables()
+    monkeypatch.setattr(codes, "_popcount_signs", _reference_popcount_signs)
+    _assert_same_table(got, _decomposition_tables.__wrapped__())
+    # the transform stays Fortran-ordered (see _decomposition_tables)
+    assert got[1].flags.f_contiguous
+
+
+def test_import_leaves_tables_unbuilt():
+    # the Golay and decomposition tables are built on first use, not at
+    # import
+    src = str(Path(psthresh.__file__).resolve().parent.parent)
+    code = (
+        "import psthresh\n"
+        "from psthresh import codes\n"
+        "print([f.cache_info().currsize for f in (codes.golay_codewords, "
+        "codes.golay_coset_enumerators, codes._decomposition_tables)])\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert out.stdout.strip() == "[0, 0, 0]"
 
 
 def test_golay_syndrome_weights_normalized():
@@ -568,3 +709,12 @@ def test_golay_sector_entropy_calibration():
         1.00162555, abs=1e-7
     )
     assert golay_sector_entropy(0.0) == 0.0
+
+
+@pytest.mark.parametrize("p", [1.5, -0.1, nan, inf])
+def test_golay_maps_reject_bad_rate(p):
+    # 1.5 gave an entropy of 0.0 and a diagonal of 6105963.25
+    for golay_map in (golay_syndrome_weights, golay_sector_entropy, golay_logical_diagonal):
+        with pytest.raises(ValueError, match="p must be in"):
+            golay_map(p)
+    assert golay_logical_diagonal(1.0) == pytest.approx(-1.0)

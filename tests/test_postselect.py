@@ -340,3 +340,18 @@ def test_teleport_output_matches_reference():
         got = _teleport_outcome(teleport_output, c, q, m)
         assert got == _teleport_outcome(_reference_teleport_output, c, q, m)
     assert got.startswith("teleported distribution has negative weight")
+
+
+def test_teleport_output_keeps_numpy_nan_semantics():
+    # a NaN entry stays NaN, and a negative entry is caught wherever a
+    # NaN sits before it: q_XI = inf and q_IZ = -inf give
+    # p = [nan, inf, nan, -inf]
+    for c, q in (
+        ([math.nan, 1.0, 1.0], np.ones(16)),
+        ([1.0, 1.0, 1.0], _crafted_q(XI=math.inf, IZ=-math.inf)),
+    ):
+        with np.errstate(invalid="ignore"):
+            want = _teleport_outcome(_reference_teleport_output, c, q, 1.0)
+        assert _teleport_outcome(teleport_output, c, q, 1.0) == want
+    assert want.startswith("teleported distribution has negative weight") and "-inf" in want
+    assert np.isnan(teleport_output([math.nan, 1.0, 1.0], np.ones(16))).all()

@@ -454,3 +454,15 @@ def test_fixed_fidelity_rejects_unknown():
 
 def test_overhead():
     assert overhead_success(0.153, 14) == pytest.approx(0.0978065, abs=1e-6)
+    assert overhead_success(0.0, 0) == 1.0
+    assert overhead_success(1.0, 3) == 0.0
+
+
+@pytest.mark.parametrize(
+    "p, n, match",
+    [(1.5, 3, "p must be in"), (-0.1, 3, "p must be in"), (math.nan, 3, "p must be in"), (0.1, -2, "n must be")],
+)
+def test_overhead_rejects_bad_input(p, n, match):
+    # 1.5 gave a success probability of -0.125, and n = -2 one of 1.23
+    with pytest.raises(ValueError, match=match):
+        overhead_success(p, n)
