@@ -519,9 +519,7 @@ GOLAY_COSET_COUNTS = (1, 23, 253, 1771)
 @lru_cache(maxsize=1)
 def golay_codewords() -> np.ndarray:
     """All 4096 codewords of the [23,12] Golay code as 23-bit ints: word
-    m is the GF(2) polynomial product of message m and the generator,
-    built as the XOR of the generator shifted by j over the set bits j
-    of m."""
+    m is m(x) g(x) over GF(2), the XOR of g shifted by each set bit of m."""
     m = np.arange(4096)
     words = np.zeros(4096, dtype=np.int64)
     for j in range(12):
@@ -534,8 +532,7 @@ def golay_codewords() -> np.ndarray:
 def golay_coset_enumerators():
     """Per coset-weight class j: weight enumerators (even[24], odd[24])
     of the even-weight and odd-weight halves of the coset."""
-    # weights[j] = weight of every codeword plus the class-j leader; row 0
-    # (leader 0) splits the words by parity
+    # weights[j]: codeword weights in the coset of leader j; row 0 gives parity
     weights = _popcount(golay_codewords() ^ np.array(GOLAY_COSET_LEADERS)[:, None])
     odd = weights[0] & 1 == 1
     enums = tuple(
