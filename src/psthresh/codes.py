@@ -14,11 +14,11 @@ Three layers are provided here:
   inputs stay exact;
 * the full 64-syndrome decomposition of a 7-qubit product of single
   qubit error distributions (a Walsh-Hadamard transform over the
-  character group), with syndrome-wise recovery, used by the first-level
-  fidelity; and, for the Monte Carlo population dynamics, the syndrome
-  weights of such a product and the class row of one drawn syndrome,
-  from the same character product and with the full decomposition's
-  bits;
+  character group), with syndrome-wise recovery; a one-row path for seven
+  qubits that share a distribution, behind the first-level fidelity;
+  and, for the Monte Carlo population dynamics, the syndrome weights of
+  such a product and the class row of one drawn syndrome, from the same
+  character product and with the full decomposition's bits;
 * the binary Golay [23,12] coset weight enumerators behind the
   [[23,1,7]] entropy and crash-probability estimates.
 """
@@ -273,13 +273,23 @@ def degeneracy_correction(scheme: str, p_g: float) -> float:
 # map from character label u to the (syndrome, class) output position is
 # folded into the columns of the transform matrix.
 #
-# first_level_fidelity uses the full decomposition.  The Monte Carlo level
-# does not: it keeps one drawn syndrome per individual, and builds only
-# that syndrome's class row, with the same bits (see the drawn-syndrome
-# section below).  From 5 rows up the transform sums each output over the
-# characters in ascending order, so a row's bits do not depend on the
-# batch around it; for 1-4 rows OpenBLAS (0.3.31) takes another kernel for
-# the 256x256 transform, whose bits differ.
+# From 5 rows up the transform sums each output over the characters in
+# ascending order, so a row's bits do not depend on the batch around it;
+# for 1-4 rows OpenBLAS (0.3.31) takes another kernel for the 256x256
+# transform, whose bits differ.
+#
+# first_level_fidelity and the Monte Carlo level 1 need the product of
+# one row only, seven qubits that share a distribution (d0, d1, d2, d3).
+# A qubit's character sum is then one of four values, ((d0 ± d1) ± d2) ±
+# d3 by the signs of its X and Z characters: the sums that the K=4 gemm
+# of _character_product forms, in the same order, so _shared_product
+# gathers them by sign kind and multiplies the seven rows in qubit order,
+# with the gemm route's bits.  first_level_fidelity keeps the batch-1
+# transform of decompose_713 as it is, since that kernel fixes the
+# joint's bits, and recovers its one row in closed form with the
+# operations of recover_713.  The Monte Carlo levels from 2 on keep one
+# drawn syndrome per individual and build only that syndrome's class row,
+# with decompose_713's bits (see the drawn-syndrome section below).
 
 #: parity-check column of each qubit, row k at index k
 _H_COLS = tuple(zip(*PARITY_CHECK_713))
@@ -322,6 +332,30 @@ def _decomposition_tables():
     for arr in (sig, transform):
         arr.setflags(write=False)
     return sig, transform
+
+
+@lru_cache(maxsize=1)
+def _sign_kinds():
+    """Sign kind [7, 256] of each qubit's character: (s_x < 0) + 2 (s_z < 0),
+    with s_x and s_z its X and Z character signs."""
+    sig = _decomposition_tables()[0]
+    kinds = (sig[:, 1] < 0) + 2 * (sig[:, 3] < 0)
+    kinds.setflags(write=False)
+    return kinds
+
+
+def _character_sums(dist: np.ndarray) -> np.ndarray:
+    """The four character sums [4] of a qubit with distribution dist [4],
+    by sign kind (see _sign_kinds), added in the order of the gemm."""
+    d0, d1, d2, d3 = dist.tolist()
+    plus, minus = d0 + d1, d0 - d1
+    return np.array([(plus + d2) + d3, (minus - d2) + d3, (plus - d2) - d3, (minus + d2) - d3])
+
+
+def _shared_product(dist: np.ndarray) -> np.ndarray:
+    """Character product [1, 256] of seven qubits that all have the
+    distribution dist [4], with _character_product's bits."""
+    return np.multiply.reduce(_character_sums(dist)[_sign_kinds()], axis=0, keepdims=True)
 
 
 def _character_product(children: np.ndarray, qh: np.ndarray, term: np.ndarray) -> None:
@@ -401,9 +435,13 @@ def first_level_fidelity(dist) -> float:
     dist must be a Pauli distribution as mc_verdict's dist0 is, or
     ValueError is raised."""
     dist = _check_distribution("dist", dist)
-    joint = decompose_713(np.tile(dist, (7, 1)))
-    weights, cond = recover_713(joint)
-    return float((weights[0] * cond[0, :, 0]).sum())
+    transform = _decomposition_tables()[1]
+    joint = np.matmul(_shared_product(dist), transform).reshape(64, 4)
+    # recover_713's weights * (relabelled / weights) at class 0, whose
+    # relabelled entry is the largest class value
+    weights = joint.sum(axis=1)
+    cond0 = np.divide(joint.max(axis=1), weights, out=np.ones(64), where=weights > 0)
+    return float((weights * cond0).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -470,15 +508,22 @@ def _cumulative_syndrome_weights(children: np.ndarray, buffers):
     """Character product [batch, 256] of children [batch, 7, 4], and the
     cumulative sums [batch, 64] of its syndrome weights, in syndrome
     order, in the leading rows of buffers."""
-    weight_transform = _syndrome_tables()[0]
     n = children.shape[0]
+    qh = buffers[0][:n]
+    _character_product(children, qh, buffers[1][:n])
+    return qh, _cumulative_weights(qh, buffers)
+
+
+def _cumulative_weights(qh: np.ndarray, buffers) -> np.ndarray:
+    """Cumulative sums [batch, 64] of the syndrome weights of the
+    character products qh [batch, 256], in the leading rows of buffers."""
+    weight_transform = _syndrome_tables()[0]
+    n = qh.shape[0]
     m = max(n, 2)  # one row would go through gemv
-    qh, term = buffers[0][:n], buffers[1][:n]
     parity_free, weights, cum = buffers[2][:m], buffers[3][:m], buffers[4][:n]
-    _character_product(children, qh, term)
     np.copyto(parity_free[:n].reshape(n, 8, 8), qh.reshape(n, 2, 8, 2, 8)[:, 0, :, 0, :])
     np.matmul(parity_free, weight_transform.T, weights)
-    return qh, np.cumsum(weights[:n], axis=1, out=cum)
+    return np.cumsum(weights[:n], axis=1, out=cum)
 
 
 def _drawn_syndromes(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -486,6 +531,13 @@ def _drawn_syndromes(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     weights under it, capped at 63.  cum holds one row per uniform, or
     one row shared by all."""
     return np.minimum(np.add.reduce(cum < u[:, None], axis=1, dtype=np.intp), 63)
+
+
+def _shared_drawn_syndromes(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """_drawn_syndromes of the uniforms u from one row cum [1, 64] shared
+    by all, by a binary search of its sorted weights: the number of
+    cumulative weights under a uniform does not depend on their order."""
+    return np.minimum(np.searchsorted(np.sort(cum[0]), u, side="left"), 63)
 
 
 def _drawn_class_rows(qh: np.ndarray, syndromes: np.ndarray, buffers) -> np.ndarray:
@@ -545,15 +597,29 @@ def golay_coset_enumerators():
     return enums
 
 
+@lru_cache(maxsize=1)
+def _golay_enumerator_rows():
+    """golay_coset_enumerators as float rows: (even halves, odd halves),
+    four [24] rows each.  The float dot product takes the same values in
+    the same order as the int one, so it has its bits; one [8, 24]
+    product would not."""
+    enums = golay_coset_enumerators()
+    rows = tuple(tuple(pair[half].astype(float) for pair in enums) for half in (0, 1))
+    for half in rows:
+        for arr in half:
+            arr.setflags(write=False)
+    return rows
+
+
 def golay_syndrome_weights(p: float):
     """Probabilities (kept[4], flipped[4]) that an i.i.d. flip pattern at
     rate p lands in the even or odd half of a class-j coset, per coset.
     Raises ValueError unless 0 <= p <= 1."""
     _check_prob("p", p)
     pw = np.array([p**w * (1 - p) ** (GOLAY_N - w) for w in range(GOLAY_N + 1)])
-    enums = golay_coset_enumerators()
-    kept = np.array([float(a @ pw) for a, _ in enums])
-    flipped = np.array([float(b @ pw) for _, b in enums])
+    even, odd = _golay_enumerator_rows()
+    kept = np.array([float(a @ pw) for a in even])
+    flipped = np.array([float(b @ pw) for b in odd])
     return kept, flipped
 
 
