@@ -438,7 +438,8 @@ def first_level_fidelity(dist) -> float:
     transform = _decomposition_tables()[1]
     joint = np.matmul(_shared_product(dist), transform).reshape(64, 4)
     # recover_713's weights * (relabelled / weights) at class 0, whose
-    # relabelled entry is the largest class value
+    # relabelled entry is the largest class value; a syndrome without
+    # weight keeps the trivial row, 1 at class 0
     weights = joint.sum(axis=1)
     cond0 = np.divide(joint.max(axis=1), weights, out=np.ones(64), where=weights > 0)
     return float((weights * cond0).sum())

@@ -475,14 +475,6 @@ def _shared_dists():
     return dists + [np.array(d) for d in EDGE_DISTS]
 
 
-def test_sign_kinds_index_the_character_sums():
-    sig, _ = _decomposition_tables()
-    kinds = _sign_kinds()
-    assert kinds.shape == (7, 256) and not kinds.flags.writeable
-    np.testing.assert_array_equal(sig[:, 1], np.where(kinds % 2 == 1, -1.0, 1.0))
-    np.testing.assert_array_equal(sig[:, 3], np.where(kinds >= 2, -1.0, 1.0))
-
-
 def _as_bits(a):
     # the sign of a zero counts too
     return np.asarray(a, dtype=float).view(np.int64)
@@ -492,6 +484,7 @@ def test_character_sums_match_gemm():
     # each qubit's sums are the K=4 gemm's, at batch 1 and in a block
     sig, _ = _decomposition_tables()
     kinds = _sign_kinds()
+    assert kinds.shape == (7, 256) and not kinds.flags.writeable
     dists = _shared_dists()
     for dist in dists:
         sums = _character_sums(dist)
