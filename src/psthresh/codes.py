@@ -278,18 +278,18 @@ def degeneracy_correction(scheme: str, p_g: float) -> float:
 # for 1-4 rows OpenBLAS (0.3.31) takes another kernel for the 256x256
 # transform, whose bits differ.
 #
-# first_level_fidelity and the Monte Carlo level 1 need the product of
-# one row only, seven qubits that share a distribution (d0, d1, d2, d3).
-# A qubit's character sum is then one of four values, ((d0 ± d1) ± d2) ±
-# d3 by the signs of its X and Z characters: the sums that the K=4 gemm
-# of _character_product forms, in the same order, so _shared_product
-# gathers them by sign kind and multiplies the seven rows in qubit order,
-# with the gemm route's bits.  first_level_fidelity keeps the batch-1
-# transform of decompose_713 as it is, since that kernel fixes the
-# joint's bits, and recovers its one row in closed form with the
-# operations of recover_713.  The Monte Carlo levels from 2 on keep one
-# drawn syndrome per individual and build only that syndrome's class row,
-# with decompose_713's bits (see the drawn-syndrome section below).
+# first_level_fidelity needs the product of one row only, seven qubits
+# that share a distribution (d0, d1, d2, d3).  A qubit's character sum is
+# then one of four values, ((d0 ± d1) ± d2) ± d3 by the signs of its X
+# and Z characters: the sums that the K=4 gemm of _character_product
+# forms, in the same order, so _shared_product gathers them by sign kind
+# and multiplies the seven rows in qubit order, with the gemm route's
+# bits.  first_level_fidelity keeps the batch-1 transform of
+# decompose_713 as it is, since that kernel fixes the joint's bits, and
+# recovers its one row in closed form with the operations of
+# recover_713.  The Monte Carlo level keeps one drawn syndrome per
+# individual and builds only that syndrome's class row, with
+# decompose_713's bits (see the drawn-syndrome section below).
 
 #: parity-check column of each qubit, row k at index k
 _H_COLS = tuple(zip(*PARITY_CHECK_713))
@@ -509,22 +509,15 @@ def _cumulative_syndrome_weights(children: np.ndarray, buffers):
     """Character product [batch, 256] of children [batch, 7, 4], and the
     cumulative sums [batch, 64] of its syndrome weights, in syndrome
     order, in the leading rows of buffers."""
-    n = children.shape[0]
-    qh = buffers[0][:n]
-    _character_product(children, qh, buffers[1][:n])
-    return qh, _cumulative_weights(qh, buffers)
-
-
-def _cumulative_weights(qh: np.ndarray, buffers) -> np.ndarray:
-    """Cumulative sums [batch, 64] of the syndrome weights of the
-    character products qh [batch, 256], in the leading rows of buffers."""
     weight_transform = _syndrome_tables()[0]
-    n = qh.shape[0]
+    n = children.shape[0]
     m = max(n, 2)  # one row would go through gemv
+    qh, term = buffers[0][:n], buffers[1][:n]
     parity_free, weights, cum = buffers[2][:m], buffers[3][:m], buffers[4][:n]
+    _character_product(children, qh, term)
     np.copyto(parity_free[:n].reshape(n, 8, 8), qh.reshape(n, 2, 8, 2, 8)[:, 0, :, 0, :])
     np.matmul(parity_free, weight_transform.T, weights)
-    return np.cumsum(weights[:n], axis=1, out=cum)
+    return qh, np.cumsum(weights[:n], axis=1, out=cum)
 
 
 def _drawn_syndromes(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -532,13 +525,6 @@ def _drawn_syndromes(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     weights under it, capped at 63.  cum holds one row per uniform, or
     one row shared by all."""
     return np.minimum(np.add.reduce(cum < u[:, None], axis=1, dtype=np.intp), 63)
-
-
-def _shared_drawn_syndromes(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """_drawn_syndromes of the uniforms u from one row cum [1, 64] shared
-    by all, by a binary search of its sorted weights: the number of
-    cumulative weights under a uniform does not depend on their order."""
-    return np.minimum(np.searchsorted(np.sort(cum[0]), u, side="left"), 63)
 
 
 def _drawn_class_rows(qh: np.ndarray, syndromes: np.ndarray, buffers) -> np.ndarray:
@@ -598,29 +584,15 @@ def golay_coset_enumerators():
     return enums
 
 
-@lru_cache(maxsize=1)
-def _golay_enumerator_rows():
-    """golay_coset_enumerators as float rows: (even halves, odd halves),
-    four [24] rows each.  The float dot product takes the same values in
-    the same order as the int one, so it has its bits; one [8, 24]
-    product would not."""
-    enums = golay_coset_enumerators()
-    rows = tuple(tuple(pair[half].astype(float) for pair in enums) for half in (0, 1))
-    for half in rows:
-        for arr in half:
-            arr.setflags(write=False)
-    return rows
-
-
 def golay_syndrome_weights(p: float):
     """Probabilities (kept[4], flipped[4]) that an i.i.d. flip pattern at
     rate p lands in the even or odd half of a class-j coset, per coset.
     Raises ValueError unless 0 <= p <= 1."""
     _check_prob("p", p)
     pw = np.array([p**w * (1 - p) ** (GOLAY_N - w) for w in range(GOLAY_N + 1)])
-    even, odd = _golay_enumerator_rows()
-    kept = np.array([float(a @ pw) for a in even])
-    flipped = np.array([float(b @ pw) for b in odd])
+    enums = golay_coset_enumerators()
+    kept = np.array([float(a @ pw) for a, _ in enums])
+    flipped = np.array([float(b @ pw) for _, b in enums])
     return kept, flipped
 
 

@@ -24,11 +24,8 @@ from .codes import (
     CrashPolynomial,
     _check_distribution,
     _cumulative_syndrome_weights,
-    _cumulative_weights,
     _drawn_class_rows,
     _drawn_syndromes,
-    _shared_drawn_syndromes,
-    _shared_product,
     _syndrome_buffers,
     combine_classes,
     crash_poly_2317,
@@ -324,11 +321,11 @@ def _mc_first_level(dist0: np.ndarray, config: McConfig) -> np.ndarray:
     """
     _, u = _level_draws(config.population, config.seed, 1)
     buffers = _syndrome_buffers(64)
-    qh = _shared_product(dist0)
-    syndromes = _shared_drawn_syndromes(_cumulative_weights(qh, buffers), u)
+    qh, cum = _cumulative_syndrome_weights(np.tile(dist0, (1, 7, 1)), buffers)
+    syndromes = _drawn_syndromes(cum, u)
     rows = _drawn_class_rows(qh, np.arange(64), buffers)
     _, cond = recover_713(rows[None])
-    return np.take(cond[0], syndromes, axis=0)
+    return cond[0, syndromes]
 
 
 def mc_verdict(dist0, config: McConfig = McConfig()):

@@ -25,7 +25,6 @@ from psthresh.codes import (
     GOLAY_GENERATOR,
     GOLAY_COSET_COUNTS,
     GOLAY_COSET_LEADERS,
-    GOLAY_N,
     PARITY_CHECK_713,
     combine_classes,
     coset_class_713,
@@ -51,24 +50,15 @@ from psthresh.codes import (
     _decomposition_tables,
     _drawn_class_rows,
     _drawn_syndromes,
-    _golay_enumerator_rows,
     _popcount,
     _popcount_signs,
-    _shared_drawn_syndromes,
     _shared_product,
     _sign_kinds,
     _syndrome_buffers,
     _syndrome_tables,
 )
 from psthresh.pauli import pauli_commutes
-from psthresh.threshold import (
-    McConfig,
-    _level_draws,
-    _mc_first_level,
-    _mc_level,
-    model_level0,
-    one_type_dist,
-)
+from psthresh.threshold import McConfig, _mc_level, model_level0
 
 # ---------------------------------------------------------------------------
 # [[7,1,3]] structure
@@ -514,36 +504,6 @@ def test_first_level_fidelity_matches_reference():
         assert first_level_fidelity(dist).hex() == _reference_first_level_fidelity(dist).hex()
 
 
-def test_shared_draw_matches_count_draw():
-    # ties with a cumulative weight, uniforms past the last one, and a
-    # one-type row whose weights repeat and may dip below zero
-    rng = np.random.default_rng(8)
-    for dist in (model_level0("knill")(0.0688), one_type_dist(0.1092), *_shared_dists()[:20]):
-        cum = _cumulative_syndrome_weights(np.tile(dist, (1, 7, 1)), _syndrome_buffers(1))[1]
-        u = np.concatenate([rng.random(2000), cum[0], [0.0, 1.0, 2.0, np.nextafter(cum[0, -1], 2.0)]])
-        np.testing.assert_array_equal(_shared_drawn_syndromes(cum, u), _drawn_syndromes(cum, u))
-
-
-@pytest.mark.parametrize("dist", ["knill", "one-type", "random"])
-def test_mc_first_level_matches_count_draw(dist):
-    if dist == "knill":
-        dist0 = model_level0("knill")(0.0688)
-    elif dist == "one-type":
-        dist0 = one_type_dist(0.1092)
-    else:
-        raw = np.random.default_rng(9).random(4)
-        dist0 = raw / raw.sum()
-    config = McConfig(population=3000, seed=11)
-    # the level-1 shortcut through the gemm product and the comparison draw
-    _, u = _level_draws(config.population, config.seed, 1)
-    buffers = _syndrome_buffers(64)
-    qh, cum = _cumulative_syndrome_weights(np.tile(dist0, (1, 7, 1)), buffers)
-    syndromes = _drawn_syndromes(cum, u)
-    rows = _drawn_class_rows(qh, np.arange(64), buffers)
-    want = recover_713(rows[None])[1][0, syndromes]
-    np.testing.assert_array_equal(_as_bits(_mc_first_level(dist0, config)), _as_bits(want))
-
-
 # ---------------------------------------------------------------------------
 # drawn-syndrome class rows
 
@@ -789,8 +749,8 @@ def test_import_leaves_tables_unbuilt():
         "import psthresh\n"
         "from psthresh import codes\n"
         "print([f.cache_info().currsize for f in (codes.golay_codewords, "
-        "codes.golay_coset_enumerators, codes._golay_enumerator_rows, "
-        "codes._decomposition_tables, codes._sign_kinds)])\n"
+        "codes.golay_coset_enumerators, codes._decomposition_tables, "
+        "codes._sign_kinds)])\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -800,23 +760,7 @@ def test_import_leaves_tables_unbuilt():
         timeout=120,
         check=True,
     )
-    assert out.stdout.strip() == "[0, 0, 0, 0, 0]"
-
-
-def test_golay_syndrome_weights_match_int_enumerators():
-    # the float rows take the int rows' dot product bit for bit
-    enums = golay_coset_enumerators()
-    even, odd = _golay_enumerator_rows()
-    for row, (a, b) in zip(zip(even, odd), enums):
-        for got, want in zip(row, (a, b)):
-            assert got.dtype == np.float64 and not got.flags.writeable
-            np.testing.assert_array_equal(got, want)
-    rng = np.random.default_rng(23)
-    for p in [0.0, 0.5, 1.0, *rng.random(200).tolist(), *rng.uniform(0.0, 0.2, 200).tolist()]:
-        pw = np.array([p**w * (1 - p) ** (GOLAY_N - w) for w in range(GOLAY_N + 1)])
-        kept, flipped = golay_syndrome_weights(p)
-        assert [v.hex() for v in kept.tolist()] == [float(a @ pw).hex() for a, _ in enums]
-        assert [v.hex() for v in flipped.tolist()] == [float(b @ pw).hex() for _, b in enums]
+    assert out.stdout.strip() == "[0, 0, 0, 0]"
 
 
 def test_golay_syndrome_weights_normalized():
