@@ -10,8 +10,8 @@ exact and cheap.
 Three layers are provided here:
 
 * the [[7,1,3]] class distributions and their combine / post-selection
-  semiring, in plain Python arithmetic so exact ``fractions.Fraction``
-  inputs stay exact;
+  semiring, in plain Python arithmetic: int and ``fractions.Fraction``
+  inputs give exact Fractions, computed on integer numerators;
 * the full 64-syndrome decomposition of a 7-qubit product of single
   qubit error distributions (a Walsh-Hadamard transform over the
   character group), with syndrome-wise recovery; a one-row path for seven
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, fsum, log2
+from math import comb, fsum, lcm, log2
 
 import numpy as np
 
@@ -105,13 +105,53 @@ def distance_table_713() -> np.ndarray:
 # ---------------------------------------------------------------------------
 # [[7,1,3]] distance-class distributions (exact-arithmetic friendly)
 #
-# These run on plain Python numbers so Fraction inputs produce Fraction
-# outputs; the threshold solvers feed them floats.
+# Each function has two routes.  When every input entry is an int or a
+# Fraction, it puts each input vector over the least common denominator of
+# its entries, does the arithmetic on the integer numerators and builds
+# each output Fraction once, so each output is normalised by one gcd
+# instead of one per Fraction operation.  Any other input, such as the
+# floats that the threshold solvers feed, keeps the plain expressions
+# below, operation for operation, so float results keep their bits; an
+# input whose first entry is a float takes that route after one type test.
+
+_EXACT = (int, Fraction)
+
+
+def _all_exact(*vectors) -> bool:
+    """Whether every entry of the vectors is an int or a Fraction."""
+    return all(isinstance(v, _EXACT) for vec in vectors for v in vec)
+
+
+def _numerators(vec):
+    """Integer numerators of the entries of vec (ints or Fractions) over
+    the least common denominator of its entries, and that denominator."""
+    dens = [v.denominator for v in vec]
+    den = lcm(*dens)
+    return [v.numerator * (den // d) for v, d in zip(vec, dens)], den
 
 
 def distance_classes_from_x(x):
     """Class distribution of seven independent single-sector errors with
-    diagonal x (flip probability (1-x)/2)."""
+    diagonal x (flip probability (1-x)/2).
+
+    An int or Fraction x gives Fractions.  Raises ValueError unless
+    -1 <= x <= 1."""
+    if type(x) is not float and isinstance(x, _EXACT):
+        n, d = x.numerator, x.denominator
+        if not -d <= n <= d:
+            raise ValueError("x must lie in [-1, 1], got %r" % (x,))
+        # 16 d^7 times the four entries below, at x = n / d
+        d3, n3 = d * d * d, n * n * n
+        d7, n3d4, n4d3, n7 = d3 * d3 * d, n3 * d3 * d, n3 * n * d3, n3 * n3 * n
+        den = 16 * d7
+        return [
+            Fraction(d7 + 7 * n3d4 + 7 * n4d3 + n7, den),
+            Fraction(7 * (d7 + n3d4 - n4d3 - n7), den),
+            Fraction(7 * (d7 - n3d4 - n4d3 + n7), den),
+            Fraction(d7 - 7 * n3d4 + 7 * n4d3 - n7, den),
+        ]
+    if not -1 <= x <= 1:
+        raise ValueError("x must lie in [-1, 1], got %r" % (x,))
     x3 = x * x * x
     x4 = x3 * x
     x7 = x3 * x4
@@ -125,9 +165,22 @@ def distance_classes_from_x(x):
 
 def combine_classes(a, b):
     """Class distribution of the XOR of two independent patterns with
-    class distributions a and b."""
+    class distributions a and b.
+
+    Entries that are all ints or Fractions give Fractions."""
     a0, a1, a2, a3 = a
     b0, b1, b2, b3 = b
+    if type(a0) is not float and _all_exact(a, b):
+        (a0, a1, a2, a3), da = _numerators(a)
+        (b0, b1, b2, b3), db = _numerators(b)
+        # 7 da db times the four entries below
+        den = 7 * da * db
+        return [
+            Fraction(7 * (a0 * b0 + a3 * b3) + a1 * b1 + a2 * b2, den),
+            Fraction(7 * (a0 * b1 + a1 * b0 + a2 * b3 + a3 * b2) + 6 * (a1 * b2 + a2 * b1), den),
+            Fraction(7 * (a0 * b2 + a1 * b3 + a2 * b0 + a3 * b1) + 6 * (a1 * b1 + a2 * b2), den),
+            Fraction(7 * (a0 * b3 + a3 * b0) + a1 * b2 + a2 * b1, den),
+        ]
     return [
         a0 * b0 + a1 * b1 / 7 + a2 * b2 / 7 + a3 * b3,
         a0 * b1 + a1 * (b0 + 6 * b2 / 7) + a2 * (b3 + 6 * b1 / 7) + a3 * b2,
@@ -142,11 +195,24 @@ def postselect_classes(a, b):
     stabilizer coset.
 
     The surviving pattern keeps its class; acceptance within class d
-    happens with probability b_d / (cosets in class d).
+    happens with probability b_d / (cosets in class d).  Entries that
+    are all ints or Fractions give Fractions.  Raises ValueError unless
+    the keep probability is positive (a NaN one included).
     """
-    kept = [a[0] * b[0], a[1] * b[1] / 7, a[2] * b[2] / 7, a[3] * b[3]]
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    if type(a0) is not float and _all_exact(a, b):
+        (a0, a1, a2, a3), da = _numerators(a)
+        (b0, b1, b2, b3), db = _numerators(b)
+        # 7 da db times the kept probabilities below
+        kept = [7 * a0 * b0, a1 * b1, a2 * b2, 7 * a3 * b3]
+        total = kept[0] + kept[1] + kept[2] + kept[3]
+        if total <= 0:
+            raise ValueError("post-selection keeps nothing")
+        return Fraction(total, 7 * da * db), [Fraction(k, total) for k in kept]
+    kept = [a0 * b0, a1 * b1 / 7, a2 * b2 / 7, a3 * b3]
     p_keep = kept[0] + kept[1] + kept[2] + kept[3]
-    if p_keep <= 0:
+    if not p_keep > 0:
         raise ValueError("post-selection keeps nothing")
     return p_keep, [k / p_keep for k in kept]
 
@@ -198,8 +264,13 @@ class CrashPolynomial:
 
 def crash_polynomial(weights) -> CrashPolynomial:
     """CrashPolynomial on the given exponents, fixed by f(1) = 1 and
-    vanishing derivatives at 1 up to order len(weights) - 1."""
+    vanishing derivatives at 1 up to order len(weights) - 1.
+
+    Raises ValueError unless the exponents are distinct and there is at
+    least one."""
     weights = tuple(sorted(weights))
+    if not weights or len(set(weights)) != len(weights):
+        raise ValueError("crash_polynomial needs distinct exponents, at least one, got %r" % (weights,))
     n = len(weights)
     rows = []
     rhs = []

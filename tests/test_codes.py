@@ -8,6 +8,7 @@ distribution for the Walsh-Hadamard decomposition.
 
 import itertools
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 import psthresh
-from psthresh import codes
+from psthresh import codes, threshold
 from psthresh.codes import (
     CLASS_SIZES_713,
     GOLAY_GENERATOR,
@@ -161,9 +162,181 @@ def test_combine_and_postselect_against_enumeration():
                 assert cond == [v / total for v in kept_want]
 
 
-def test_postselect_rejects_empty():
-    with pytest.raises(ValueError):
-        postselect_classes([0, 1, 0, 0], [0, 0, 1, 0])
+@pytest.mark.parametrize("a, b", [
+    ([0, 1, 0, 0], [0, 0, 1, 0]),
+    ([0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]),
+    ([nan] * 4, [0.25] * 4),
+    ([0.5, nan, 0.5, 0.0], [0.25] * 4),
+])
+def test_postselect_rejects_empty(a, b):
+    with pytest.raises(ValueError, match="keeps nothing"):
+        postselect_classes(a, b)
+
+
+@pytest.mark.parametrize("x", [1.5, -1.0000001, nan, inf, -inf, 2, -2, Fraction(3, 2), Fraction(-11, 10)])
+def test_classes_from_x_rejects_out_of_range(x):
+    with pytest.raises(ValueError, match="x must lie in"):
+        distance_classes_from_x(x)
+
+
+def test_exact_inputs_give_fractions():
+    # a plain 0 used to turn the products into floats
+    got = combine_classes([Fraction(1), 0, 0, 0], [Fraction(1), 0, 0, 0])
+    assert got == [1, 0, 0, 0] and all(type(v) is Fraction for v in got)
+    p_keep, cond = postselect_classes([1, 0, 0, 0], [Fraction(1, 2), 0, 0, Fraction(1, 2)])
+    assert (p_keep, cond) == (Fraction(1, 2), [1, 0, 0, 0])
+    for x in (0, 1, -1, True, Fraction(1, 3)):
+        assert all(type(v) is Fraction for v in distance_classes_from_x(x))
+    assert distance_classes_from_x(1) == [1, 0, 0, 0]
+    # one float sends the call down the float route
+    assert all(type(v) is float for v in combine_classes([Fraction(1), 0, 0, 0.0], [1, 0, 0, 0]))
+
+
+# ---------------------------------------------------------------------------
+# exact and float routes of the class functions against their first bodies
+
+
+def _reference_distance_classes_from_x(x):
+    """distance_classes_from_x as first written, with no range check."""
+    x3 = x * x * x
+    x4 = x3 * x
+    x7 = x3 * x4
+    return [
+        (1 + 7 * x3 + 7 * x4 + x7) / 16,
+        (7 + 7 * x3 - 7 * x4 - 7 * x7) / 16,
+        (7 - 7 * x3 - 7 * x4 + 7 * x7) / 16,
+        (1 - 7 * x3 + 7 * x4 - x7) / 16,
+    ]
+
+
+def _reference_combine_classes(a, b):
+    """combine_classes as first written: one expression on any numbers."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return [
+        a0 * b0 + a1 * b1 / 7 + a2 * b2 / 7 + a3 * b3,
+        a0 * b1 + a1 * (b0 + 6 * b2 / 7) + a2 * (b3 + 6 * b1 / 7) + a3 * b2,
+        a0 * b2 + a1 * (b3 + 6 * b1 / 7) + a2 * (b0 + 6 * b2 / 7) + a3 * b1,
+        a0 * b3 + a1 * b2 / 7 + a2 * b1 / 7 + a3 * b0,
+    ]
+
+
+def _reference_postselect_classes(a, b):
+    """postselect_classes as first written, which let a NaN through."""
+    kept = [a[0] * b[0], a[1] * b[1] / 7, a[2] * b[2] / 7, a[3] * b[3]]
+    p_keep = kept[0] + kept[1] + kept[2] + kept[3]
+    if p_keep <= 0:
+        raise ValueError("post-selection keeps nothing")
+    return p_keep, [k / p_keep for k in kept]
+
+
+def _rational(rng, bound):
+    """A seeded rational in [-bound, bound]: 0 or +-1 as an int or a
+    Fraction, a small int, or n/d with a random sign and size."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return rng.choice((0, 1, -1))
+    if kind == 1:
+        return Fraction(rng.choice((0, 1, -1)))
+    if kind == 2:
+        return rng.randint(-bound, bound)
+    d = rng.randint(1, 10 ** rng.randint(1, 12))
+    return Fraction(rng.randint(-bound * d, bound * d), d)
+
+
+def _exact_cases(count=500):
+    """Seeded (x, a, b) for the exact route; half the vectors have no
+    negative entry, so that post-selection keeps something."""
+    rng = random.Random(5)
+    for i in range(count):
+        x = _rational(rng, 1)
+        a, b = ([_rational(rng, 3) for _ in range(4)] for _ in range(2))
+        if i % 2:
+            a, b = [abs(v) for v in a], [abs(v) for v in b]
+        yield x, a, b
+
+
+def _fractions(values):
+    return [Fraction(v) for v in values]
+
+
+def test_exact_route_matches_reference():
+    raised = kept = 0
+    for x, a, b in _exact_cases():
+        got = distance_classes_from_x(x)
+        assert got == _reference_distance_classes_from_x(Fraction(x))
+        assert all(type(v) is Fraction for v in got)
+        a_f, b_f = _fractions(a), _fractions(b)
+        got = combine_classes(a, b)
+        assert got == _reference_combine_classes(a_f, b_f)
+        assert all(type(v) is Fraction for v in got)
+        try:
+            want = _reference_postselect_classes(a_f, b_f)
+        except ValueError:
+            with pytest.raises(ValueError, match="keeps nothing"):
+                postselect_classes(a, b)
+            raised += 1
+            continue
+        p_keep, cond = postselect_classes(a, b)
+        assert (p_keep, cond) == want
+        assert all(type(v) is Fraction for v in [p_keep, *cond])
+        kept += 1
+    assert raised > 50 and kept > 50
+
+
+def _same_float(got, want):
+    assert type(got) is type(want) is float and got.hex() == want.hex()
+
+
+def _float_value(rng):
+    """A seeded float: 0.0, -0.0, +-1.0, or uniform on [-1, 1] or [0, 1]."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return rng.choice((0.0, -0.0, 1.0, -1.0))
+    return rng.uniform(-1.0, 1.0) if kind == 1 else rng.random()
+
+
+def test_float_route_keeps_bits():
+    # the last 100 cases mix Fractions and ints into float vectors
+    rng = random.Random(8)
+    raised = 0
+    for i in range(500):
+        x = _float_value(rng)
+        for g, w in zip(distance_classes_from_x(x), _reference_distance_classes_from_x(x)):
+            _same_float(g, w)
+        a, b = ([_float_value(rng) for _ in range(4)] for _ in range(2))
+        if i >= 400:
+            a[rng.randrange(4)] = Fraction(rng.randint(0, 9), 9)
+            b[rng.randrange(4)] = rng.randint(0, 1)
+        for g, w in zip(combine_classes(a, b), _reference_combine_classes(a, b)):
+            _same_float(g, w)
+        try:
+            want = _reference_postselect_classes(a, b)
+        except ValueError:
+            with pytest.raises(ValueError, match="keeps nothing"):
+                postselect_classes(a, b)
+            raised += 1
+            continue
+        p_keep, cond = postselect_classes(a, b)
+        for g, w in zip([p_keep, *cond], [want[0], *want[1]]):
+            _same_float(g, w)
+    assert 0 < raised < 400
+
+
+def test_forward_class_recursion_keeps_bits(monkeypatch):
+    grid = [0.0, 0.001, 0.01, 0.02, 0.03, 0.0315, 0.04, 0.1, 0.3, 0.5]
+    got = [threshold._forward_class_state(pf) for pf in grid]
+    got_point = threshold.fixed_fidelity_point("713", "forward")
+    monkeypatch.setattr(threshold, "distance_classes_from_x", _reference_distance_classes_from_x)
+    monkeypatch.setattr(threshold, "combine_classes", _reference_combine_classes)
+    monkeypatch.setattr(threshold, "postselect_classes", _reference_postselect_classes)
+    want = [threshold._forward_class_state(pf) for pf in grid]
+    for g, w in zip(got, want):
+        for gv, wv in zip(g, w):
+            for a, b in zip(gv, wv):
+                _same_float(a, b)
+    for a, b in zip(got_point, threshold.fixed_fidelity_point("713", "forward")):
+        _same_float(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +376,12 @@ def test_crash_polynomial_general():
     poly = crash_polynomial((1, 3))
     # f(x) = (3x - x^3)/2 is the unique choice with f(1)=1, f'(1)=0
     assert dict(poly.terms) == {1: Fraction(3, 2), 3: Fraction(-1, 2)}
+
+
+@pytest.mark.parametrize("weights", [(), (3, 3), (1, 3, 3), [7, 3, 7]])
+def test_crash_polynomial_rejects_repeated_or_no_exponents(weights):
+    with pytest.raises(ValueError, match="distinct exponents"):
+        crash_polynomial(weights)
 
 
 def test_degeneracy_correction():

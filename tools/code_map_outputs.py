@@ -20,7 +20,14 @@ checkout's.  The output is one line per value, with every float exact
 * ``fixed-fidelity CODE FAMILY RATE FIDELITY``: ``fixed_fidelity_point``
   for each supported pair;
 * ``crash LABEL HEX``: each criterion-8 crash-difference solve of
-  ``psthresh.cli.TARGETS``.
+  ``psthresh.cli.TARGETS``;
+* ``class X_ANC X_GATE P_KEEP C0 C1 C2 C3``: the exact ``n/d`` output of
+  one step of the forward class recursion in Fractions (as the benchmark's
+  ``code-maps`` runs it) on the grid x = k/10 (k = -10..10) for both
+  arguments and at 200 seeded pairs in [0.9, 1); ``keeps-nothing`` takes
+  the place of the four values where the post-selection raises;
+* ``forward-class pf=PF HEX``: ``threshold._forward_class_level1`` at
+  pf = k / 1000 (k = 0..500) and at 200 seeded rates in [0, 0.1].
 
 Nothing else goes to stdout, so the output of two trees can be diffed
 line by line.
@@ -30,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +54,8 @@ EDGE_DISTS = (
     [-0.0, 1.0, 0.0, 0.0],
 )
 FIXED_FIDELITY_PAIRS = (("713", "knill"), ("713", "depolarizing"), ("713", "forward"), ("2317", "forward"))
+CLASS_GRID = [Fraction(k, 10) for k in range(-10, 11)]
+FORWARD_GRID = [k / 1000 for k in range(501)]
 
 
 def _distributions(rng):
@@ -59,6 +69,15 @@ def _distributions(rng):
     return dists
 
 
+def _class_step(codes, x_anc, x_gate):
+    """One step of the forward class recursion: the bad ancilla class
+    distribution, post-selected against a second copy through a gate."""
+    good = codes.distance_classes_from_x(x_anc)
+    gate = codes.distance_classes_from_x(x_gate)
+    bad = codes.combine_classes(codes.combine_classes(good, good), gate)
+    return codes.postselect_classes(bad, codes.combine_classes(bad, gate))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tree", type=Path, default=ROOT, help="checkout whose src/ to run")
@@ -66,7 +85,7 @@ def main(argv=None):
 
     sys.path.insert(0, str(args.tree.resolve() / "src"))
     from psthresh import cli, codes
-    from psthresh.threshold import fixed_fidelity_point
+    from psthresh.threshold import _forward_class_level1, fixed_fidelity_point
 
     def hexes(values):
         return " ".join(float(v).hex() for v in values)
@@ -84,6 +103,18 @@ def main(argv=None):
     for row in cli.TARGETS:
         if row.criterion == 8 and row.compute is not None:
             print("crash %s %s" % (row.label, row.compute().hex()))
+    pairs = [(a, b) for a in CLASS_GRID for b in CLASS_GRID]
+    pairs += [(Fraction(int(a), 1000), Fraction(int(b), 1000)) for a, b in rng.integers(900, 1000, (200, 2))]
+    for x_anc, x_gate in pairs:
+        try:
+            p_keep, cond = _class_step(codes, x_anc, x_gate)
+        except ValueError:
+            values = "keeps-nothing"
+        else:
+            values = " ".join("%d/%d" % (v.numerator, v.denominator) for v in [p_keep, *cond])
+        print("class %s %s %s" % (x_anc, x_gate, values))
+    for pf in FORWARD_GRID + rng.uniform(0.0, 0.1, 200).tolist():
+        print("forward-class pf=%r %s" % (pf, _forward_class_level1(pf).hex()))
     return 0
 
 
