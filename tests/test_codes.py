@@ -162,13 +162,18 @@ def test_combine_and_postselect_against_enumeration():
                 assert cond == [v / total for v in kept_want]
 
 
+def test_postselect_rejects_empty():
+    with pytest.raises(ValueError, match="keeps nothing"):
+        postselect_classes([0, 1, 0, 0], [0, 0, 1, 0])
+    with pytest.raises(ValueError, match="keeps nothing"):
+        postselect_classes([0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0])
+
+
 @pytest.mark.parametrize("a, b", [
-    ([0, 1, 0, 0], [0, 0, 1, 0]),
-    ([0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]),
     ([nan] * 4, [0.25] * 4),
     ([0.5, nan, 0.5, 0.0], [0.25] * 4),
 ])
-def test_postselect_rejects_empty(a, b):
+def test_postselect_rejects_nan(a, b):
     with pytest.raises(ValueError, match="keeps nothing"):
         postselect_classes(a, b)
 
