@@ -4,8 +4,14 @@ crash-probability estimates for the [[23,1,7]] code, and the success
 probability of a post-selected cascade.
 
 Every solver locates its crossing with `bisect`, the one bracket-halving
-loop; each caller checks its own bracket first.  The Monte Carlo verdict
-uses counter-based random streams keyed by (seed, level), so results are
+loop; each caller checks its own bracket first.  The deterministic
+solvers hand it a signed gap, negative below the crossing, from which it
+settles most midpoints by regula falsi instead of evaluating them: the
+result is bit for bit that of plain bisection as long as the gap's sign
+changes once over the bracket, in at most three times (and on the smooth
+gaps here about a quarter of) its probes.  The Monte Carlo solve hands
+it a predicate and so probes every midpoint.  Its verdict uses
+counter-based random streams keyed by (seed, level), so results are
 reproducible and any range of a level can be drawn on its own: a solve
 splits each level into ranges of whole blocks across worker processes
 (_workers), one per usable CPU, with results identical to one process.
@@ -13,6 +19,7 @@ splits each level into ranges of whole blocks across worker processes
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -64,17 +71,12 @@ def teleport_entropy(model) -> float:
         return float("inf")
 
 
-def bisect(lower, lo: float, hi: float, tol: float) -> float:
-    """Midpoint of [lo, hi] once bisection has narrowed it to width tol.
-
-    Each probe is mid = (lo + hi) / 2: lower(mid) true moves lo up to
-    mid, false brings hi down to it.  The caller checks the bracket.
-    Raises ValueError unless tol > 0 (NaN included).  The loop also
-    stops once mid is no longer strictly inside (lo, hi), which only a
-    tolerance under the float spacing at the crossing can reach.
-    """
-    if not tol > 0:
-        raise ValueError("bisection tolerance must be positive, got %r" % tol)
+def _halve(lower, lo: float, hi: float, tol: float):
+    """The bracket that bisection of [lo, hi] ends on: each step takes
+    mid = (lo + hi) / 2, and lower(mid) true moves lo up to mid, false
+    brings hi down to it, until hi - lo <= tol.  The loop also stops once
+    mid is no longer strictly inside (lo, hi), which only a tolerance
+    under the float spacing at the crossing can reach."""
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
@@ -83,6 +85,122 @@ def bisect(lower, lo: float, hi: float, tol: float) -> float:
             lo = mid
         else:
             hi = mid
+    return lo, hi
+
+
+class _GuidedSides:
+    """The side of each midpoint of one bisection, taken from a predicate
+    or settled from a signed gap in as few probes as it can (see bisect)."""
+
+    def __init__(self, side, lo: float, hi: float, tol: float):
+        self.side, self.lo, self.hi, self.tol = side, lo, hi, tol
+        self.predicate = None  # known from the first probe's result
+        # tightest evaluated points with gap < 0 and with gap not < 0, and
+        # their gaps, the kept end's halved Illinois-style
+        self.a, self.ga = -math.inf, -math.inf
+        self.b, self.gb = math.inf, math.inf
+        self.last = self.before = None  # the last two (probe, gap) pairs
+
+    def __call__(self, mid: float) -> bool:
+        if self.predicate:
+            return self.side(mid)
+        tries = 0
+        while not (mid <= self.a or mid >= self.b):
+            x = self._settling_point(mid) if tries < 2 else mid
+            value = self.side(x)
+            if self.predicate is None:
+                self.predicate = isinstance(value, (bool, np.bool_))
+                if self.predicate:
+                    return value
+            self._record(x, value)
+            tries += 1
+        below = mid <= self.a
+        if below:
+            self.lo = mid
+        else:
+            self.hi = mid
+        return below
+
+    def _record(self, x: float, value: float):
+        below = value < 0
+        if self.last is not None and (self.last[1] < 0) == below:
+            # the same end moves twice in a row: halve the kept end's gap
+            if below:
+                self.gb *= 0.5
+            else:
+                self.ga *= 0.5
+        if below:
+            self.a, self.ga = x, value
+        else:
+            self.b, self.gb = x, value
+        self.before, self.last = self.last, (x, value)
+
+    def _settling_point(self, mid: float) -> float:
+        """Where to probe to settle mid.  Plain bisection of [lo, hi]
+        run toward an estimated crossing ends on a bracket around it;
+        the probe is that bracket's end on the far side from the last
+        probe, or its other end when that is not open.  The estimate is
+        the Illinois point of [a, b], or while one side is unprobed, the
+        secant through the last two probes (the unprobed end of [lo, hi]
+        when the secant misses it).  mid itself when a gap is not finite,
+        there is no estimate yet or neither end is open."""
+        a, b, lo, hi = self.a, self.b, self.lo, self.hi
+        if abs(self.ga) + self.gb < math.inf:
+            guess = a + (b - a) * (self.ga / (self.ga - self.gb))
+        elif self.before is not None:
+            (x1, g1), (x2, g2) = self.before, self.last
+            if not (math.isfinite(g1) and math.isfinite(g2)):
+                return mid
+            guess = x2 - g2 * (x2 - x1) / (g2 - g1) if g2 != g1 else math.nan
+            if not max(a, lo) < guess < min(b, hi):
+                guess = hi if b == math.inf else lo
+        else:
+            return mid
+        end_lo, end_hi = _halve(lambda m: m < guess, lo, hi, self.tol)
+        far, near = (end_hi, end_lo) if self.last[1] < 0 else (end_lo, end_hi)
+        for x in (far, near):
+            if max(a, lo) < x < min(b, hi):
+                return x
+        return mid
+
+
+def bisect(side, lo: float, hi: float, tol: float) -> float:
+    """Midpoint of [lo, hi] once bisection has narrowed it to width tol.
+
+    Each step takes mid = (lo + hi) / 2: mid below the crossing moves lo
+    up to mid, otherwise hi comes down to it.  The caller checks the
+    bracket.  Raises ValueError unless tol > 0 (NaN included).  The loop
+    also stops once mid is no longer strictly inside (lo, hi), which
+    only a tolerance under the float spacing at the crossing can reach.
+
+    side(p) is either a predicate, true below the crossing, or a signed
+    gap, negative below it.  The first probe tells which: a bool (numpy's
+    included) makes side a predicate, which is called at every midpoint
+    as in plain bisection; any other number makes it a gap.
+
+    A gap is called only where the tightest evaluated bracket [a, b]
+    (gap(a) < 0, gap(b) not) leaves a midpoint open: a midpoint at or
+    below a is below, one at or above b is not.  An open midpoint is
+    settled by a probe next to an estimate of the crossing, the Illinois
+    (regula falsi) point of [a, b] or, while one side is unprobed, the
+    secant through the last two probes: of the points plain bisection
+    would reach were every open midpoint on the estimate's side, the
+    probe is the nearest one past the estimate, seen from the last probe.
+    A good estimate so settles every remaining midpoint in two probes.
+    The midpoint itself is probed when there is no usable estimate (a
+    single probe so far, or a gap that is not finite, such as the +inf
+    entropy of a breakdown) and after two guided probes left it open.
+
+    Provided the sign of the gap changes once over [lo, hi], from
+    negative to not, every midpoint is decided as plain bisection of
+    gap(p) < 0 decides it, so the result is the same to the bit.  A
+    midpoint costs at most three probes, so a solve never takes more
+    than three times the plain probes; the smooth gaps of the solvers
+    here take about a quarter of them.
+    """
+    if not tol > 0:
+        raise ValueError("bisection tolerance must be positive, got %r" % tol)
+    lo, hi = _halve(_GuidedSides(side, lo, hi, tol), lo, hi, tol)
     return 0.5 * (lo + hi)
 
 
@@ -129,15 +247,21 @@ def hashing_threshold(
             break
     else:
         raise BracketError("no above-threshold point found")
-    return bisect(lambda p: not above(p), lo, hi, tol)
+    # shannon_entropy drops NaN entries and a breakdown gives +inf, so H
+    # is never NaN and H - 1 < 0 exactly where above(p) is false
+    return bisect(lambda p: teleport_entropy(fam(p)) - 1.0, lo, hi, tol)
 
 
 def sweep_r(r_values=None, points: int = 11, tol: float = 1e-6):
     """Depolarizing hashing threshold, solved to tol, as a function of
     the measurement error fraction r; returns a list of (r, threshold)
     pairs, with NaN thresholds where the bracket fails or the model
-    rejects r.  Other errors, such as a bad tolerance, are raised."""
+    rejects r.  Without r_values, r runs over `points` even steps of
+    [0, 1], and ValueError is raised unless points >= 2.  Other errors,
+    such as a bad tolerance, are raised."""
     if r_values is None:
+        if not points >= 2:
+            raise ValueError("points must be at least 2, got %r" % (points,))
         r_values = [i / (points - 1) for i in range(points)]
     out = []
     for r in r_values:
@@ -157,14 +281,14 @@ def sweep_r(r_values=None, points: int = 11, tol: float = 1e-6):
 def capacity_one_type() -> float:
     """Flip rate p of a single-type channel (0, 0, p) at which its
     sector entropy h(p) reaches half a bit."""
-    return bisect(lambda p: shannon_entropy([1 - p, p]) < 0.5, 0.0, 0.5, 1e-9)
+    return bisect(lambda p: shannon_entropy([1 - p, p]) - 0.5, 0.0, 0.5, 1e-9)
 
 
 def capacity_three_type() -> float:
     """Error rate p of the symmetric channel (p, p, p) at which the full
     distribution's entropy reaches one bit."""
     return bisect(
-        lambda p: shannon_entropy([1 - 3 * p, p, p, p]) < 1.0, 0.0, 1.0 / 3.0, 1e-9
+        lambda p: shannon_entropy([1 - 3 * p, p, p, p]) - 1.0, 0.0, 1.0 / 3.0, 1e-9
     )
 
 
@@ -478,7 +602,7 @@ def entropy_match_threshold(
 
     if value(lo) > target_entropy or value(hi) < target_entropy:
         raise BracketError("entropy target not bracketed by [%g, %g]" % (lo, hi))
-    return bisect(lambda p: value(p) < target_entropy, lo, hi, tol)
+    return bisect(lambda p: value(p) - target_entropy, lo, hi, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +634,7 @@ def crash_difference_threshold(
     lo = 1e-4
     if margin(lo) < delta:
         raise BracketError("crash margin never reaches delta above lo=%g" % lo)
-    return bisect(lambda p: margin(p) > delta, lo, p_baseline, tol)
+    return bisect(lambda p: delta - margin(p), lo, p_baseline, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +685,7 @@ def fixed_fidelity_point(code: str, family: str):
         lo, hi = 0.02, 0.065
         if gap(lo) <= 0 or gap(hi) >= 0:
             raise BracketError("no fixed-fidelity crossing in [%g, %g]" % (lo, hi))
-        p = bisect(lambda p: gap(p) > 0, lo, hi, tol)
+        p = bisect(lambda p: -gap(p), lo, hi, tol)
         return p, float(model_teleport_output(fam(p))[0])
 
     if code == "713" and family == "forward":
@@ -573,7 +697,7 @@ def fixed_fidelity_point(code: str, family: str):
         lo, hi = 0.02, 0.04
         if gap(lo) <= 0 or gap(hi) >= 0:
             raise BracketError("no fixed-fidelity crossing in [%g, %g]" % (lo, hi))
-        pf = bisect(lambda p: gap(p) > 0, lo, hi, tol)
+        pf = bisect(lambda p: -gap(p), lo, hi, tol)
         return pf, ((1.0 + forward_combined_diagonal(pf)) / 2.0) ** 2
 
     if code == "2317" and family == "forward":
@@ -583,8 +707,8 @@ def fixed_fidelity_point(code: str, family: str):
         lo_c, hi_c = 0.5, 0.999999
         if poly(lo_c) >= lo_c or poly(hi_c) <= hi_c:
             raise BracketError("no nontrivial f23 fixed point bracketed")
-        c_star = bisect(lambda c: poly(c) < c, lo_c, hi_c, tol)
-        pf = bisect(lambda p: forward_combined_diagonal(p) > c_star, 1e-4, 0.2, tol)
+        c_star = bisect(lambda c: poly(c) - c, lo_c, hi_c, tol)
+        pf = bisect(lambda p: c_star - forward_combined_diagonal(p), 1e-4, 0.2, tol)
         return pf, ((1.0 + c_star) / 2.0) ** 2
 
     raise ValueError("unsupported fixed-fidelity pair (%r, %r)" % (code, family))

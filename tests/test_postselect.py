@@ -282,16 +282,22 @@ def test_fixed_point_raises_on_non_finite_iterate():
 )
 def test_hashing_threshold_matches_reference_solver(monkeypatch, family):
     # model_teleport_output reaches fixed_point by its module-global name
-    fast = hashing_threshold(family, tol=1e-9)
-    calls = []
+    def counted(solve):
+        calls = []
 
-    def reference(q, **kwargs):
-        calls.append(q)
-        return _reference_fixed_point(q, **kwargs)
+        def wrapper(q, **kwargs):
+            calls.append(q)
+            return solve(q, **kwargs)
 
-    monkeypatch.setattr(postselect, "fixed_point", reference)
-    assert hashing_threshold(family, tol=1e-9) == fast
-    assert len(calls) > 20
+        monkeypatch.setattr(postselect, "fixed_point", wrapper)
+        return hashing_threshold(family, tol=1e-9), len(calls)
+
+    fast, fast_calls = counted(postselect.fixed_point)
+    want, reference_calls = counted(_reference_fixed_point)
+    assert fast == want
+    # the same bits give the same probes; the bracket checks and the
+    # guided bisection make at least eight
+    assert fast_calls == reference_calls >= 8
 
 
 def _reference_teleport_output(channel, q, m=1.0):

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from psthresh.codes import crash_poly_2317, crash_poly_713, recover_713
 from psthresh.noise import Depolarizing, Forward, model_family
@@ -123,6 +125,80 @@ def test_bisect_returns_below_float_spacing():
     assert bisect(_at_most(2000, lambda p: False), 0.0, 1.0, 1e-300) < 1e-300
 
 
+def _counted_reference(lower, lo, hi, tol):
+    """_reference_bisect and the number of probes it makes."""
+    probes = []
+    got = _reference_bisect(lambda p: probes.append(p) or lower(p), lo, hi, tol)
+    return got, len(probes)
+
+
+def _monotone_gap(kind, root, scale, breakdown):
+    """A gap whose sign changes once, at root, from negative to not."""
+    if kind == "linear":
+        return lambda p: scale * (p - root)
+    if kind == "cubic":  # a triple root: the slowest to interpolate
+        return lambda p: scale * (p - root) ** 3
+    if kind == "expm1":
+        return lambda p: math.expm1(min(scale * (p - root), 700.0))
+    if kind == "atan":  # saturates far from the root
+        return lambda p: math.atan(scale * (p - root))
+    if kind == "breakdown":  # +inf past the breakdown point, as an entropy
+        return lambda p: math.inf if p >= breakdown else scale * (p - root)
+    raise ValueError(kind)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    kind=st.sampled_from(["linear", "cubic", "expm1", "atan", "breakdown"]),
+    ends=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).filter(lambda e: e[0] != e[1]),
+    where=st.floats(-0.2, 1.2),
+    log_scale=st.floats(-3.0, 3.0),
+    past=st.floats(0.0, 0.5),
+    log_tol=st.floats(-15.0, -1.0),
+)
+# steep exponentials, where regula falsi alone creeps in from one side
+@example(kind="expm1", ends=(-0.19, 0.7), where=0.43, log_scale=2.8, past=0.0, log_tol=-2.77)
+@example(kind="expm1", ends=(-0.37, 0.32), where=0.4, log_scale=2.74, past=0.0, log_tol=-4.0)
+def test_bisect_gap_matches_reference_loop(kind, ends, where, log_scale, past, log_tol):
+    lo, hi = sorted(ends)
+    root = lo + where * (hi - lo)
+    gap = _monotone_gap(kind, root, 10.0**log_scale, root + past)
+    tol = 10.0**log_tol
+    want, plain_probes = _counted_reference(lambda p: gap(p) < 0, lo, hi, tol)
+    assert bisect(_at_most(3 * plain_probes, gap), lo, hi, tol) == want
+
+
+def test_bisect_gap_takes_few_probes_on_smooth_crossings():
+    cases = (
+        (lambda p: shannon_entropy([1 - p, p]) - 0.5, 0.0, 0.5),
+        (lambda p: shannon_entropy([1 - 3 * p, p, p, p]) - 1.0, 0.0, 1.0 / 3.0),
+        # the crossing at the upper end, as in a zero-margin crash solve
+        (lambda p: p - 0.25, 0.0, 0.25),
+        # steep, where regula falsi without the Illinois step creeps in
+        (lambda p: math.expm1(30.0 * (p - 0.3)), 0.0, 1.0),
+    )
+    guided = plain = 0
+    for gap, lo, hi in cases:
+        for tol in (1e-6, 1e-9, 1e-12):
+            probes = []
+            got = bisect(lambda p: probes.append(p) or gap(p), lo, hi, tol)
+            want, plain_probes = _counted_reference(lambda p: gap(p) < 0, lo, hi, tol)
+            assert got == want
+            assert len(probes) <= plain_probes * 3 // 4, (lo, hi, tol, len(probes))
+            guided += len(probes)
+            plain += plain_probes
+    # 112 of 276 probes when this test was written
+    assert guided <= 0.42 * plain
+
+
+def test_bisect_numpy_predicate_probes_every_midpoint():
+    # a numpy comparison is a predicate, not a gap
+    probes = []
+    got = bisect(lambda p: probes.append(p) or np.float64(p) < 0.3, 0.0, 1.0, 1e-9)
+    assert got == _reference_bisect(lambda p: p < 0.3, 0.0, 1.0, 1e-9)
+    assert len(probes) == _counted_reference(lambda p: p < 0.3, 0.0, 1.0, 1e-9)[1]
+
+
 # ---------------------------------------------------------------------------
 # hashing thresholds
 
@@ -182,6 +258,12 @@ def test_sweep_r_nan_only_for_rejected_rates():
     for tol in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="tolerance"):
             sweep_r(r_values=[0.0], tol=tol)
+
+
+@pytest.mark.parametrize("points", [1, 0, -2])
+def test_sweep_r_rejects_too_few_points(points):
+    with pytest.raises(ValueError, match="points"):
+        sweep_r(points=points)
 
 
 def test_capacities():

@@ -29,6 +29,7 @@ def test_code_map_outputs_lines():
         "crash": crash,
         "class": 21 * 21 + 200,
         "forward-class": 501 + 200,
+        "solve": 2 + 3 * 2 + 2 * 21,
     }
     assert Counter(line.split(" ", 1)[0] for line in lines) == want
     assert len(lines) == sum(want.values())

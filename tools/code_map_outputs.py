@@ -27,7 +27,13 @@ checkout's.  The output is one line per value, with every float exact
   arguments and at 200 seeded pairs in [0.9, 1); ``keeps-nothing`` takes
   the place of the four values where the post-selection raises;
 * ``forward-class pf=PF HEX``: ``threshold._forward_class_level1`` at
-  pf = k / 1000 (k = 0..500) and at 200 seeded rates in [0, 0.1].
+  pf = k / 1000 (k = 0..500) and at 200 seeded rates in [0, 0.1];
+* ``solve NAME ... HEX``: the other solves built on ``threshold.bisect``:
+  ``capacity-one-type`` and ``capacity-three-type``;
+  ``entropy-match FAMILY target=T``, ``entropy_match_threshold`` for
+  forward, knill and depolarizing noise at targets 0.5 and 1.0 on
+  [0.001, 0.09] at tol 1e-9; and ``sweep-r tol=TOL r=R``, the rows of
+  ``sweep_r(points=21)`` at tol 1e-6 and 1e-9 (50 lines).
 
 Nothing else goes to stdout, so the output of two trees can be diffed
 line by line.
@@ -56,6 +62,9 @@ EDGE_DISTS = (
 FIXED_FIDELITY_PAIRS = (("713", "knill"), ("713", "depolarizing"), ("713", "forward"), ("2317", "forward"))
 CLASS_GRID = [Fraction(k, 10) for k in range(-10, 11)]
 FORWARD_GRID = [k / 1000 for k in range(501)]
+ENTROPY_MATCH_FAMILIES = ("forward", "knill", "depolarizing")
+ENTROPY_MATCH_TARGETS = (0.5, 1.0)
+SWEEP_TOLS = (1e-6, 1e-9)
 
 
 def _distributions(rng):
@@ -85,6 +94,7 @@ def main(argv=None):
 
     sys.path.insert(0, str(args.tree.resolve() / "src"))
     from psthresh import cli, codes
+    from psthresh import threshold
     from psthresh.threshold import _forward_class_level1, fixed_fidelity_point
 
     def hexes(values):
@@ -115,6 +125,15 @@ def main(argv=None):
         print("class %s %s %s" % (x_anc, x_gate, values))
     for pf in FORWARD_GRID + rng.uniform(0.0, 0.1, 200).tolist():
         print("forward-class pf=%r %s" % (pf, _forward_class_level1(pf).hex()))
+    print("solve capacity-one-type %s" % threshold.capacity_one_type().hex())
+    print("solve capacity-three-type %s" % threshold.capacity_three_type().hex())
+    for family in ENTROPY_MATCH_FAMILIES:
+        for target in ENTROPY_MATCH_TARGETS:
+            p = threshold.entropy_match_threshold(family, target, 0.001, 0.09, tol=1e-9)
+            print("solve entropy-match %s target=%r %s" % (family, target, p.hex()))
+    for tol in SWEEP_TOLS:
+        for r, p in threshold.sweep_r(points=21, tol=tol):
+            print("solve sweep-r tol=%r r=%r %s" % (tol, r, p.hex()))
     return 0
 
 
