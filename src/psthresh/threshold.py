@@ -226,11 +226,13 @@ def hashing_threshold(
     """
     fam = _resolve_family(family)
 
-    def above(p):
-        return teleport_entropy(fam(p)) >= 1.0
+    # shannon_entropy drops NaN entries and a breakdown gives +inf, so H
+    # is never NaN and H - 1 >= 0 exactly where H >= 1
+    def gap(p):
+        return teleport_entropy(fam(p)) - 1.0
 
     for _ in range(60):
-        if above(lo):
+        if gap(lo) >= 0:
             if not extend or lo < 1e-12:
                 raise BracketError("entropy already exceeds one bit at lo=%g" % lo)
             lo /= 2.0
@@ -239,7 +241,7 @@ def hashing_threshold(
     else:
         raise BracketError("no below-threshold point found")
     for _ in range(60):
-        if not above(hi):
+        if gap(hi) < 0:
             if not extend or hi >= 0.4999:
                 raise BracketError("entropy stays below one bit up to hi=%g" % hi)
             hi = min(1.5 * hi, 0.4999)
@@ -247,9 +249,7 @@ def hashing_threshold(
             break
     else:
         raise BracketError("no above-threshold point found")
-    # shannon_entropy drops NaN entries and a breakdown gives +inf, so H
-    # is never NaN and H - 1 < 0 exactly where above(p) is false
-    return bisect(lambda p: teleport_entropy(fam(p)) - 1.0, lo, hi, tol)
+    return bisect(gap, lo, hi, tol)
 
 
 def sweep_r(r_values=None, points: int = 11, tol: float = 1e-6):

@@ -1,27 +1,100 @@
-"""Tests for the diffing tools under tools/."""
+"""Tests for the tools under tools/: the bit-for-bit output record of
+tools/outputs.py and the seed parser the tools share."""
 
+import argparse
+import hashlib
+import platform
 import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from psthresh.cli import TARGETS
 
 ROOT = Path(__file__).resolve().parent.parent
+TOOLS = ROOT / "tools"
+sys.path.insert(0, str(TOOLS))
+
+from bench_record import parse_seeds  # noqa: E402
+
+#: the machine the record below was made on
+RECORD_MACHINE = {
+    "numpy": "2.4.6",
+    "blas": "scipy-openblas 0.3.31.188.0",
+    "cpu_model": "Intel(R) Xeon(R) Processor",
+}
+#: line count and sha256 of the lines of each kind that tools/outputs.py
+#: prints with no flags.  A change that means to move bits pastes in the
+#: table the failing test prints and says why in CHANGES.md.
+RECORD = {
+    "hashing": (48, "d7e628bdd6a7eeea634ca08358c0eb521ba2d956c5d473c3baf48a9c8fcdda40"),
+    "teleport": (900, "1e4b83ec5a1eadd97e5a8f445952ad4ed25550a873cbffca0c1a70a451e7eded"),
+    "fidelity": (3005, "12e295b07b855679ddeb694fab33489ff1c85042d0a22f226682c76400d7ccd2"),
+    "golay": (2001, "3296a6ec043131831680d6976d762a1aac912f21d08e0bd672f0ef1e60fe0381"),
+    "fixed-fidelity": (4, "849a2b934a6d96fd36d86cbb4b1acee0faf18e648f2a779d923dd430b225feb2"),
+    "crash": (2, "f13fb304ee15310422fd2edf27a5f5fff071da90a36857ce5c5bc115a6ffa885"),
+    "class": (641, "04068205827bfd2228a9cb1c02ed493326518bbc1573e466f7044d3cbc1ca4ef"),
+    "forward-class": (701, "48d99495de0abe63eb07df9462946e3d462059f1eee18a4f777b9aaf0ba91f96"),
+    "solve": (50, "f747cf8e7c8f7a96f82eb8c2bb636b0e71f11b36a2e1d753ca664f2c250251ee"),
+}
 
 
-def test_code_map_outputs_lines():
+def machine():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_name = "%s %s" % (blas.get("name"), blas.get("version"))
+    except (KeyError, TypeError, ValueError):
+        blas_name = "unknown"
+    cpu_model = platform.processor() or "unknown"
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            cpu_model = next(ln.split(":", 1)[1].strip() for ln in fh if ln.startswith("model name"))
+    except (OSError, StopIteration):
+        pass
+    return {"numpy": np.__version__, "blas": blas_name, "cpu_model": cpu_model}
+
+
+def kind_table(lines):
+    """kind -> (count, sha256 of its lines, each ending in a newline)."""
+    groups = {}
+    for line in lines:
+        groups.setdefault(line.split(" ", 1)[0], []).append(line + "\n")
+    return {kind: (len(group), hashlib.sha256("".join(group).encode()).hexdigest())
+            for kind, group in groups.items()}
+
+
+@pytest.fixture(scope="module")
+def output_lines():
     out = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "code_map_outputs.py")],
+        [sys.executable, str(TOOLS / "outputs.py")],
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert out.returncode == 0, out.stderr
-    lines = out.stdout.splitlines()
+    return out.stdout.splitlines()
+
+
+def test_outputs_match_record(output_lines):
+    table = kind_table(output_lines)
+    differ = sorted(kind for kind in table.keys() | RECORD.keys() if table.get(kind) != RECORD.get(kind))
+    if differ:
+        pytest.fail(
+            "tools/outputs.py lines differ from the record in kinds: %s\n"
+            "recorded on: %r\nrun on:      %r\nreplacement table:\nRECORD = {\n%s}"
+            % (", ".join(differ), RECORD_MACHINE, machine(),
+               "".join('    "%s": (%d, "%s"),\n' % (kind, *table[kind]) for kind in table)),
+            pytrace=False,
+        )
+
+
+def test_code_map_outputs_lines(output_lines):
     crash = sum(1 for row in TARGETS if row.criterion == 8 and row.compute is not None)
-    # the counts that the tool's docstring gives for each kind of line
+    # the counts that the tool's docstring gives for each code-map kind
     want = {
         "fidelity": 3005,
         "golay": 2001,
@@ -31,6 +104,7 @@ def test_code_map_outputs_lines():
         "forward-class": 501 + 200,
         "solve": 2 + 3 * 2 + 2 * 21,
     }
+    lines = [line for line in output_lines if line.split(" ", 1)[0] in want]
     assert Counter(line.split(" ", 1)[0] for line in lines) == want
     assert len(lines) == sum(want.values())
     for line in lines:
@@ -40,3 +114,25 @@ def test_code_map_outputs_lines():
             assert len(cond) == 4 and 0 < p_keep <= 1 and sum(cond) == 1
         elif kind == "forward-class":
             assert 0.0 <= float.fromhex(fields[1]) <= 1.0
+
+
+def test_parse_seeds():
+    assert parse_seeds("1-3") == [1, 2, 3]
+    assert parse_seeds("4-4") == [4]
+    assert parse_seeds("1,3,7") == [1, 3, 7]
+    for text in ("5-1", "1,1", "3,1", "1,3,2"):
+        with pytest.raises(argparse.ArgumentTypeError, match="ascending"):
+            parse_seeds(text)
+
+
+@pytest.mark.parametrize("tool", ["outputs.py", "bench_record.py"])
+def test_empty_seed_range_is_usage_error(tool):
+    out = subprocess.run(
+        [sys.executable, str(TOOLS / tool), "--seeds", "5-1"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "usage:" in out.stderr and "--seeds" in out.stderr

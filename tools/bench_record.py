@@ -35,11 +35,15 @@ MACHINE_KEYS = ("nproc", "cpu_affinity", "cpu_model", "python", "numpy", "blas",
 
 
 def parse_seeds(text):
-    """'1-5' or '1,3,7' -> list of ints."""
+    """'1-5' or '1,3,7' -> list of ints, which must be distinct and ascending."""
     if "-" in text:
         lo, hi = map(int, text.split("-"))
-        return list(range(lo, hi + 1))
-    return [int(s) for s in text.split(",")]
+        seeds = list(range(lo, hi + 1))
+    else:
+        seeds = [int(s) for s in text.split(",")]
+    if not seeds or any(a >= b for a, b in zip(seeds, seeds[1:])):
+        raise argparse.ArgumentTypeError("seeds must be a non-empty ascending list, got %r" % text)
+    return seeds
 
 
 def parse_tree(text):
