@@ -4,17 +4,18 @@ crash-probability estimates for the [[23,1,7]] code, and the success
 probability of a post-selected cascade.
 
 Every solver locates its crossing with `bisect`, the one bracket-halving
-loop; each caller checks its own bracket first.  The deterministic
-solvers hand it a signed gap, negative below the crossing, from which it
-settles most midpoints by regula falsi instead of evaluating them: the
-result is bit for bit that of plain bisection as long as the gap's sign
-changes once over the bracket, in at most three times (and on the smooth
-gaps here about a quarter of) its probes.  The Monte Carlo solve hands
-it a predicate and so probes every midpoint.  Its verdict uses
-counter-based random streams keyed by (seed, level), so results are
-reproducible and any range of a level can be drawn on its own: a solve
-splits each level into ranges of whole blocks across worker processes
-(_workers), one per usable CPU, with results identical to one process.
+loop; each caller checks its own bracket first and hands it a signed
+gap, negative below the crossing.  From a finite gap it settles most
+midpoints by regula falsi instead of evaluating them: the result is bit
+for bit that of plain bisection as long as the gap's sign changes once
+over the bracket, in at most three times (and on the smooth gaps here
+about a quarter of) its probes.  A gap of -inf or +inf gives no
+estimate, so every midpoint is probed: the Monte Carlo solve's gap is
+its verdict's sign.  That verdict uses counter-based random streams
+keyed by (seed, level), so results are reproducible and any range of a
+level can be drawn on its own: a solve splits each level into ranges of
+whole blocks across worker processes (_workers), one per usable CPU,
+with results identical to one process.
 """
 
 from __future__ import annotations
@@ -88,97 +89,18 @@ def _halve(lower, lo: float, hi: float, tol: float):
     return lo, hi
 
 
-class _GuidedSides:
-    """The side of each midpoint of one bisection, taken from a predicate
-    or settled from a signed gap in as few probes as it can (see bisect)."""
+def bisect(gap, lo: float, hi: float, tol: float) -> float:
+    """Midpoint of [lo, hi] once bisection of gap(p) < 0 has narrowed it
+    to width tol.
 
-    def __init__(self, side, lo: float, hi: float, tol: float):
-        self.side, self.lo, self.hi, self.tol = side, lo, hi, tol
-        self.predicate = None  # known from the first probe's result
-        # tightest evaluated points with gap < 0 and with gap not < 0, and
-        # their gaps, the kept end's halved Illinois-style
-        self.a, self.ga = -math.inf, -math.inf
-        self.b, self.gb = math.inf, math.inf
-        self.last = self.before = None  # the last two (probe, gap) pairs
+    gap(p) is a signed gap, negative below the crossing.  Each step takes
+    mid = (lo + hi) / 2: mid below the crossing moves lo up to mid,
+    otherwise hi comes down to it.  The caller checks the bracket.
+    Raises ValueError unless tol > 0 (NaN included).  The loop also stops
+    once mid is no longer strictly inside (lo, hi), which only a
+    tolerance under the float spacing at the crossing can reach.
 
-    def __call__(self, mid: float) -> bool:
-        if self.predicate:
-            return self.side(mid)
-        tries = 0
-        while not (mid <= self.a or mid >= self.b):
-            x = self._settling_point(mid) if tries < 2 else mid
-            value = self.side(x)
-            if self.predicate is None:
-                self.predicate = isinstance(value, (bool, np.bool_))
-                if self.predicate:
-                    return value
-            self._record(x, value)
-            tries += 1
-        below = mid <= self.a
-        if below:
-            self.lo = mid
-        else:
-            self.hi = mid
-        return below
-
-    def _record(self, x: float, value: float):
-        below = value < 0
-        if self.last is not None and (self.last[1] < 0) == below:
-            # the same end moves twice in a row: halve the kept end's gap
-            if below:
-                self.gb *= 0.5
-            else:
-                self.ga *= 0.5
-        if below:
-            self.a, self.ga = x, value
-        else:
-            self.b, self.gb = x, value
-        self.before, self.last = self.last, (x, value)
-
-    def _settling_point(self, mid: float) -> float:
-        """Where to probe to settle mid.  Plain bisection of [lo, hi]
-        run toward an estimated crossing ends on a bracket around it;
-        the probe is that bracket's end on the far side from the last
-        probe, or its other end when that is not open.  The estimate is
-        the Illinois point of [a, b], or while one side is unprobed, the
-        secant through the last two probes (the unprobed end of [lo, hi]
-        when the secant misses it).  mid itself when a gap is not finite,
-        there is no estimate yet or neither end is open."""
-        a, b, lo, hi = self.a, self.b, self.lo, self.hi
-        if abs(self.ga) + self.gb < math.inf:
-            guess = a + (b - a) * (self.ga / (self.ga - self.gb))
-        elif self.before is not None:
-            (x1, g1), (x2, g2) = self.before, self.last
-            if not (math.isfinite(g1) and math.isfinite(g2)):
-                return mid
-            guess = x2 - g2 * (x2 - x1) / (g2 - g1) if g2 != g1 else math.nan
-            if not max(a, lo) < guess < min(b, hi):
-                guess = hi if b == math.inf else lo
-        else:
-            return mid
-        end_lo, end_hi = _halve(lambda m: m < guess, lo, hi, self.tol)
-        far, near = (end_hi, end_lo) if self.last[1] < 0 else (end_lo, end_hi)
-        for x in (far, near):
-            if max(a, lo) < x < min(b, hi):
-                return x
-        return mid
-
-
-def bisect(side, lo: float, hi: float, tol: float) -> float:
-    """Midpoint of [lo, hi] once bisection has narrowed it to width tol.
-
-    Each step takes mid = (lo + hi) / 2: mid below the crossing moves lo
-    up to mid, otherwise hi comes down to it.  The caller checks the
-    bracket.  Raises ValueError unless tol > 0 (NaN included).  The loop
-    also stops once mid is no longer strictly inside (lo, hi), which
-    only a tolerance under the float spacing at the crossing can reach.
-
-    side(p) is either a predicate, true below the crossing, or a signed
-    gap, negative below it.  The first probe tells which: a bool (numpy's
-    included) makes side a predicate, which is called at every midpoint
-    as in plain bisection; any other number makes it a gap.
-
-    A gap is called only where the tightest evaluated bracket [a, b]
+    The gap is called only where the tightest evaluated bracket [a, b]
     (gap(a) < 0, gap(b) not) leaves a midpoint open: a midpoint at or
     below a is below, one at or above b is not.  An open midpoint is
     settled by a probe next to an estimate of the crossing, the Illinois
@@ -188,8 +110,9 @@ def bisect(side, lo: float, hi: float, tol: float) -> float:
     probe is the nearest one past the estimate, seen from the last probe.
     A good estimate so settles every remaining midpoint in two probes.
     The midpoint itself is probed when there is no usable estimate (a
-    single probe so far, or a gap that is not finite, such as the +inf
-    entropy of a breakdown) and after two guided probes left it open.
+    single probe so far, or a gap that is not finite) and after two
+    guided probes left it open.  A gap of only -inf and +inf, a verdict
+    with no size, is so probed at every midpoint, as plain bisection.
 
     Provided the sign of the gap changes once over [lo, hi], from
     negative to not, every midpoint is decided as plain bisection of
@@ -200,7 +123,54 @@ def bisect(side, lo: float, hi: float, tol: float) -> float:
     """
     if not tol > 0:
         raise ValueError("bisection tolerance must be positive, got %r" % tol)
-    lo, hi = _halve(_GuidedSides(side, lo, hi, tol), lo, hi, tol)
+    # the tightest probes with gap < 0 and with gap not < 0, and their
+    # gaps, the kept end's halved Illinois-style; the last two probes
+    a, ga, b, gb = -math.inf, -math.inf, math.inf, math.inf
+    last = before = None
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        tries = 0
+        while a < mid < b:
+            if tries == 2:
+                guess = None
+            elif abs(ga) + gb < math.inf:
+                guess = a + (b - a) * (ga / (ga - gb))
+            elif before is not None and math.isfinite(before[1]) and math.isfinite(last[1]):
+                (x1, g1), (x2, g2) = before, last
+                guess = x2 - g2 * (x2 - x1) / (g2 - g1) if g2 != g1 else math.nan
+                if not max(a, lo) < guess < min(b, hi):
+                    guess = hi if b == math.inf else lo
+            else:
+                guess = None
+            x = mid
+            if guess is not None:
+                # plain bisection run toward the guess ends on a bracket
+                # around it: probe its end on the far side from the last
+                # probe, or its other end when that is not open
+                ends = _halve(lambda m: m < guess, lo, hi, tol)
+                if last[1] < 0:
+                    ends = ends[::-1]
+                x = next((e for e in ends if max(a, lo) < e < min(b, hi)), mid)
+            value = gap(x)
+            below = value < 0
+            if last is not None and (last[1] < 0) == below:
+                # the same end moves twice in a row: halve the kept end's gap
+                if below:
+                    gb *= 0.5
+                else:
+                    ga *= 0.5
+            if below:
+                a, ga = x, value
+            else:
+                b, gb = x, value
+            before, last = last, (x, value)
+            tries += 1
+        if mid <= a:
+            lo = mid
+        else:
+            hi = mid
     return 0.5 * (lo + hi)
 
 
@@ -518,14 +488,14 @@ def concat_threshold_mc(
 
         _workers.start(workers)
 
-    def is_below(p):
-        return mc_verdict_at(dist_fn, p, config)[0] == "below"
+    def gap(p):
+        return -math.inf if mc_verdict_at(dist_fn, p, config)[0] == "below" else math.inf
 
-    if not is_below(lo):
+    if gap(lo) > 0:
         raise BracketError("population does not converge at lo=%g" % lo)
-    if is_below(hi):
+    if gap(hi) < 0:
         raise BracketError("population still converges at hi=%g" % hi)
-    return bisect(is_below, lo, hi, tol)
+    return bisect(gap, lo, hi, tol)
 
 
 def mc_threshold_error_bar(
@@ -680,24 +650,24 @@ def fixed_fidelity_point(code: str, family: str):
 
         def gap(p):
             dist = model_teleport_output(fam(p))
-            return first_level_fidelity(dist) - float(dist[0])
+            return float(dist[0]) - first_level_fidelity(dist)
 
         lo, hi = 0.02, 0.065
-        if gap(lo) <= 0 or gap(hi) >= 0:
+        if gap(lo) >= 0 or gap(hi) <= 0:
             raise BracketError("no fixed-fidelity crossing in [%g, %g]" % (lo, hi))
-        p = bisect(lambda p: -gap(p), lo, hi, tol)
+        p = bisect(gap, lo, hi, tol)
         return p, float(model_teleport_output(fam(p))[0])
 
     if code == "713" and family == "forward":
         # per-sector class recursion; both sectors are identical, so the
         # joint fidelity is the square of the sector fidelity
         def gap(pf):
-            return _forward_class_level1(pf) - (1.0 + forward_combined_diagonal(pf)) / 2.0
+            return (1.0 + forward_combined_diagonal(pf)) / 2.0 - _forward_class_level1(pf)
 
         lo, hi = 0.02, 0.04
-        if gap(lo) <= 0 or gap(hi) >= 0:
+        if gap(lo) >= 0 or gap(hi) <= 0:
             raise BracketError("no fixed-fidelity crossing in [%g, %g]" % (lo, hi))
-        pf = bisect(lambda p: -gap(p), lo, hi, tol)
+        pf = bisect(gap, lo, hi, tol)
         return pf, ((1.0 + forward_combined_diagonal(pf)) / 2.0) ** 2
 
     if code == "2317" and family == "forward":

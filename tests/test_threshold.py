@@ -6,12 +6,14 @@ takes a fraction of a second.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from psthresh import threshold
 from psthresh.codes import crash_poly_2317, crash_poly_713, recover_713
 from psthresh.noise import Depolarizing, Forward, model_family
 from psthresh.postselect import NoConvergenceError, model_teleport_output
@@ -67,6 +69,11 @@ def _reference_bisect(lower, lo, hi, tol):
     return 0.5 * (lo + hi)
 
 
+def _sign(below):
+    """The gap of a verdict with no size: -inf below, +inf otherwise."""
+    return -math.inf if below else math.inf
+
+
 BISECT_PREDICATES = {
     "step at 0.3": lambda p: p < 0.3,
     "quadratic": lambda p: p * p < 0.0048,
@@ -78,6 +85,8 @@ BISECT_PREDICATES = {
     # the first probe of [0, 1] is exactly 0.5: a tie on either side
     "tie moves hi": lambda p: p < 0.5,
     "tie moves lo": lambda p: p <= 0.5,
+    # not monotone, like a Monte Carlo verdict near its threshold
+    "coin seeded by p": lambda p: random.Random(p).random() < 0.5,
 }
 BISECT_BRACKETS = ((0.0, 1.0), (1e-3, 0.25), (0.09, 0.13), (0.3, 0.7))
 
@@ -88,7 +97,7 @@ def test_bisect_matches_reference_loop(name):
     for lo, hi in BISECT_BRACKETS:
         for tol in (0.1, 2e-4, 1e-6, 1e-9, 1e-12):
             probes, ref_probes = [], []
-            got = bisect(lambda p: probes.append(p) or pred(p), lo, hi, tol)
+            got = bisect(lambda p: probes.append(p) or _sign(pred(p)), lo, hi, tol)
             want = _reference_bisect(
                 lambda p: ref_probes.append(p) or pred(p), lo, hi, tol
             )
@@ -99,7 +108,7 @@ def test_bisect_matches_reference_loop(name):
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
 def test_bisect_rejects_non_positive_tol(tol):
     with pytest.raises(ValueError, match="tolerance"):
-        bisect(lambda p: p < 0.3, 0.0, 1.0, tol)
+        bisect(lambda p: p - 0.3, 0.0, 1.0, tol)
 
 
 def _at_most(probes, pred):
@@ -118,11 +127,11 @@ def test_bisect_returns_below_float_spacing():
     # 1e-300 is far under the spacing of floats near the crossing, so
     # the interval stops shrinking once its midpoint rounds to an end;
     # halving 1.0 down to 1e-300 takes 997 probes
-    got = bisect(_at_most(2000, lambda p: p < 0.3), 0.0, 1.0, 1e-300)
+    got = bisect(_at_most(2000, lambda p: _sign(p < 0.3)), 0.0, 1.0, 1e-300)
     assert got == pytest.approx(0.3, abs=1e-16)
-    got = bisect(_at_most(2000, lambda p: True), 0.0, 1.0, 1e-300)
+    got = bisect(_at_most(2000, lambda p: _sign(True)), 0.0, 1.0, 1e-300)
     assert got == pytest.approx(1.0, abs=1e-16)
-    assert bisect(_at_most(2000, lambda p: False), 0.0, 1.0, 1e-300) < 1e-300
+    assert bisect(_at_most(2000, lambda p: _sign(False)), 0.0, 1.0, 1e-300) < 1e-300
 
 
 def _counted_reference(lower, lo, hi, tol):
@@ -191,12 +200,42 @@ def test_bisect_gap_takes_few_probes_on_smooth_crossings():
     assert guided <= 0.42 * plain
 
 
-def test_bisect_numpy_predicate_probes_every_midpoint():
-    # a numpy comparison is a predicate, not a gap
-    probes = []
-    got = bisect(lambda p: probes.append(p) or np.float64(p) < 0.3, 0.0, 1.0, 1e-9)
-    assert got == _reference_bisect(lambda p: p < 0.3, 0.0, 1.0, 1e-9)
-    assert len(probes) == _counted_reference(lambda p: p < 0.3, 0.0, 1.0, 1e-9)[1]
+SOLVER_PROBES = {
+    # gap calls of each bisect a solver makes, bracket checks excluded
+    "hashing knill 1e-9": (lambda: hashing_threshold("knill", tol=1e-9), [7]),
+    "hashing depolarizing 1e-9": (lambda: hashing_threshold("depolarizing", tol=1e-9), [7]),
+    "hashing forward 1e-9": (lambda: hashing_threshold("forward", tol=1e-9), [9]),
+    "hashing forward 1e-12": (lambda: hashing_threshold("forward", tol=1e-12), [9]),
+    "hashing knill 1e-6": (lambda: hashing_threshold("knill", tol=1e-6), [7]),
+    "fixed-fidelity 713 knill": (lambda: fixed_fidelity_point("713", "knill"), [9]),
+    "fixed-fidelity 713 depolarizing": (lambda: fixed_fidelity_point("713", "depolarizing"), [9]),
+    "fixed-fidelity 713 forward": (lambda: fixed_fidelity_point("713", "forward"), [7]),
+    "fixed-fidelity 2317 forward": (lambda: fixed_fidelity_point("2317", "forward"), [11, 10]),
+    "crash 0.00035": (lambda: crash_difference_threshold(crash_poly_2317(), 0.00035, 0.04805), [8]),
+    "crash 0": (lambda: crash_difference_threshold(crash_poly_2317(), 0.0, 0.04805), [3]),
+    "capacity one-type": (capacity_one_type, [9]),
+    "capacity three-type": (capacity_three_type, [9]),
+    "sweep_r": (sweep_r, [7] * 11),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVER_PROBES))
+def test_solver_probe_counts(name, monkeypatch):
+    solve, want = SOLVER_PROBES[name]
+    counts = []
+
+    def counted(gap, lo, hi, tol):
+        counts.append(0)
+
+        def probe(p):
+            counts[-1] += 1
+            return gap(p)
+
+        return bisect(probe, lo, hi, tol)
+
+    monkeypatch.setattr(threshold, "bisect", counted)
+    solve()
+    assert counts == want
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +457,28 @@ def test_mc_verdict_accepts_rounded_distributions():
 def test_mc_threshold_small_population():
     thr = concat_threshold_mc(one_type_dist, 0.05, 0.18, QUICK, tol=5e-3)
     assert 0.08 < thr < 0.14
+
+
+def test_mc_solve_replays_plain_bisection(monkeypatch):
+    # 2 bracket checks and 8 probes, in-process at this population
+    calls = []
+    verdict_at = threshold.mc_verdict_at
+
+    def recorded(dist_fn, p, config):
+        verdict = verdict_at(dist_fn, p, config)
+        calls.append((p, verdict[0]))
+        return verdict
+
+    monkeypatch.setattr(threshold, "mc_verdict_at", recorded)
+    got = concat_threshold_mc(one_type_dist, 0.09, 0.13, McConfig(population=400, levels=6))
+    verdicts = dict(calls)
+    probes = []
+    want = _reference_bisect(
+        lambda p: probes.append(p) or verdicts[p] == "below", 0.09, 0.13, 2e-4
+    )
+    assert [p for p, _ in calls] == [0.09, 0.13] + probes
+    assert len(probes) == 8
+    assert got == want
 
 
 def test_mc_bracket_check():
