@@ -5,10 +5,10 @@ outside its tolerance, 2 when a deterministic solve cannot bracket its
 crossing (or a sweep has failed rows), 3 when a Monte Carlo verdict is
 inconclusive or its bracket fails, 64 for usage errors, which include
 out-of-range values (--tol not above 0, a rate or fraction outside
-[0, 1], too few points, population, levels or seeds, a negative seed)
-and flags the chosen mode would ignore: --r with a model other than
-depolarizing, --points with --r-values, and --lo, --hi, --tol, --raw or
---seeds above 1 with --at.
+[0, 1], too few points, population, levels or seeds, a negative seed,
+a concat --lo not below --hi) and flags the chosen mode would ignore:
+--r with a model other than depolarizing, --points with --r-values, and
+--lo, --hi, --tol, --raw or --seeds above 1 with --at.
 
 Percentages are printed with 6 significant digits unless --raw asks for
 plain probabilities; sweeps use 9 significant digits.  Output for a
@@ -337,6 +337,8 @@ def cmd_concat(args) -> int:
 
     if args.lo is None or args.hi is None:
         return _usage_error(args, "need --at, or both --lo and --hi")
+    if not args.lo < args.hi:
+        return _usage_error(args, "--lo must be below --hi")
     # unset, the solvers' own default tolerance applies
     tol = {} if args.tol is None else {"tol": args.tol}
     try:

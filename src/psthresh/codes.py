@@ -12,13 +12,13 @@ Three layers are provided here:
 * the [[7,1,3]] class distributions and their combine / post-selection
   semiring, in plain Python arithmetic: int and ``fractions.Fraction``
   inputs give exact Fractions, computed on integer numerators;
-* the full 64-syndrome decomposition of a 7-qubit product of single
-  qubit error distributions (a Walsh-Hadamard transform over the
-  character group), with syndrome-wise recovery; a one-row path for seven
-  qubits that share a distribution, behind the first-level fidelity;
-  and, for the Monte Carlo population dynamics, the syndrome weights of
-  such a product and the class row of one drawn syndrome, from the same
-  character product and with the full decomposition's bits;
+* the 64-syndrome decomposition of a 7-qubit product of single qubit
+  error distributions (a Walsh-Hadamard transform over the character
+  group) and syndrome-wise recovery: a one-row path for seven qubits
+  that share a distribution, behind the first-level fidelity, and, for
+  the Monte Carlo population dynamics, the syndrome weights of such a
+  product and the class row of one drawn syndrome, each with the full
+  decomposition's bits;
 * the binary Golay [23,12] coset weight enumerators behind the
   [[23,1,7]] entropy and crash-probability estimates.
 """
@@ -330,24 +330,24 @@ def degeneracy_correction(scheme: str, p_g: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# full 64-syndrome decomposition of a 7-qubit error product
+# 64-syndrome decomposition of a 7-qubit error product
 #
 # Characters of (F_2^8): a state is labelled by u with bits 0..2 the bit
 # syndrome, bit 3 the bit-flip parity, bits 4..6 the phase syndrome and
 # bit 7 the phase parity.  A qubit-i X error flips the parity-check
 # column plus the parity bit; a Z error does the same in the upper half.
 # Products of per-qubit character sums turn the 4^7 convolution into a
-# 256-point Walsh-Hadamard transform.  The product is accumulated one
-# qubit at a time in place, in two [batch, 256] buffers (the running
-# product and the current qubit's character sums) that the transform
-# then reuses for its output, so a call allocates nothing per qubit.  The
-# map from character label u to the (syndrome, class) output position is
-# folded into the columns of the transform matrix.
+# 256-point Walsh-Hadamard transform.  _character_product accumulates the
+# product one qubit at a time in place, in two [batch, 256] buffers (the
+# running product and the current qubit's character sums).  The map from
+# character label u to the (syndrome, class) output position is folded
+# into the columns of the transform matrix.
 #
-# From 5 rows up the transform sums each output over the characters in
-# ascending order, so a row's bits do not depend on the batch around it;
-# for 1-4 rows OpenBLAS (0.3.31) takes another kernel for the 256x256
-# transform, whose bits differ.
+# The full decomposition, that product times the transform, is the
+# reference whose bits every path here keeps (decompose_713 in
+# tests/test_codes.py).  From 5 rows up it sums each output over the
+# characters in ascending order; for 1-4 rows OpenBLAS (0.3.31) takes
+# another kernel for the 256x256 transform, whose bits differ.
 #
 # first_level_fidelity needs the product of one row only, seven qubits
 # that share a distribution (d0, d1, d2, d3).  A qubit's character sum is
@@ -355,12 +355,12 @@ def degeneracy_correction(scheme: str, p_g: float) -> float:
 # and Z characters: the sums that the K=4 gemm of _character_product
 # forms, in the same order, so _shared_product gathers them by sign kind
 # and multiplies the seven rows in qubit order, with the gemm route's
-# bits.  first_level_fidelity keeps the batch-1 transform of
-# decompose_713 as it is, since that kernel fixes the joint's bits, and
-# recovers its one row in closed form with the operations of
-# recover_713.  The Monte Carlo level keeps one drawn syndrome per
-# individual and builds only that syndrome's class row, with
-# decompose_713's bits (see the drawn-syndrome section below).
+# bits.  first_level_fidelity applies the transform to that one row, as
+# the reference does, since that kernel fixes the joint's bits, and
+# recovers it in closed form with the operations of recover_713.  The
+# Monte Carlo level keeps one drawn syndrome per individual and builds
+# only that syndrome's class row, with the reference's bits (see the
+# drawn-syndrome section below).
 
 #: parity-check column of each qubit, row k at index k
 _H_COLS = tuple(zip(*PARITY_CHECK_713))
@@ -439,30 +439,10 @@ def _character_product(children: np.ndarray, qh: np.ndarray, term: np.ndarray) -
         qh *= np.matmul(children[:, i], sig[i], term)
 
 
-def decompose_713(children: np.ndarray) -> np.ndarray:
-    """Joint (syndrome, class) probabilities of a block of seven qubits
-    with independent error distributions.
-
-    children has shape [7, 4] or [batch, 7, 4] (I, X, Y, Z order); the
-    result has shape [batch, 64, 4] with axis 1 the syndrome pair
-    (bit | phase << 3), each half packed with parity-check row k at bit
-    k, and axis 2 the logical class.
-    """
-    transform = _decomposition_tables()[1]
-    children = np.asarray(children, dtype=float)
-    if children.ndim == 2:
-        children = children[None]
-    if children.shape[1:] != (7, 4):
-        raise ValueError("expected children of shape [batch, 7, 4]")
-    qh = np.empty((children.shape[0], 256))
-    term = np.empty_like(qh)
-    _character_product(children, qh, term)
-    return np.matmul(qh, transform, term).reshape(-1, 64, 4)
-
-
 def recover_713(joint: np.ndarray):
-    """Syndrome weights and post-recovery conditional class
-    distributions for the output of decompose_713.
+    """Syndrome weights [...] and post-recovery conditional class
+    distributions [..., 4] for unrecovered class rows joint [..., 4],
+    such as the [batch, 64, 4] output of the full decomposition.
 
     Recovery applies, per syndrome, the logical class with the largest
     probability (first of I, X, Y, Z on ties), relabelling the classes
@@ -470,14 +450,15 @@ def recover_713(joint: np.ndarray):
     Zero-weight syndromes get the trivial conditional distribution.
     """
     joint = np.asarray(joint, dtype=float)
-    best = joint.argmax(axis=2)
-    weights = joint.sum(axis=2)
-    idx = _KLEIN[best]
-    relabelled = np.take_along_axis(joint, idx, axis=2)
+    flat = joint.reshape(-1, 4)
+    # the classes added in order, the bits of flat.sum(axis=1)
+    weights = ((flat[:, 0] + flat[:, 1]) + flat[:, 2]) + flat[:, 3]
+    # class k of row r after relabelling is flat entry 4 r + _KLEIN[best_r, k]
+    cond = flat.take(_KLEIN[flat.argmax(axis=1)] + np.arange(0, flat.size, 4)[:, None])
     with np.errstate(invalid="ignore", divide="ignore"):
-        cond = relabelled / weights[..., None]
-    cond[weights <= 0] = np.array([1.0, 0.0, 0.0, 0.0])
-    return weights, cond
+        cond /= weights[:, None]
+    cond[weights <= 0] = (1.0, 0.0, 0.0, 0.0)
+    return weights.reshape(joint.shape[:-1]), cond.reshape(joint.shape)
 
 
 def _check_distribution(name: str, dist) -> np.ndarray:
@@ -529,9 +510,8 @@ def first_level_fidelity(dist) -> float:
 # relabels the classes) times the column of the same class at syndrome
 # 0.  So the drawn syndrome's class row is the character product times
 # that syndrome's signs (exact), times the class columns of syndrome 0,
-# in a gemm that adds the characters in ascending order, as the
-# transform of decompose_713 does from 5 rows up: the row has
-# decompose_713's bits.
+# in a gemm that adds the characters in ascending order, as the full
+# decomposition does from 5 rows up: the row has the reference's bits.
 #
 # OpenBLAS (0.3.31) gives a row the same bits in any batch only in some
 # layouts: one row goes through gemv, which adds in another order, so it
@@ -599,8 +579,8 @@ def _drawn_syndromes(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _drawn_class_rows(qh: np.ndarray, syndromes: np.ndarray, buffers) -> np.ndarray:
-    """Unrecovered class row [batch, 4] (the decompose_713 row) of each
-    syndrome, for the character products qh [batch, 256] or one row
+    """Unrecovered class row [batch, 4] (the full decomposition's row) of
+    each syndrome, for the character products qh [batch, 256] or one row
     shared by all, in the leading rows of buffers."""
     _, signs, classes = _syndrome_tables()
     n = syndromes.shape[0]

@@ -13,8 +13,8 @@ about a quarter of) its probes.  A gap of -inf or +inf gives no
 estimate, so every midpoint is probed: the Monte Carlo solve's gap is
 its verdict's sign.  That verdict uses counter-based random streams
 keyed by (seed, level), so results are reproducible and any range of a
-level can be drawn on its own: a solve splits each level into ranges of
-whole blocks across worker processes (_workers), one per usable CPU,
+level can be drawn on its own: a solve splits each level into even
+ranges of rows across worker processes (_workers), one per usable CPU,
 with results identical to one process.
 """
 
@@ -24,6 +24,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from numbers import Integral
 
 import numpy as np
@@ -293,20 +294,21 @@ class McConfig:
     sums ([256, 64] each) stay in cache from the product through the
     syndrome draw to the drawn syndrome's class row, and the buffers are
     reused from block to block.  That row has the bits of the same row of
-    the full decomposition (decompose_713).  Recovery is then applied to
-    the chosen rows of the whole level at once.  Level 1, where every
-    individual is dist0, builds one row's product and the class rows of
-    all 64 syndromes.  Results do not depend on the block size.
+    the full decomposition (decompose_713 in tests/test_codes.py).
+    Recovery is then applied to the chosen rows of the whole level at
+    once.  Level 1, where every individual is dist0, builds one row's
+    product and the class rows of all 64 syndromes.  Results do not
+    depend on the block size.
 
     From level 2 on, a level of at least 2 * _WORKER_BLOCKS blocks runs
     on worker processes, one per usable CPU (os.sched_getaffinity), each
-    given a contiguous range of whole blocks and each at least
-    _WORKER_BLOCKS of them; the parent waits for their rows.  Each worker
-    draws the level's (seed, level) stream itself and computes its blocks
-    exactly as one process would, so results are bit-identical however
-    the level is split.  The first concat_threshold_mc of a process
-    starts the workers (0.2-0.45 s, about 40 MB each) and they serve
-    every verdict after it; a lone mc_verdict starts none.
+    given an even share of rows in one range; the parent waits for their
+    rows.  Each worker draws the level's (seed, level) stream itself and
+    computes its rows exactly as one process would, so results are
+    bit-identical however the level is split.  The first
+    concat_threshold_mc of a process starts the workers (0.2-0.45 s,
+    about 48 MB each) and they serve every verdict after it; a lone
+    mc_verdict starts none.
     """
 
     population: int = 10_000
@@ -335,8 +337,8 @@ _WORKER_BLOCKS = 12
 
 def _worker_count(pop: int) -> int:
     """Worker processes for a level of pop individuals: one per usable
-    CPU, each given at least _WORKER_BLOCKS blocks, and none (the level
-    runs in-process) when that leaves fewer than two."""
+    CPU, as long as the level has _WORKER_BLOCKS blocks for each, and
+    none (the level runs in-process) when that leaves fewer than two."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
@@ -352,12 +354,15 @@ def _running_workers():
     return workers.running() if workers is not None else None
 
 
+@lru_cache(maxsize=16)
 def _level_draws(pop: int, seed: int, level: int):
     """Parent indices [pop, 7] and syndrome uniforms [pop] of a level,
-    drawn in that order from the (seed, level) stream."""
+    drawn in that order from the (seed, level) stream; read-only and
+    cached, as every probe draws the same (0.64 MB a level at 10^4)."""
     rng = np.random.default_rng((seed, level))
-    idx = rng.integers(0, pop, size=(pop, 7))
-    return idx, rng.random(pop)
+    idx, u = rng.integers(0, pop, size=(pop, 7)), rng.random(pop)
+    idx.flags.writeable = u.flags.writeable = False
+    return idx, u
 
 
 def _level_rows(popn: np.ndarray, seed: int, level: int, start: int, stop: int) -> np.ndarray:
@@ -365,8 +370,8 @@ def _level_rows(popn: np.ndarray, seed: int, level: int, start: int, stop: int) 
     individual is rebuilt from seven parents drawn from popn.  Per block,
     its syndrome is drawn from the block's syndrome weights and only that
     syndrome's class row is built; recovery is applied to those rows for
-    the whole range at once.  start is a multiple of _BLOCK_ROWS, so the
-    blocks, and with them the rows' bits, are those of the whole level."""
+    the whole range at once.  A row's bits do not depend on the block
+    around it, so the range may start anywhere."""
     pop = popn.shape[0]
     idx, u = _level_draws(pop, seed, level)
     chosen = np.empty((stop - start, popn.shape[1]))
@@ -384,17 +389,16 @@ def _level_rows(popn: np.ndarray, seed: int, level: int, start: int, stop: int) 
 
 
 def _level_ranges(pop: int, parts: int):
-    """parts contiguous (start, stop) ranges of whole blocks covering a
-    population of pop, as even in blocks as they can be."""
-    blocks = -(-pop // _BLOCK_ROWS)
-    edges = [min(pop, _BLOCK_ROWS * (blocks * i // parts)) for i in range(parts + 1)]
+    """parts contiguous (start, stop) ranges covering a population of
+    pop, as even in rows as they can be."""
+    edges = [pop * i // parts for i in range(parts + 1)]
     return list(zip(edges, edges[1:]))
 
 
 def _mc_level(popn: np.ndarray, config: McConfig, level: int, pool=None, parts: int = 1) -> np.ndarray:
     """One level of the population dynamics (_level_rows of the whole
     population).  Given a worker pool and parts > 1, the level is split
-    into `parts` ranges of whole blocks, one per worker, and the parent
+    into `parts` even ranges of rows, one per worker, and the parent
     waits for their rows."""
     pop = popn.shape[0]
     if pool is None or parts < 2:
@@ -477,11 +481,14 @@ def concat_threshold_mc(
     """Bisect the population-dynamics verdict between lo (below) and hi
     (above).  dist_fn maps the error rate to the level-0 distribution.
     Inconclusive verdicts count as above, so the estimate errs low.
+    Raises ValueError unless lo < hi.
 
     The first solve in a process whose population is large enough to
     share starts the worker processes (see McConfig) that run the levels
     of every verdict after it; they are closed at interpreter exit.
     """
+    if not lo < hi:
+        raise ValueError("the bracket needs lo < hi, got lo=%r, hi=%r" % (lo, hi))
     workers = _worker_count(config.population)
     if workers:
         from . import _workers

@@ -288,6 +288,16 @@ def test_concat_bracket_failure(capsys):
     assert "concat" in err
 
 
+@pytest.mark.parametrize("lo, hi", [("0.09", "0.05"), ("0.07", "0.07")])
+def test_concat_bracket_not_ascending_is_usage_error(capsys, lo, hi):
+    code, out, err = run(
+        capsys,
+        ["concat", "--model", "knill", "--lo", lo, "--hi", hi, "--population", "100", "--levels", "3"],
+    )
+    assert (code, out) == (64, "")
+    assert err == "concat: --lo must be below --hi\n"
+
+
 def test_concat_error_bar(capsys):
     argv = (
         ["concat", "--model", "one-type", "--lo", "0.05", "--hi", "0.18"]

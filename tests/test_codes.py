@@ -32,7 +32,6 @@ from psthresh.codes import (
     crash_poly_2317,
     crash_poly_713,
     crash_polynomial,
-    decompose_713,
     degeneracy_correction,
     distance_classes_from_x,
     distance_table_713,
@@ -44,6 +43,7 @@ from psthresh.codes import (
     golay_syndrome_weights,
     postselect_classes,
     recover_713,
+    _KLEIN,
     _character_product,
     _character_sums,
     _check_distribution,
@@ -444,6 +444,26 @@ def _setup_row(row):
     return out
 
 
+def decompose_713(children):
+    """Joint (syndrome, class) probabilities [batch, 64, 4] of a block of
+    seven qubits with independent error distributions, children [7, 4]
+    or [batch, 7, 4] (I, X, Y, Z order): the character product times the
+    library's decomposition transform.  Axis 1 is the syndrome pair
+    (bit | phase << 3), each half packed with parity-check row k at bit
+    k, and axis 2 the logical class.  The library's Monte Carlo rows and
+    first-level fidelity keep this full decomposition's bits."""
+    transform = _decomposition_tables()[1]
+    children = np.asarray(children, dtype=float)
+    if children.ndim == 2:
+        children = children[None]
+    if children.shape[1:] != (7, 4):
+        raise ValueError("expected children of shape [batch, 7, 4]")
+    qh = np.empty((children.shape[0], 256))
+    term = np.empty_like(qh)
+    _character_product(children, qh, term)
+    return np.matmul(qh, transform, term).reshape(-1, 64, 4)
+
+
 def test_decompose_matches_brute_force():
     rng = np.random.default_rng(7)
     raw = rng.random((7, 4))
@@ -562,6 +582,42 @@ def test_decompose_rows_match_any_batch(knill_population):
 def test_decompose_rejects_bad_shape():
     with pytest.raises(ValueError):
         decompose_713(np.ones((6, 4)) / 4)
+
+
+def _reference_recover(joint):
+    """recover_713 as first written, on [batch, syndromes, 4]: argmax,
+    sum, Klein relabel by take_along_axis, and division, each along the
+    class axis."""
+    joint = np.asarray(joint, dtype=float)
+    best = joint.argmax(axis=2)
+    weights = joint.sum(axis=2)
+    relabelled = np.take_along_axis(joint, _KLEIN[best], axis=2)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cond = relabelled / weights[..., None]
+    cond[weights <= 0] = np.array([1.0, 0.0, 0.0, 0.0])
+    return weights, cond
+
+
+@pytest.mark.parametrize("syndromes", [64, 1])
+def test_recover_matches_reference(syndromes, knill_population):
+    rng = np.random.default_rng(syndromes)
+    raw = rng.random((300, syndromes, 4)) ** 3
+    drawn = rng.integers(0, knill_population.shape[0], size=(300, 7))
+    joint = decompose_713(knill_population[drawn])[:, :syndromes]
+    for block in (raw, joint):
+        block = block.copy()
+        block[0, 0] = 0.0  # zero weight
+        block[1, 0] = (0.25, 0.25, 0.25, 0.25)  # four-way tie
+        block[2, 0] = (0.0, 0.5, 0.0, 0.5)  # X/Z tie
+        block[3, 0] = (0.1, np.nan, 0.2, 0.3)
+        block[4, 0] = (-0.0, -0.0, -0.0, -0.0)
+        block[5, 0] = (0.3, 0.3, -0.1, 0.1)  # a weight under zero
+        (weights, cond), (want_weights, want_cond) = recover_713(block), _reference_recover(block)
+        assert weights.shape == want_weights.shape and cond.shape == want_cond.shape
+        # bit for bit, but the sign of a zero weight: sum(axis=2) gives
+        # 0.0 for four -0.0 entries, in-order adds -0.0
+        np.testing.assert_array_equal(_as_bits(weights + 0.0), _as_bits(want_weights + 0.0))
+        np.testing.assert_array_equal(_as_bits(cond), _as_bits(want_cond))
 
 
 def test_recover_relabels_to_identity():

@@ -488,6 +488,24 @@ def test_mc_bracket_check():
         concat_threshold_mc(one_type_dist, 0.01, 0.05, QUICK, tol=5e-3)
 
 
+@pytest.mark.parametrize("lo, hi", [(0.09, 0.05), (0.07, 0.07), (math.nan, 0.09)])
+def test_mc_bracket_needs_lo_below_hi(monkeypatch, lo, hi):
+    # rejected before any worker starts or any verdict runs, and not as
+    # a bracket that does not converge
+    from psthresh import _workers
+
+    def fail(*args):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(threshold, "_worker_count", lambda pop: 2)
+    monkeypatch.setattr(_workers, "start", fail)
+    monkeypatch.setattr(threshold, "mc_verdict_at", fail)
+    with pytest.raises(ValueError, match="lo < hi"):
+        concat_threshold_mc(one_type_dist, lo, hi, QUICK)
+    with pytest.raises(ValueError, match="lo < hi"):
+        mc_threshold_error_bar(one_type_dist, lo, hi, QUICK, n_seeds=2)
+
+
 def test_mc_error_bar():
     mean, err, ests = mc_threshold_error_bar(
         one_type_dist, 0.05, 0.18, QUICK, n_seeds=3, tol=5e-3

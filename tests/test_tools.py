@@ -1,5 +1,6 @@
 """Tests for the tools under tools/: the bit-for-bit output record of
-tools/outputs.py and the seed parser the tools share."""
+tools/outputs.py, Monte Carlo sample path included, and the seed parser
+the tools share."""
 
 import argparse
 import hashlib
@@ -40,6 +41,7 @@ RECORD = {
     "class": (641, "04068205827bfd2228a9cb1c02ed493326518bbc1573e466f7044d3cbc1ca4ef"),
     "forward-class": (701, "48d99495de0abe63eb07df9462946e3d462059f1eee18a4f777b9aaf0ba91f96"),
     "solve": (50, "f747cf8e7c8f7a96f82eb8c2bb636b0e71f11b36a2e1d753ca664f2c250251ee"),
+    "mc-level": (24, "a30041f43f1d2bd7c839ccd269428930fb227a33dd265553b643e9375c9ddbb5"),
 }
 
 
@@ -114,6 +116,18 @@ def test_code_map_outputs_lines(output_lines):
             assert len(cond) == 4 and 0 < p_keep <= 1 and sum(cond) == 1
         elif kind == "forward-class":
             assert 0.0 <= float.fromhex(fields[1]) <= 1.0
+
+
+def test_mc_level_lines(output_lines):
+    # six levels of each criterion-5 family, each level's mean infidelity
+    # a probability
+    families = [row.label.split()[0] for row in TARGETS if row.criterion == 5]
+    lines = [line.split(" ") for line in output_lines if line.startswith("mc-level ")]
+    assert [(fields[1], fields[3]) for fields in lines] == [
+        (family, "level=%d" % level) for family in families for level in range(1, 7)
+    ]
+    for fields in lines:
+        assert 0.0 <= float.fromhex(fields[4]) <= 1.0 and len(fields[5]) == 16
 
 
 def test_parse_seeds():

@@ -21,6 +21,7 @@ from psthresh.threshold import (
     concat_threshold_mc,
     model_level0,
     one_type_dist,
+    _level_draws,
     _level_ranges,
     _level_rows,
     _mc_first_level,
@@ -61,24 +62,60 @@ def test_worker_count_from_cpus_and_population(monkeypatch):
 
 
 @pytest.mark.parametrize("pop", [2000, 7 * 256, 3])
-def test_level_ranges_are_whole_blocks(pop):
+def test_level_ranges_are_even_rows(pop):
     for parts in (1, 2, 3):
         ranges = _level_ranges(pop, parts)
         assert len(ranges) == parts
         assert ranges[0][0] == 0 and ranges[-1][1] == pop
-        assert all(a % 256 == 0 and a <= b for a, b in ranges)
         assert all(b == c for (_, b), (c, _) in zip(ranges, ranges[1:]))
+        sizes = [b - a for a, b in ranges]
+        assert max(sizes) - min(sizes) <= 1
+    assert _level_ranges(10_000, 2) == [(0, 5000), (5000, 10_000)]
 
 
-# 2000 rows are 7 blocks and a 208-row tail
+# 2000 rows are 7 blocks and a 208-row tail; a range may start inside a
+# block, so the blocks of a range are not those of the whole level
 @pytest.mark.parametrize(
-    "edges", [(0, 256, 2000), (0, 1792, 2000), (0, 512, 1280, 2000), (0, 256, 512, 768, 2000)]
+    "edges",
+    [
+        (0, 256, 2000),
+        (0, 1792, 2000),
+        (0, 512, 1280, 2000),
+        (0, 256, 512, 768, 2000),
+        (0, 1, 3, 1000, 1999, 2000),
+    ],
 )
 def test_split_level_matches_one_process(edges):
     popn = _level2_population(SPLIT)
     for level in (2, 5):
         parts = [_level_rows(popn, SPLIT.seed, level, a, b) for a, b in zip(edges, edges[1:])]
         np.testing.assert_array_equal(np.concatenate(parts), _mc_level(popn, SPLIT, level))
+
+
+def test_level_draws_are_cached_read_only():
+    idx, u = _level_draws(2000, 5, 3)
+    again = _level_draws(2000, 5, 3)
+    assert again[0] is idx and again[1] is u
+    for arr in (idx, u):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    # the stream of another population, seed or level is another entry
+    assert _level_draws(2000, 6, 3)[0] is not idx
+    maxsize = _level_draws.cache_info().maxsize
+    assert maxsize is not None
+    for level in range(maxsize + 2):
+        _level_draws(3, 9, level)
+    assert _level_draws.cache_info().currsize <= maxsize
+
+
+def test_worker_pipes_take_a_level_request(worker_pool):
+    fcntl = pytest.importorskip("fcntl")
+    get_size = getattr(fcntl, "F_GETPIPE_SZ", None)
+    if get_size is None:
+        pytest.skip("no F_GETPIPE_SZ on this platform")
+    for proc in worker_pool.procs:
+        for pipe in (proc.stdin, proc.stdout):
+            assert fcntl.fcntl(pipe.fileno(), get_size) == _workers._PIPE_BYTES
 
 
 def test_pool_level_matches_one_process(worker_pool):

@@ -29,6 +29,11 @@ is exact (``float.hex()``):
 * ``solve NAME ... HEX``: both capacities, ``entropy_match_threshold``
   (forward, knill, depolarizing; targets 0.5, 1.0) and the rows of
   ``sweep_r(points=21)`` at tol 1e-6 and 1e-9;
+* ``mc-level FAMILY p=P level=L INFIDELITY SHA256``: the Monte Carlo
+  population of each criterion-5 family of ``psthresh.cli.TARGETS`` at
+  its published rate, population 2048 (in-process), seed 1, at levels
+  1-6: the mean infidelity and the first 16 hex digits of the sha256 of
+  the population's bytes;
 * ``mc FAMILY seed=S p=P VERDICT LEVEL``, only with ``--seeds 1-10`` (or
   ``1,3,7``): every verdict, bracket checks first, of each criterion-5
   solve of ``psthresh.cli.TARGETS`` at the default ``McConfig`` but the
@@ -41,6 +46,7 @@ and sha256 of each kind of line but ``mc`` against a recorded table.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -133,6 +139,23 @@ def code_map_lines():
             yield "solve sweep-r tol=%r r=%r %s" % (tol, r, p.hex())
 
 
+def mc_level_lines():
+    from psthresh import cli, threshold
+
+    config = threshold.McConfig(population=2048, seed=1)
+    for row in cli.TARGETS:
+        if row.criterion != 5:
+            continue
+        family, p = row.label.split()[0], row.want / 100
+        popn = threshold._mc_first_level(cli._level0(family)(p), config)
+        for level in range(1, 7):
+            if level > 1:
+                popn = threshold._mc_level(popn, config, level)
+            infidelity = float(1.0 - popn[:, 0].mean())
+            digest = hashlib.sha256(popn.tobytes()).hexdigest()[:16]
+            yield "mc-level %s p=%r level=%d %s %s" % (family, p, level, infidelity.hex(), digest)
+
+
 def mc_lines(seeds):
     from psthresh import cli, threshold
 
@@ -166,7 +189,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(args.tree.resolve() / "src"))
-    for lines in (hashing_lines(), code_map_lines(), mc_lines(args.seeds)):
+    for lines in (hashing_lines(), code_map_lines(), mc_level_lines(), mc_lines(args.seeds)):
         for line in lines:
             print(line)
     return 0
