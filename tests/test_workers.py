@@ -99,7 +99,7 @@ def test_level_draws_are_cached_read_only():
     for arr in (idx, u):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0
-    # the stream of another population, seed or level is another entry
+    # another seed's stream is another entry
     assert _level_draws(2000, 6, 3)[0] is not idx
     maxsize = _level_draws.cache_info().maxsize
     assert maxsize is not None
