@@ -59,14 +59,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, "%s: error: %s\n" % (self.prog, message))
 
 
-def _fmt_percent(p: float) -> str:
-    return "%.6g" % (100.0 * p)
-
-
-def _fmt_raw(p: float) -> str:
-    return "%.9g" % p
-
-
 def _checked(convert, ok, requirement):
     """argparse type: convert the text, then reject values for which ok
     is false as usage errors.  Unconvertible text keeps argparse's own
@@ -260,6 +252,27 @@ def _usage_error(args, message) -> int:
     return EXIT_USAGE
 
 
+def _probability(args, p: float, name: str = "threshold"):
+    """Field of a computed probability: NAME_percent at 6 significant
+    digits of the percentage, or NAME at 9 significant digits of p under
+    --raw.  Its JSON value is the float of its printed text."""
+    column, text = (name, "%.9g" % p) if args.raw else (name + "_percent", "%.6g" % (100.0 * p))
+    return column, text, float(text)
+
+
+def _print_row(args, fields, text: str) -> None:
+    """Print one result in args.format.  fields are (column, printed
+    text, JSON value) in column order: csv prints the columns, then the
+    texts; json the values, keys sorted; text prints the line text."""
+    if args.format == "json":
+        print(json.dumps({column: value for column, _, value in fields}, sort_keys=True))
+    elif args.format == "csv":
+        print(",".join(column for column, _, _ in fields))
+        print(",".join(printed for _, printed, _ in fields))
+    else:
+        print(text)
+
+
 def cmd_hashing(args) -> int:
     if args.r is not None and args.model != "depolarizing":
         return _usage_error(args, "--r applies to --model depolarizing only")
@@ -271,15 +284,8 @@ def cmd_hashing(args) -> int:
     except BracketError as exc:
         print("hashing: %s" % exc, file=sys.stderr)
         return EXIT_BRACKET
-    value = _fmt_raw(thr) if args.raw else _fmt_percent(thr)
-    key = "threshold" if args.raw else "threshold_percent"
-    if args.format == "json":
-        print(json.dumps({"model": args.model, key: float(value)}, sort_keys=True))
-    elif args.format == "csv":
-        print("model,%s" % key)
-        print("%s,%s" % (args.model, value))
-    else:
-        print(value)
+    field = _probability(args, thr)
+    _print_row(args, [("model", args.model, args.model), field], field[1])
     return EXIT_OK
 
 
@@ -325,14 +331,13 @@ def cmd_concat(args) -> int:
         if args.seeds > 1:
             return _usage_error(args, "--seeds needs --lo and --hi, not --at")
         verdict, level = mc_verdict_at(dist_fn, args.at, config)
-        row = {"level": level, "model": args.model, "p": args.at, "verdict": verdict}
-        if args.format == "json":
-            print(json.dumps(row, sort_keys=True))
-        elif args.format == "csv":
-            print(",".join(sorted(row)))
-            print(",".join(str(row[key]) for key in sorted(row)))
-        else:
-            print("%s %d" % (verdict, level))
+        fields = [
+            ("level", str(level), level),
+            ("model", args.model, args.model),
+            ("p", str(args.at), args.at),
+            ("verdict", verdict, verdict),
+        ]
+        _print_row(args, fields, "%s %d" % (verdict, level))
         return EXIT_INCONCLUSIVE if verdict == "inconclusive" else EXIT_OK
 
     if args.lo is None or args.hi is None:
@@ -343,37 +348,20 @@ def cmd_concat(args) -> int:
     tol = {} if args.tol is None else {"tol": args.tol}
     try:
         if args.seeds > 1:
-            mean, std, _ = mc_threshold_error_bar(
+            thr, err, _ = mc_threshold_error_bar(
                 dist_fn, args.lo, args.hi, config, n_seeds=args.seeds, **tol
             )
-            thr, err = mean, std
         else:
-            thr = concat_threshold_mc(dist_fn, args.lo, args.hi, config, **tol)
-            err = None
+            thr, err = concat_threshold_mc(dist_fn, args.lo, args.hi, config, **tol), None
     except BracketError as exc:
         print("concat: %s" % exc, file=sys.stderr)
         return EXIT_INCONCLUSIVE
 
-    if args.raw:
-        key, value = "threshold", _fmt_raw(thr)
-        err_value = None if err is None else _fmt_raw(err)
-    else:
-        key, value = "threshold_percent", _fmt_percent(thr)
-        err_value = None if err is None else _fmt_percent(err)
-    if args.format == "json":
-        payload = {"model": args.model, key: float(value)}
-        if err_value is not None:
-            payload[key + "_std"] = float(err_value)
-        print(json.dumps(payload, sort_keys=True))
-    elif args.format == "csv":
-        if err_value is None:
-            print("model,%s" % key)
-            print("%s,%s" % (args.model, value))
-        else:
-            print("model,%s,%s_std" % (key, key))
-            print("%s,%s,%s" % (args.model, value, err_value))
-    else:
-        print(value if err_value is None else "%s +- %s" % (value, err_value))
+    fields = [("model", args.model, args.model), _probability(args, thr)]
+    if err is not None:
+        column, text, value = _probability(args, err)
+        fields.append((column + "_std", text, value))
+    _print_row(args, fields, " +- ".join(printed for _, printed, _ in fields[1:]))
     return EXIT_OK
 
 
@@ -396,20 +384,11 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_capacity(args) -> int:
-    c1, c3 = capacity_one_type(), capacity_three_type()
-    if args.raw:
-        one, three = _fmt_raw(c1), _fmt_raw(c3)
-        keys = ("one_type", "three_type")
-    else:
-        one, three = _fmt_percent(c1), _fmt_percent(c3)
-        keys = ("one_type_percent", "three_type_percent")
-    if args.format == "json":
-        print(json.dumps({keys[0]: float(one), keys[1]: float(three)}, sort_keys=True))
-    elif args.format == "csv":
-        print("%s,%s" % keys)
-        print("%s,%s" % (one, three))
-    else:
-        print("%s %s" % (one, three))
+    fields = [
+        _probability(args, capacity_one_type(), "one_type"),
+        _probability(args, capacity_three_type(), "three_type"),
+    ]
+    _print_row(args, fields, " ".join(printed for _, printed, _ in fields))
     return EXIT_OK
 
 

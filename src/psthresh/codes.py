@@ -29,10 +29,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, fsum, lcm, log2
+from operator import truediv
 
 import numpy as np
 
 from .noise import _check_prob
+from .pauli import SUM_TOL
 
 # ---------------------------------------------------------------------------
 # [[7,1,3]] structure
@@ -137,29 +139,22 @@ def distance_classes_from_x(x):
     An int or Fraction x gives Fractions.  Raises ValueError unless
     -1 <= x <= 1."""
     if type(x) is not float and isinstance(x, _EXACT):
-        n, d = x.numerator, x.denominator
-        if not -d <= n <= d:
-            raise ValueError("x must lie in [-1, 1], got %r" % (x,))
-        # 16 d^7 times the four entries below, at x = n / d
-        d3, n3 = d * d * d, n * n * n
-        d7, n3d4, n4d3, n7 = d3 * d3 * d, n3 * d3 * d, n3 * n * d3, n3 * n3 * n
-        den = 16 * d7
-        return [
-            Fraction(d7 + 7 * n3d4 + 7 * n4d3 + n7, den),
-            Fraction(7 * (d7 + n3d4 - n4d3 - n7), den),
-            Fraction(7 * (d7 - n3d4 - n4d3 + n7), den),
-            Fraction(d7 - 7 * n3d4 + 7 * n4d3 - n7, den),
-        ]
-    if not -1 <= x <= 1:
+        n, d, build = x.numerator, x.denominator, Fraction
+    else:  # a float is its own numerator over 1
+        n, d, build = x, 1, truediv
+    if not -d <= n <= d:
         raise ValueError("x must lie in [-1, 1], got %r" % (x,))
-    x3 = x * x * x
-    x4 = x3 * x
-    x7 = x3 * x4
+    # 16 d^7 times the four entries below, at x = n / d
+    d3, n3 = d * d * d, n * n * n
+    n4 = n3 * n
+    n7 = n3 * n4
+    d7, n3d4, n4d3 = d3 * d3 * d, n3 * d3 * d, n4 * d3
+    den = 16 * d7
     return [
-        (1 + 7 * x3 + 7 * x4 + x7) / 16,
-        (7 + 7 * x3 - 7 * x4 - 7 * x7) / 16,
-        (7 - 7 * x3 - 7 * x4 + 7 * x7) / 16,
-        (1 - 7 * x3 + 7 * x4 - x7) / 16,
+        build(d7 + 7 * n3d4 + 7 * n4d3 + n7, den),
+        build(7 * d7 + 7 * n3d4 - 7 * n4d3 - 7 * n7, den),
+        build(7 * d7 - 7 * n3d4 - 7 * n4d3 + 7 * n7, den),
+        build(d7 - 7 * n3d4 + 7 * n4d3 - n7, den),
     ]
 
 
@@ -464,14 +459,14 @@ def recover_713(joint: np.ndarray):
 def _check_distribution(name: str, dist) -> np.ndarray:
     """dist as a float array; ValueError naming it unless it is a
     length-4 vector of finite, non-negative entries that sum to 1 within
-    1e-9."""
+    SUM_TOL."""
     dist = np.asarray(dist, dtype=float)
     # a NaN fails v >= 0 and an inf makes the sum inf; on four values,
     # Python is a few us faster than numpy
     if not (
         dist.shape == (4,)
         and all(v >= 0.0 for v in dist.tolist())
-        and abs(fsum(dist.tolist()) - 1.0) <= 1e-9
+        and abs(fsum(dist.tolist()) - 1.0) <= SUM_TOL
     ):
         raise ValueError(
             "%s must be 4 finite non-negative probabilities summing to 1, got %r" % (name, dist)

@@ -27,6 +27,8 @@ LABEL_INDEX = {lab: i for i, lab in enumerate(TWO_QUBIT_LABELS)}
 
 #: numeric tolerance for validity checks (double precision)
 VALIDITY_TOL = 1e-12
+#: how far the sum of a valid probability distribution may be from 1
+SUM_TOL = 1e-9
 
 # symplectic (x, z) bit pair of each single-qubit Pauli label
 _XZ_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -72,7 +74,7 @@ def dist_to_channel(d) -> np.ndarray:
     d = np.asarray(d, dtype=float)
     if d.shape != (4,):
         raise ValueError("expected a length-4 Pauli distribution")
-    if d.min() < -VALIDITY_TOL or abs(d.sum() - 1.0) > 1e-9:
+    if d.min() < -VALIDITY_TOL or abs(d.sum() - 1.0) > SUM_TOL:
         raise ValueError("not a valid Pauli distribution: %r" % (d.tolist(),))
     p_i, p_x, p_y, p_z = d
     return np.array([1 - 2 * (p_y + p_z), 1 - 2 * (p_x + p_z), 1 - 2 * (p_x + p_y)])

@@ -162,7 +162,7 @@ def teleport_output(channel, q, m: float = 1.0) -> np.ndarray:
     b = 0.25 * (m * m * y * y * q_xz)
     c = 0.25 * (m * x * z * q_iz)
     p = [(0.25 + b) + (a + c), (0.25 - b) + (a - c), (0.25 + b) - (a + c), (0.25 - b) - (a - c)]
-    if any(v < -1e-12 for v in p):
+    if any(v < -VALIDITY_TOL for v in p):
         raise ValueError("teleported distribution has negative weight: %r" % (np.array(p),))
     # as np.maximum(p, 0.0): -0.0 becomes 0.0 and NaN stays
     return np.array([0.0 if v <= 0.0 else v for v in p])

@@ -388,6 +388,41 @@ def test_capacity_formats(capsys):
 
 
 # ---------------------------------------------------------------------------
+# --raw
+
+
+@pytest.mark.parametrize(
+    "argv, columns",
+    [
+        (["hashing", "--model", "forward", "--tol", "1e-7"], ["model", "threshold"]),
+        (
+            ["concat", "--model", "one-type", "--lo", "0.05", "--hi", "0.18", "--tol", "5e-3", "--seeds", "2"]
+            + QUICK_MC,
+            ["model", "threshold", "threshold_std"],
+        ),
+        (["capacity"], ["one_type", "three_type"]),
+    ],
+    ids=["hashing", "concat-seeds", "capacity"],
+)
+def test_raw_columns(capsys, argv, columns):
+    code, csv_out, _ = run(capsys, argv + ["--raw", "--format", "csv"])
+    assert code == 0
+    header, row = csv_out.strip().split("\n")
+    assert header.split(",") == columns
+    texts = dict(zip(columns, row.split(",")))
+    code, json_out, _ = run(capsys, argv + ["--raw", "--format", "json"])
+    assert code == 0
+    payload = json.loads(json_out)
+    assert sorted(payload) == sorted(columns)
+    for column in columns:
+        if column == "model":
+            assert payload[column] == texts[column]
+        else:
+            # a probability, not a percentage
+            assert payload[column] == float(texts[column]) and 0.0 <= payload[column] < 1.0
+
+
+# ---------------------------------------------------------------------------
 # reproduce
 
 

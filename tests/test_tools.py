@@ -42,6 +42,7 @@ RECORD = {
     "forward-class": (701, "48d99495de0abe63eb07df9462946e3d462059f1eee18a4f777b9aaf0ba91f96"),
     "solve": (50, "f747cf8e7c8f7a96f82eb8c2bb636b0e71f11b36a2e1d753ca664f2c250251ee"),
     "mc-level": (24, "a30041f43f1d2bd7c839ccd269428930fb227a33dd265553b643e9375c9ddbb5"),
+    "cli": (62, "e1e45ea21ddd95a4571416dd3ad137994b6748f39a450f84cef5c0e4c24c2715"),
 }
 
 

@@ -34,6 +34,11 @@ is exact (``float.hex()``):
   its published rate, population 2048 (in-process), seed 1, at levels
   1-6: the mean infidelity and the first 16 hex digits of the sha256 of
   the population's bytes;
+* ``cli ARGV exit=CODE stdout=REPR stderr=REPR``: one in-process
+  ``psthresh.cli.main`` call per line over every subcommand but
+  ``reproduce``, with each output format and ``--raw``, and the failures
+  and usage errors the CLI reports itself (argparse's own errors are
+  left out: their usage text wraps to the terminal width);
 * ``mc FAMILY seed=S p=P VERDICT LEVEL``, only with ``--seeds 1-10`` (or
   ``1,3,7``): every verdict, bracket checks first, of each criterion-5
   solve of ``psthresh.cli.TARGETS`` at the default ``McConfig`` but the
@@ -46,7 +51,9 @@ and sha256 of each kind of line but ``mc`` against a recorded table.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -61,6 +68,11 @@ SEED = 13
 EDGE_DISTS = ([1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.25] * 4, [0.5, 0.5, 0.0, 0.0], [-0.0, 1.0, 0.0, 0.0])
 FIXED_FIDELITY_PAIRS = (("713", "knill"), ("713", "depolarizing"), ("713", "forward"), ("2317", "forward"))
 CLASS_GRID = [Fraction(k, 10) for k in range(-10, 11)]
+FORMATS = ("text", "csv", "json")
+#: small in-process Monte Carlo runs (no worker process starts below
+#: 6144 individuals)
+CLI_MC = ["--population", "200", "--levels", "4", "--seed", "3"]
+CLI_SOLVE = ["concat", "--model", "one-type", "--lo", "0.05", "--hi", "0.18"] + CLI_MC
 
 
 def hexes(values):
@@ -156,6 +168,58 @@ def mc_level_lines():
             yield "mc-level %s p=%r level=%d %s %s" % (family, p, level, infidelity.hex(), digest)
 
 
+def cli_argvs():
+    from psthresh.noise import SOLVER_FAMILIES
+
+    raw = ([], ["--raw"])
+    for name in SOLVER_FAMILIES:
+        for fmt in FORMATS:
+            for flag in raw:
+                yield ["hashing", "--model", name, "--tol", "1e-7", "--format", fmt] + flag
+    yield ["hashing", "--model", "depolarizing", "--r", "0.5"]
+    yield ["hashing", "--model", "forward", "--lo", "0.06", "--no-extend"]
+    for fmt in ("csv", "json"):
+        yield ["sweep", "--points", "3", "--format", fmt]
+    for fmt in FORMATS:
+        for flag in raw:
+            yield ["capacity", "--format", fmt] + flag
+    at = (
+        ["--model", "one-type", "--at", "0.05"] + CLI_MC,
+        ["--model", "forward", "--at", "1"] + CLI_MC,
+        ["--model", "one-type", "--at", "0.11", "--population", "400", "--levels", "5", "--seed", "5"],
+    )
+    for fmt in FORMATS:
+        for case in at:
+            yield ["concat"] + case + ["--format", fmt]
+    for fmt in FORMATS:
+        for flag in raw:
+            for seeds in ("1", "2"):
+                yield CLI_SOLVE + ["--tol", "5e-3", "--format", fmt, "--seeds", seeds] + flag
+        # both seeds agree at this tolerance: a zero std
+        yield CLI_SOLVE + ["--tol", "0.05", "--format", fmt, "--seeds", "2"]
+    bracket = ["concat", "--model", "one-type", "--lo", "0.22", "--hi", "0.3", "--tol", "5e-3"] + CLI_MC
+    yield bracket
+    yield bracket + ["--seeds", "2"]
+    yield ["hashing", "--model", "knill", "--r", "0.7"]
+    yield ["concat", "--model", "one-type"]
+    yield ["concat", "--model", "knill", "--lo", "0.09", "--hi", "0.05"] + CLI_MC
+    yield ["concat", "--model", "forward", "--r", "0.4", "--at", "0.03"]
+    yield ["concat", "--model", "one-type", "--at", "0.05", "--raw"]
+    yield ["concat", "--model", "one-type", "--at", "0.05", "--tol", "0.5"]
+    yield ["concat", "--model", "one-type", "--at", "0.1", "--lo", "0.05"]
+    yield ["concat", "--model", "one-type", "--at", "0.1", "--seeds", "5"]
+
+
+def cli_lines():
+    from psthresh import cli
+
+    for argv in cli_argvs():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        yield "cli %s exit=%d stdout=%r stderr=%r" % (" ".join(argv), code, out.getvalue(), err.getvalue())
+
+
 def mc_lines(seeds):
     from psthresh import cli, threshold
 
@@ -189,7 +253,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(args.tree.resolve() / "src"))
-    for lines in (hashing_lines(), code_map_lines(), mc_level_lines(), mc_lines(args.seeds)):
+    for lines in (hashing_lines(), code_map_lines(), mc_level_lines(), cli_lines(), mc_lines(args.seeds)):
         for line in lines:
             print(line)
     return 0
