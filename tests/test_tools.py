@@ -38,6 +38,7 @@ RECORD = {
     "golay": (2001, "3296a6ec043131831680d6976d762a1aac912f21d08e0bd672f0ef1e60fe0381"),
     "fixed-fidelity": (4, "849a2b934a6d96fd36d86cbb4b1acee0faf18e648f2a779d923dd430b225feb2"),
     "crash": (2, "f13fb304ee15310422fd2edf27a5f5fff071da90a36857ce5c5bc115a6ffa885"),
+    "crash-poly": (255, "6b374589a4762a6faf31be7dc47d2aa91e5edceb163fb6c8dbb5da11517f2a68"),
     "class": (641, "04068205827bfd2228a9cb1c02ed493326518bbc1573e466f7044d3cbc1ca4ef"),
     "forward-class": (701, "48d99495de0abe63eb07df9462946e3d462059f1eee18a4f777b9aaf0ba91f96"),
     "solve": (50, "f747cf8e7c8f7a96f82eb8c2bb636b0e71f11b36a2e1d753ca664f2c250251ee"),
@@ -103,6 +104,7 @@ def test_code_map_outputs_lines(output_lines):
         "golay": 2001,
         "fixed-fidelity": 4,
         "crash": crash,
+        "crash-poly": 2**8 - 1,
         "class": 21 * 21 + 200,
         "forward-class": 501 + 200,
         "solve": 2 + 3 * 2 + 2 * 21,
@@ -117,6 +119,10 @@ def test_code_map_outputs_lines(output_lines):
             assert len(cond) == 4 and 0 < p_keep <= 1 and sum(cond) == 1
         elif kind == "forward-class":
             assert 0.0 <= float.fromhex(fields[1]) <= 1.0
+        elif kind == "crash-poly":
+            # f(1) = 1 and f^(k)(1) = 0 for 0 < k < n
+            derivs = [Fraction(v) for v in fields[2].removeprefix("D=").split(",")]
+            assert derivs[:-1] == [1] + [0] * (len(derivs) - 2)
 
 
 def test_mc_level_lines(output_lines):

@@ -20,6 +20,9 @@ is exact (``float.hex()``):
   (k = 0..1000) and at 1000 seeded rates in [0, 0.2];
 * ``fixed-fidelity CODE FAMILY RATE FIDELITY``: ``fixed_fidelity_point``;
 * ``crash LABEL HEX``: each criterion-8 solve of ``psthresh.cli.TARGETS``;
+* ``crash-poly W,... C=N/D,... D=N/D,...``: ``crash_polynomial`` on each
+  of the 255 non-empty subsets of the exponents 1, 2, 3, 5, 7, 11, 15,
+  23: its exact coefficients and ``derivative_at_one(k)`` for k = 0..n;
 * ``class X_ANC X_GATE P_KEEP C0 C1 C2 C3``: the exact ``n/d`` output of
   one Fraction step of the forward class recursion on the grid x = k/10
   (k = -10..10) for both arguments and at 200 seeded pairs in [0.9, 1),
@@ -54,6 +57,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -67,6 +71,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SEED = 13
 EDGE_DISTS = ([1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.25] * 4, [0.5, 0.5, 0.0, 0.0], [-0.0, 1.0, 0.0, 0.0])
 FIXED_FIDELITY_PAIRS = (("713", "knill"), ("713", "depolarizing"), ("713", "forward"), ("2317", "forward"))
+CRASH_EXPONENTS = (1, 2, 3, 5, 7, 11, 15, 23)
 CLASS_GRID = [Fraction(k, 10) for k in range(-10, 11)]
 FORMATS = ("text", "csv", "json")
 #: small in-process Monte Carlo runs (no worker process starts below
@@ -77,6 +82,10 @@ CLI_SOLVE = ["concat", "--model", "one-type", "--lo", "0.05", "--hi", "0.18"] + 
 
 def hexes(values):
     return " ".join(float(v).hex() for v in values)
+
+
+def fractions(values):
+    return ",".join("%d/%d" % (v.numerator, v.denominator) for v in values)
 
 
 def hashing_lines():
@@ -128,6 +137,12 @@ def code_map_lines():
     for row in cli.TARGETS:
         if row.criterion == 8 and row.compute is not None:
             yield "crash %s %s" % (row.label, row.compute().hex())
+    for n in range(1, len(CRASH_EXPONENTS) + 1):
+        for weights in itertools.combinations(CRASH_EXPONENTS, n):
+            poly = codes.crash_polynomial(weights)
+            coeffs = [c for _, c in poly.terms]
+            derivs = [poly.derivative_at_one(k) for k in range(n + 1)]
+            yield "crash-poly %s C=%s D=%s" % (",".join(map(str, weights)), fractions(coeffs), fractions(derivs))
     pairs = [(a, b) for a in CLASS_GRID for b in CLASS_GRID]
     pairs += [(Fraction(int(a), 1000), Fraction(int(b), 1000)) for a, b in rng.integers(900, 1000, (200, 2))]
     for x_anc, x_gate in pairs:
