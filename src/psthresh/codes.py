@@ -7,11 +7,14 @@ are equivalent under the code's automorphisms.  Working with the
 resulting distance classes instead of raw patterns keeps the recursions
 exact and cheap.
 
-Three layers are provided here:
+Four layers are provided here:
 
 * the [[7,1,3]] class distributions and their combine / post-selection
   semiring, in plain Python arithmetic: int and ``fractions.Fraction``
   inputs give exact Fractions, computed on integer numerators;
+* crash polynomials (the logical diagonal after recovery, with exact
+  coefficients from their Lagrange closed form) and the degeneracy
+  corrections of gate error patterns that multiply to a stabilizer;
 * the 64-syndrome decomposition of a 7-qubit product of single qubit
   error distributions (a Walsh-Hadamard transform over the character
   group) and syndrome-wise recovery: a one-row path for seven qubits
@@ -28,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, fsum, lcm, log2
+from math import comb, fsum, lcm, log2, prod
 from operator import truediv
 
 import numpy as np
@@ -215,31 +218,13 @@ def postselect_classes(a, b):
 # ---------------------------------------------------------------------------
 # crash polynomials
 
-def _solve_exact(matrix, rhs):
-    """Gaussian elimination over Fraction; matrix and rhs entries may be
-    ints or Fractions."""
-    n = len(rhs)
-    aug = [
-        [Fraction(matrix[i][j]) for j in range(n)] + [Fraction(rhs[i])]
-        for i in range(n)
-    ]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col]
-        aug[col] = [v / inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
 @dataclass(frozen=True)
 class CrashPolynomial:
-    """Odd polynomial f(x) = sum_w c_w x^w with exact rational
-    coefficients, normalized so f(1) = 1 with maximally flat behaviour
-    at x = 1."""
+    """Polynomial f(x) = sum_w c_w x^w with exact rational coefficients,
+    fixed by f(1) = 1 and vanishing derivatives at 1 up to order n - 1
+    for its n exponents.  Those conditions say sum_w c_w P(w) = P(0) for
+    every polynomial P of degree below n, so c_w is the Lagrange basis
+    polynomial of w taken at 0: c_w = prod_{v != w} v / (v - w)."""
 
     terms: tuple  # ((weight, Fraction), ...)
 
@@ -248,13 +233,7 @@ class CrashPolynomial:
 
     def derivative_at_one(self, order: int):
         """Exact value of the order-th derivative at x = 1."""
-        total = Fraction(0)
-        for w, c in self.terms:
-            fall = 1
-            for i in range(order):
-                fall *= w - i
-            total += c * fall
-        return total
+        return sum(c * prod(w - i for i in range(order)) for w, c in self.terms)
 
 
 def crash_polynomial(weights) -> CrashPolynomial:
@@ -266,21 +245,10 @@ def crash_polynomial(weights) -> CrashPolynomial:
     weights = tuple(sorted(weights))
     if not weights or len(set(weights)) != len(weights):
         raise ValueError("crash_polynomial needs distinct exponents, at least one, got %r" % (weights,))
-    n = len(weights)
-    rows = []
-    rhs = []
-    rows.append([1] * n)
-    rhs.append(1)
-    for order in range(1, n):
-        row = []
-        for w in weights:
-            fall = 1
-            for i in range(order):
-                fall *= w - i
-            row.append(fall)
-        rows.append(row)
-        rhs.append(0)
-    coeffs = _solve_exact(rows, rhs)
+    coeffs = [
+        prod((Fraction(v) / (Fraction(v) - Fraction(w)) for v in weights if v != w), start=Fraction(1))
+        for w in weights
+    ]
     return CrashPolynomial(terms=tuple(zip(weights, coeffs)))
 
 

@@ -96,10 +96,11 @@ def bisect(gap, lo: float, hi: float, tol: float) -> float:
 
     gap(p) is a signed gap, negative below the crossing.  Each step takes
     mid = (lo + hi) / 2: mid below the crossing moves lo up to mid,
-    otherwise hi comes down to it.  The caller checks the bracket.
-    Raises ValueError unless tol > 0 (NaN included).  The loop also stops
-    once mid is no longer strictly inside (lo, hi), which only a
-    tolerance under the float spacing at the crossing can reach.
+    otherwise hi comes down to it.  The caller checks the gap's sign at
+    the ends.  Raises ValueError unless lo < hi and tol > 0 (NaN
+    included).  The loop also stops once mid is no longer strictly
+    inside (lo, hi), which only a tolerance under the float spacing at
+    the crossing can reach.
 
     The gap is called only where the tightest evaluated bracket [a, b]
     (gap(a) < 0, gap(b) not) leaves a midpoint open: a midpoint at or
@@ -122,6 +123,8 @@ def bisect(gap, lo: float, hi: float, tol: float) -> float:
     than three times the plain probes; the smooth gaps of the solvers
     here take about a quarter of them.
     """
+    if not lo < hi:
+        raise ValueError("the bracket needs lo < hi, got lo=%r, hi=%r" % (lo, hi))
     if not tol > 0:
         raise ValueError("bisection tolerance must be positive, got %r" % tol)
     # the tightest probes with gap < 0 and with gap not < 0, and their
@@ -602,7 +605,10 @@ def crash_difference_threshold(
     """Forward rate p at which the code's crash probability sits delta
     below its value at p_baseline, i.e. the rate whose crash margin
     equals the degeneracy correction delta, bisected on
-    [1e-4, p_baseline]."""
+    [1e-4, p_baseline].  Raises ValueError unless delta >= 0 (NaN
+    included)."""
+    if not delta >= 0:
+        raise ValueError("the crash margin delta must be non-negative, got %r" % delta)
     base = poly(forward_combined_diagonal(p_baseline))
 
     def margin(p):

@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import psthresh
 from psthresh import codes, threshold
@@ -381,6 +383,21 @@ def test_crash_polynomial_general():
     poly = crash_polynomial((1, 3))
     # f(x) = (3x - x^3)/2 is the unique choice with f(1)=1, f'(1)=0
     assert dict(poly.terms) == {1: Fraction(3, 2), 3: Fraction(-1, 2)}
+    # the exponents stay as given, sorted; only the arithmetic is exact
+    poly = crash_polynomial((7.0, 3.0))
+    assert poly.terms == ((3.0, Fraction(7, 4)), (7.0, Fraction(-3, 4)))
+    assert [type(w) for w, _ in poly.terms] == [float, float]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(st.integers(0, 59), min_size=1, max_size=7))
+def test_crash_polynomial_is_flat_at_one(weights):
+    poly = crash_polynomial(weights)
+    n = len(weights)
+    assert [w for w, _ in poly.terms] == sorted(weights)
+    assert all(type(c) is Fraction for _, c in poly.terms)
+    assert poly(Fraction(1)) == 1
+    assert [poly.derivative_at_one(k) for k in range(1, n)] == [0] * (n - 1)
 
 
 @pytest.mark.parametrize("weights", [(), (3, 3), (1, 3, 3), [7, 3, 7]])

@@ -111,6 +111,15 @@ def test_bisect_rejects_non_positive_tol(tol):
         bisect(lambda p: p - 0.3, 0.0, 1.0, tol)
 
 
+@pytest.mark.parametrize("lo, hi", [(1.0, 0.0), (0.3, 0.3), (math.nan, 1.0), (0.0, math.nan)])
+def test_bisect_rejects_empty_or_inverted_bracket(lo, hi):
+    def gap(p):
+        raise AssertionError("probed %r" % p)
+
+    with pytest.raises(ValueError, match="lo < hi"):
+        bisect(gap, lo, hi, 1e-6)
+
+
 def _at_most(probes, pred):
     """pred, failing the test instead of hanging after `probes` calls."""
     calls = []
@@ -570,6 +579,12 @@ def test_crash_difference_threshold():
     ) == pytest.approx(0.04805, abs=1e-8)
     with pytest.raises(BracketError):
         crash_difference_threshold(crash_poly_2317(), 0.5, 0.04805)
+
+
+@pytest.mark.parametrize("delta", [math.nan, -1.0, -1e-12, -math.inf])
+def test_crash_difference_threshold_rejects_negative_or_nan_delta(delta):
+    with pytest.raises(ValueError, match="delta"):
+        crash_difference_threshold(crash_poly_2317(), delta, 0.04805)
 
 
 # ---------------------------------------------------------------------------
