@@ -71,23 +71,21 @@ def _popcount(v) -> np.ndarray:
     return out
 
 
-def _row_int(row) -> int:
-    out = 0
-    for i, b in enumerate(row):
-        if b:
-            out |= 1 << i
-    return out
+def _span(generators) -> np.ndarray:
+    """All XOR combinations of the int bit masks `generators`, read-only
+    int64: word m is the XOR of generator j for each set bit j of m."""
+    words = np.zeros(1, dtype=np.int64)
+    for g in generators:
+        words = np.concatenate([words, words ^ g])
+    words.setflags(write=False)
+    return words
 
 
 @lru_cache(maxsize=1)
-def _span_713() -> frozenset:
+def _span_713() -> np.ndarray:
     """The 8-element group generated by the parity-check rows (weights
-    0 and 4)."""
-    span = {0}
-    for row in PARITY_CHECK_713:
-        g = _row_int(row)
-        span |= {s ^ g for s in span}
-    return frozenset(span)
+    0 and 4), as 7-bit masks with qubit i at bit i."""
+    return _span([sum(b << i for i, b in enumerate(row)) for row in PARITY_CHECK_713])
 
 
 def coset_class_713(pattern: int) -> int:
@@ -95,7 +93,7 @@ def coset_class_713(pattern: int) -> int:
     its stabilizer coset, always in 0..3."""
     if not 0 <= pattern < 128:
         raise ValueError("pattern must be a 7-bit integer")
-    return min(bin(pattern ^ s).count("1") for s in _span_713())
+    return int(_popcount(pattern ^ _span_713()).min())
 
 
 def distance_table_713() -> np.ndarray:
@@ -573,12 +571,7 @@ GOLAY_COSET_COUNTS = (1, 23, 253, 1771)
 def golay_codewords() -> np.ndarray:
     """All 4096 codewords of the [23,12] Golay code as 23-bit ints: word
     m is m(x) g(x) over GF(2), the XOR of g shifted by each set bit of m."""
-    m = np.arange(4096)
-    words = np.zeros(4096, dtype=np.int64)
-    for j in range(12):
-        words[(m >> j) & 1 == 1] ^= GOLAY_GENERATOR << j
-    words.setflags(write=False)
-    return words
+    return _span([GOLAY_GENERATOR << j for j in range(12)])
 
 
 @lru_cache(maxsize=1)

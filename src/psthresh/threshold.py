@@ -1,7 +1,7 @@
 """Threshold solvers: hashing-bound brackets, Monte Carlo population
-dynamics for the concatenated [[7,1,3]] code, entropy matching and
-crash-probability estimates for the [[23,1,7]] code, and the success
-probability of a post-selected cascade.
+dynamics for the concatenated [[7,1,3]] code, crash-probability
+estimates for the [[23,1,7]] code, and the success probability of a
+post-selected cascade.
 
 Every solver locates its crossing with `bisect`, the one bracket-halving
 loop; each caller checks its own bracket first and hands it a signed
@@ -40,7 +40,6 @@ from .codes import (
     crash_poly_2317,
     distance_classes_from_x,
     first_level_fidelity,
-    golay_sector_entropy,
     postselect_classes,
     recover_713,
 )
@@ -547,51 +546,14 @@ def model_level0(family):
 
 
 # ---------------------------------------------------------------------------
-# [[23,1,7]] entropy matching
-
-
-def golay_pair_entropy(dist) -> float:
-    """Sum of the two sector entropies of the [[23,1,7]] syndrome
-    decoder for a teleported error distribution: bit flips occur at
-    rate p_X + p_Y, phase flips at p_Z + p_Y."""
-    dist = np.asarray(dist, dtype=float)
-    return golay_sector_entropy(dist[1] + dist[2]) + golay_sector_entropy(
-        dist[3] + dist[2]
-    )
-
-
-def model_pair_entropy(model) -> float:
-    """golay_pair_entropy at the model's fixed point."""
-    return golay_pair_entropy(model_teleport_output(model))
-
-
-def entropy_match_threshold(
-    family,
-    target_entropy: float,
-    lo: float,
-    hi: float,
-    tol: float = 1e-7,
-) -> float:
-    """Error rate at which the model family's sector-summed [[23,1,7]]
-    entropy equals target_entropy (bisection; the entropy increases
-    with the rate)."""
-    fam = _resolve_family(family)
-
-    def value(p):
-        return model_pair_entropy(fam(p))
-
-    if value(lo) > target_entropy or value(hi) < target_entropy:
-        raise BracketError("entropy target not bracketed by [%g, %g]" % (lo, hi))
-    return bisect(lambda p: value(p) - target_entropy, lo, hi, tol)
-
-
-# ---------------------------------------------------------------------------
 # crash probabilities
 
 
 def forward_combined_diagonal(pf: float) -> float:
     """Sector diagonal of the teleported error for forward noise at rate
-    pf, from the decoupled fixed point: x_g**3 f**2."""
+    pf, from the decoupled fixed point: x_g**3 f**2.  Raises RateError
+    unless 0 <= pf <= 1."""
+    _check_prob("pf", pf)
     f = 1.0 - 2.0 * pf
     return indep_fixed_point(f).x_g**3 * f * f
 
@@ -605,16 +567,18 @@ def crash_difference_threshold(
     """Forward rate p at which the code's crash probability sits delta
     below its value at p_baseline, i.e. the rate whose crash margin
     equals the degeneracy correction delta, bisected on
-    [1e-4, p_baseline].  Raises ValueError unless delta >= 0 (NaN
-    included)."""
+    [1e-4, p_baseline].  Raises ValueError unless delta >= 0 and
+    1e-4 < p_baseline <= 1 (NaN included)."""
     if not delta >= 0:
         raise ValueError("the crash margin delta must be non-negative, got %r" % delta)
+    lo = 1e-4
+    if not lo < p_baseline <= 1.0:
+        raise ValueError("p_baseline must be in (%g, 1], got %r" % (lo, p_baseline))
     base = poly(forward_combined_diagonal(p_baseline))
 
     def margin(p):
         return (poly(forward_combined_diagonal(p)) - base) / 2.0
 
-    lo = 1e-4
     if margin(lo) < delta:
         raise BracketError("crash margin never reaches delta above lo=%g" % lo)
     return bisect(lambda p: delta - margin(p), lo, p_baseline, tol)
@@ -703,8 +667,9 @@ def fixed_fidelity_point(code: str, family: str):
 
 def overhead_success(p: float, n: int) -> float:
     """Probability (1 - p)**n that n independently post-selected steps
-    all succeed.  Raises ValueError unless 0 <= p <= 1 and n >= 0."""
+    all succeed.  Raises ValueError unless 0 <= p <= 1 and n is an
+    integer >= 0."""
     _check_prob("p", p)
-    if n < 0:
-        raise ValueError("n must be >= 0, got %r" % (n,))
+    if isinstance(n, bool) or not isinstance(n, Integral) or n < 0:
+        raise ValueError("n must be an integer >= 0, got %r" % (n,))
     return (1.0 - p) ** n

@@ -26,21 +26,19 @@ from psthresh.threshold import (
     capacity_three_type,
     concat_threshold_mc,
     crash_difference_threshold,
-    entropy_match_threshold,
     fixed_fidelity_point,
     forward_combined_diagonal,
-    golay_pair_entropy,
     hashing_threshold,
     mc_threshold_error_bar,
     mc_verdict,
     mc_verdict_at,
     model_level0,
-    model_pair_entropy,
     one_type_dist,
     overhead_success,
     shannon_entropy,
     sweep_r,
     teleport_entropy,
+    _level_draws,
     _mc_first_level,
     _mc_level,
 )
@@ -383,10 +381,8 @@ def _reference_level(popn, config, level):
     """One population level by the drawn-syndrome method written plainly:
     the whole population at once, without blocks or reused buffers, then
     recovery of the drawn rows."""
-    pop = popn.shape[0]
-    rng = np.random.default_rng((config.seed, level))
-    idx = rng.integers(0, pop, size=(pop, 7))
-    _, rows = _reference_drawn_rows(popn[idx], rng.random(pop))
+    idx, u = _level_draws(popn.shape[0], config.seed, level)
+    _, rows = _reference_drawn_rows(popn[idx], u)
     _, cond = recover_713(rows[:, None, :])
     return cond[:, 0]
 
@@ -396,10 +392,9 @@ def _full_recovery_level(popn, config, level):
     64 syndromes of every row, then the syndrome draw from the recovered
     weights."""
     pop = popn.shape[0]
-    rng = np.random.default_rng((config.seed, level))
-    idx = rng.integers(0, pop, size=(pop, 7))
+    idx, u = _level_draws(pop, config.seed, level)
     weights, cond = recover_713(_reference_decompose(popn[idx]))
-    pick = np.minimum((np.cumsum(weights, axis=1) < rng.random(pop)[:, None]).sum(axis=1), 63)
+    pick = np.minimum((np.cumsum(weights, axis=1) < u[:, None]).sum(axis=1), 63)
     return cond[np.arange(pop), pick]
 
 
@@ -549,25 +544,18 @@ def test_model_level0():
 
 
 # ---------------------------------------------------------------------------
-# [[23,1,7]] entropy matching and crash probabilities
-
-
-def test_golay_pair_entropy_symmetric_in_sectors():
-    assert golay_pair_entropy([0.7, 0.2, 0.0, 0.1]) == pytest.approx(
-        golay_pair_entropy([0.7, 0.1, 0.0, 0.2]), abs=1e-12
-    )
-
-
-def test_entropy_match_self_consistent():
-    target = 1.00162555
-    pf = entropy_match_threshold("forward", target, 0.045, 0.05, tol=1e-9)
-    assert model_pair_entropy(Forward(pf)) == pytest.approx(target, abs=1e-7)
-    with pytest.raises(BracketError):
-        entropy_match_threshold("forward", target, 0.001, 0.002)
+# crash probabilities
 
 
 def test_forward_combined_diagonal_near_breakdown():
     assert forward_combined_diagonal(0.0481816) == pytest.approx(0.779944, abs=1e-5)
+
+
+@pytest.mark.parametrize("pf", [-0.1, 1.5, math.nan, math.inf])
+def test_forward_combined_diagonal_rejects_bad_rate(pf):
+    # -0.1 gave a diagonal of 1.348
+    with pytest.raises(ValueError, match="pf must be in"):
+        forward_combined_diagonal(pf)
 
 
 def test_crash_difference_threshold():
@@ -585,6 +573,13 @@ def test_crash_difference_threshold():
 def test_crash_difference_threshold_rejects_negative_or_nan_delta(delta):
     with pytest.raises(ValueError, match="delta"):
         crash_difference_threshold(crash_poly_2317(), delta, 0.04805)
+
+
+@pytest.mark.parametrize("p_baseline", [2.0, 1e-4, 5e-5, 0.0, -0.1, math.nan])
+def test_crash_difference_threshold_rejects_bad_baseline(p_baseline):
+    # 2.0 gave 0.0823; 1e-4 and below failed inside the bisection
+    with pytest.raises(ValueError, match="p_baseline"):
+        crash_difference_threshold(crash_poly_2317(), 0.0, p_baseline)
 
 
 # ---------------------------------------------------------------------------
@@ -636,9 +631,18 @@ def test_overhead():
 
 @pytest.mark.parametrize(
     "p, n, match",
-    [(1.5, 3, "p must be in"), (-0.1, 3, "p must be in"), (math.nan, 3, "p must be in"), (0.1, -2, "n must be")],
+    [
+        (1.5, 3, "p must be in"),
+        (-0.1, 3, "p must be in"),
+        (math.nan, 3, "p must be in"),
+        (0.1, -2, "n must be"),
+        (0.1, 2.5, "n must be"),
+        (0.1, math.nan, "n must be"),
+        (0.1, True, "n must be"),
+    ],
 )
 def test_overhead_rejects_bad_input(p, n, match):
-    # 1.5 gave a success probability of -0.125, and n = -2 one of 1.23
+    # 1.5 gave a success probability of -0.125, n = -2 one of 1.23 and
+    # n = 2.5 one of 0.768
     with pytest.raises(ValueError, match=match):
         overhead_success(p, n)

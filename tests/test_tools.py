@@ -41,7 +41,7 @@ RECORD = {
     "crash-poly": (255, "6b374589a4762a6faf31be7dc47d2aa91e5edceb163fb6c8dbb5da11517f2a68"),
     "class": (641, "04068205827bfd2228a9cb1c02ed493326518bbc1573e466f7044d3cbc1ca4ef"),
     "forward-class": (701, "48d99495de0abe63eb07df9462946e3d462059f1eee18a4f777b9aaf0ba91f96"),
-    "solve": (50, "f747cf8e7c8f7a96f82eb8c2bb636b0e71f11b36a2e1d753ca664f2c250251ee"),
+    "solve": (44, "aabf1332e95784bc559cbec4498270823acc4a2eedc3c3578b620de8141c0eda"),
     "mc-level": (24, "a30041f43f1d2bd7c839ccd269428930fb227a33dd265553b643e9375c9ddbb5"),
     "cli": (62, "e1e45ea21ddd95a4571416dd3ad137994b6748f39a450f84cef5c0e4c24c2715"),
 }
@@ -107,7 +107,7 @@ def test_code_map_outputs_lines(output_lines):
         "crash-poly": 2**8 - 1,
         "class": 21 * 21 + 200,
         "forward-class": 501 + 200,
-        "solve": 2 + 3 * 2 + 2 * 21,
+        "solve": 2 + 2 * 21,
     }
     lines = [line for line in output_lines if line.split(" ", 1)[0] in want]
     assert Counter(line.split(" ", 1)[0] for line in lines) == want

@@ -92,6 +92,14 @@ def test_split_level_matches_one_process(edges):
         np.testing.assert_array_equal(np.concatenate(parts), _mc_level(popn, SPLIT, level))
 
 
+def test_level_draws_stream_layout():
+    # the parents, then the syndrome uniforms, from the (seed, level) stream
+    idx, u = _level_draws(500, 5, 3)
+    rng = np.random.default_rng((5, 3))
+    np.testing.assert_array_equal(idx, rng.integers(0, 500, size=(500, 7)))
+    np.testing.assert_array_equal(u, rng.random(500))
+
+
 def test_level_draws_are_cached_read_only():
     idx, u = _level_draws(2000, 5, 3)
     again = _level_draws(2000, 5, 3)

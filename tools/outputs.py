@@ -29,8 +29,7 @@ is exact (``float.hex()``):
   or ``keeps-nothing`` where the post-selection raises;
 * ``forward-class pf=PF HEX``: ``threshold._forward_class_level1`` at
   pf = k / 1000 (k = 0..500) and at 200 seeded rates in [0, 0.1];
-* ``solve NAME ... HEX``: both capacities, ``entropy_match_threshold``
-  (forward, knill, depolarizing; targets 0.5, 1.0) and the rows of
+* ``solve NAME ... HEX``: both capacities and the rows of
   ``sweep_r(points=21)`` at tol 1e-6 and 1e-9;
 * ``mc-level FAMILY p=P level=L INFIDELITY SHA256``: the Monte Carlo
   population of each criterion-5 family of ``psthresh.cli.TARGETS`` at
@@ -157,10 +156,6 @@ def code_map_lines():
         yield "forward-class pf=%r %s" % (pf, threshold._forward_class_level1(pf).hex())
     yield "solve capacity-one-type %s" % threshold.capacity_one_type().hex()
     yield "solve capacity-three-type %s" % threshold.capacity_three_type().hex()
-    for family in ("forward", "knill", "depolarizing"):
-        for target in (0.5, 1.0):
-            p = threshold.entropy_match_threshold(family, target, 0.001, 0.09, tol=1e-9)
-            yield "solve entropy-match %s target=%r %s" % (family, target, p.hex())
     for tol in (1e-6, 1e-9):
         for r, p in threshold.sweep_r(points=21, tol=tol):
             yield "solve sweep-r tol=%r r=%r %s" % (tol, r, p.hex())
