@@ -33,6 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, fsum, lcm, log2, prod
 from operator import truediv
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,19 +82,12 @@ def _span(generators) -> np.ndarray:
     return words
 
 
-@lru_cache(maxsize=1)
-def _span_713() -> np.ndarray:
-    """The 8-element group generated by the parity-check rows (weights
-    0 and 4), as 7-bit masks with qubit i at bit i."""
-    return _span([sum(b << i for i, b in enumerate(row)) for row in PARITY_CHECK_713])
-
-
 def coset_class_713(pattern: int) -> int:
     """Distance class of a 7-bit error pattern: the minimum weight over
     its stabilizer coset, always in 0..3."""
     if not 0 <= pattern < 128:
         raise ValueError("pattern must be a 7-bit integer")
-    return int(_popcount(pattern ^ _span_713()).min())
+    return int(_popcount(pattern ^ _tables_713().span).min())
 
 
 def distance_table_713() -> np.ndarray:
@@ -323,9 +317,6 @@ def degeneracy_correction(scheme: str, p_g: float) -> float:
 # only that syndrome's class row, with the reference's bits (see the
 # drawn-syndrome section below).
 
-#: parity-check column of each qubit, row k at index k
-_H_COLS = tuple(zip(*PARITY_CHECK_713))
-
 #: Klein four-group multiplication table on class indices (I, X, Y, Z)
 _KLEIN = np.array(
     [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]], dtype=np.int64
@@ -338,15 +329,28 @@ def _popcount_signs(masks: np.ndarray) -> np.ndarray:
     return np.where(_popcount(v) % 2 == 0, 1.0, -1.0)
 
 
+class _Tables713(NamedTuple):
+    """The read-only [[7,1,3]] tables, built by _tables_713."""
+
+    span: np.ndarray  # [8] parity-check row span (weights 0, 4), qubit i at bit i
+    sig: np.ndarray  # [7, 4, 256] per-qubit character signs
+    kinds: np.ndarray  # [7, 256] sign kind of each qubit's character, (s_x < 0) + 2 (s_z < 0)
+    transform: np.ndarray  # [256, 256] u's Walsh-Hadamard row in u's (syndrome, class) column
+    weight_transform: np.ndarray  # [64, 64] on parity-free characters, c = a | b << 3
+    signs: np.ndarray  # [64, 256] per-syndrome character signs
+    classes: np.ndarray  # [256, 8] class columns of syndrome 0, zero-padded
+
+
 @lru_cache(maxsize=1)
-def _decomposition_tables():
-    """Per-qubit character signs sig[7, 4, 256], and the 256x256
-    transform whose column at the (syndrome, class) position of character
-    u holds the character-u row of the Walsh-Hadamard matrix over 256."""
-    cols = [c[0] | (c[1] << 1) | (c[2] << 2) for c in _H_COLS]
+def _tables_713() -> _Tables713:
+    """Every [[7,1,3]] table, from PARITY_CHECK_713."""
+    span = _span([sum(b << i for i, b in enumerate(row)) for row in PARITY_CHECK_713])
+    # parity-check column of each qubit, row k at bit k
+    cols = [c[0] | (c[1] << 1) | (c[2] << 2) for c in zip(*PARITY_CHECK_713)]
     s_x = _popcount_signs([c | (1 << 3) for c in cols])  # [7, 256]
     s_z = _popcount_signs([(c << 4) | (1 << 7) for c in cols])
     sig = np.stack([np.ones_like(s_x), s_x, s_x * s_z, s_z], axis=1)
+    kinds = (sig[:, 1] < 0) + 2 * (sig[:, 3] < 0)
 
     # character label u -> (syndrome, class) position; the logical bit of
     # a sector is its parity, flipped when its syndrome is nontrivial
@@ -361,24 +365,23 @@ def _decomposition_tables():
     transform = np.empty((256, 256), order="F")
     transform[:, 4 * (sa | (sb << 3)) + cls] = _popcount_signs(u) / 256.0
 
-    for arr in (sig, transform):
+    # the drawn-syndrome section's tables
+    signs = np.ascontiguousarray(transform[:, 0::4].T) * 256.0
+    classes = np.zeros((256, 8))
+    classes[:, :4] = transform[:, :4]
+    # parity-free characters u = a | b << 4, in the order c = a | b << 3
+    parity_free = (np.arange(64) & 7) | ((np.arange(64) >> 3) << 4)
+    weight_transform = signs[:, parity_free] / 64.0
+
+    tables = _Tables713(span, sig, kinds, transform, weight_transform, signs, classes)
+    for arr in tables:
         arr.setflags(write=False)
-    return sig, transform
-
-
-@lru_cache(maxsize=1)
-def _sign_kinds():
-    """Sign kind [7, 256] of each qubit's character: (s_x < 0) + 2 (s_z < 0),
-    with s_x and s_z its X and Z character signs."""
-    sig = _decomposition_tables()[0]
-    kinds = (sig[:, 1] < 0) + 2 * (sig[:, 3] < 0)
-    kinds.setflags(write=False)
-    return kinds
+    return tables
 
 
 def _character_sums(dist: np.ndarray) -> np.ndarray:
     """The four character sums [4] of a qubit with distribution dist [4],
-    by sign kind (see _sign_kinds), added in the order of the gemm."""
+    by sign kind (see _Tables713.kinds), added in the order of the gemm."""
     d0, d1, d2, d3 = dist.tolist()
     plus, minus = d0 + d1, d0 - d1
     return np.array([(plus + d2) + d3, (minus - d2) + d3, (plus - d2) - d3, (minus + d2) - d3])
@@ -387,14 +390,14 @@ def _character_sums(dist: np.ndarray) -> np.ndarray:
 def _shared_product(dist: np.ndarray) -> np.ndarray:
     """Character product [1, 256] of seven qubits that all have the
     distribution dist [4], with _character_product's bits."""
-    return np.multiply.reduce(_character_sums(dist)[_sign_kinds()], axis=0, keepdims=True)
+    return np.multiply.reduce(_character_sums(dist)[_tables_713().kinds], axis=0, keepdims=True)
 
 
 def _character_product(children: np.ndarray, qh: np.ndarray, term: np.ndarray) -> None:
     """Product over the seven qubits of their character sums, for
     children [batch, 7, 4], into qh [batch, 256]; term is a work buffer of the
     same shape."""
-    sig = _decomposition_tables()[0]
+    sig = _tables_713().sig
     np.matmul(children[:, 0], sig[0], qh)
     for i in range(1, 7):
         qh *= np.matmul(children[:, i], sig[i], term)
@@ -448,7 +451,7 @@ def first_level_fidelity(dist) -> float:
     dist must be a Pauli distribution as mc_verdict's dist0 is, or
     ValueError is raised."""
     dist = _check_distribution("dist", dist)
-    transform = _decomposition_tables()[1]
+    transform = _tables_713().transform
     joint = np.matmul(_shared_product(dist), transform).reshape(64, 4)
     # recover_713's weights * (relabelled / weights) at class 0, whose
     # relabelled entry is the largest class value; a syndrome without
@@ -482,25 +485,6 @@ def first_level_fidelity(dist) -> float:
 # in tests/test_codes.py check each of these.
 
 
-@lru_cache(maxsize=1)
-def _syndrome_tables():
-    """The syndrome weight transform [64, 64] (applied to the parity-free
-    characters, syndrome character c = a | b << 3), the per-syndrome
-    character signs [64, 256], and the class columns of syndrome 0,
-    padded with zero columns to [256, 8]."""
-    _, transform = _decomposition_tables()
-    signs = np.ascontiguousarray(transform[:, 0::4].T) * 256.0
-    classes = np.zeros((256, 8))
-    classes[:, :4] = transform[:, :4]
-    # parity-free characters u = a | b << 4, in the order c = a | b << 3
-    parity_free = (np.arange(64) & 7) | ((np.arange(64) >> 3) << 4)
-    weight_transform = signs[:, parity_free] / 64.0
-    tables = (weight_transform, signs, classes)
-    for arr in tables:
-        arr.setflags(write=False)
-    return tables
-
-
 def _syndrome_buffers(rows: int):
     """Work buffers for blocks of up to `rows` rows (at least 2): the
     character product and one qubit's character sums ([rows, 256] each),
@@ -521,7 +505,7 @@ def _cumulative_syndrome_weights(children: np.ndarray, buffers):
     """Character product [batch, 256] of children [batch, 7, 4], and the
     cumulative sums [batch, 64] of its syndrome weights, in syndrome
     order, in the leading rows of buffers."""
-    weight_transform = _syndrome_tables()[0]
+    weight_transform = _tables_713().weight_transform
     n = children.shape[0]
     m = max(n, 2)  # one row would go through gemv
     qh, term = buffers[0][:n], buffers[1][:n]
@@ -543,14 +527,14 @@ def _drawn_class_rows(qh: np.ndarray, syndromes: np.ndarray, buffers) -> np.ndar
     """Unrecovered class row [batch, 4] (the full decomposition's row) of
     each syndrome, for the character products qh [batch, 256] or one row
     shared by all, in the leading rows of buffers."""
-    _, signs, classes = _syndrome_tables()
+    tables = _tables_713()
     n = syndromes.shape[0]
     m = max(n, 2)  # one row would go through gemv
     term, rows = buffers[1][:m], buffers[5][:m]
     # mode="raise" would copy through a buffer; syndromes are in 0..63
-    np.take(signs, syndromes, axis=0, out=term[:n], mode="clip")
+    np.take(tables.signs, syndromes, axis=0, out=term[:n], mode="clip")
     term[:n] *= qh
-    np.matmul(term, classes, rows)
+    np.matmul(term, tables.classes, rows)
     return rows[:n, :4]
 
 

@@ -74,7 +74,7 @@ def dist_to_channel(d) -> np.ndarray:
     d = np.asarray(d, dtype=float)
     if d.shape != (4,):
         raise ValueError("expected a length-4 Pauli distribution")
-    if d.min() < -VALIDITY_TOL or abs(d.sum() - 1.0) > SUM_TOL:
+    if not (d.min() >= -VALIDITY_TOL and abs(d.sum() - 1.0) <= SUM_TOL):  # a NaN fails it
         raise ValueError("not a valid Pauli distribution: %r" % (d.tolist(),))
     p_i, p_x, p_y, p_z = d
     return np.array([1 - 2 * (p_y + p_z), 1 - 2 * (p_x + p_z), 1 - 2 * (p_x + p_y)])
@@ -86,8 +86,8 @@ def channel_to_dist(c) -> np.ndarray:
     pattern H."""
     x, y, z = np.asarray(c, dtype=float)
     p = 0.25 * (_H4 @ np.array([1.0, x, y, z]))
-    if p.min() < -VALIDITY_TOL:
-        raise ValueError("channel %r induces a negative probability" % ([x, y, z],))
+    if not p.min() >= -VALIDITY_TOL:  # a NaN fails it too
+        raise ValueError("channel %r induces a negative or NaN probability" % ([x, y, z],))
     return np.clip(p, 0.0, 1.0)
 
 
@@ -241,13 +241,17 @@ def traceout_crosscheck(s, d, q, m_noise: float = 1.0) -> float:
     the resulting logical maps against the accept/reject branches.  The
     same comparison is repeated in the frame of the bit-flip code (with
     the CNOT applied at the end).  Returns the largest absolute
-    difference over both recoveries and both frames.
+    difference over both recoveries and both frames.  Raises ValueError
+    unless s, d, q and m_noise are all finite.
     """
-    s4 = np.concatenate(([1.0], np.asarray(s, dtype=float)))
-    d4 = np.concatenate(([1.0], np.asarray(d, dtype=float)))
+    s, d, q = (np.asarray(v, dtype=float) for v in (s, d, q))
+    if not all(np.isfinite(v).all() for v in (s, d, q, m_noise)):
+        raise ValueError("traceout_crosscheck needs finite s, d, q and m_noise")
+    s4 = np.concatenate(([1.0], s))
+    d4 = np.concatenate(([1.0], d))
     sd = np.diag(np.kron(s4, d4))
     o_cnot = build_cnot_superoperator()
-    qd = np.diag(np.asarray(q, dtype=float))
+    qd = np.diag(q)
     # measurement error = X error on the destination right before its Z
     # measurement, i.e. the channel [1, 1, m, m] on the destination
     meas = np.diag(np.kron(np.ones(4), np.array([1.0, 1.0, m_noise, m_noise])))

@@ -129,18 +129,22 @@ def fixed_point(q, tol: float = 1e-14, max_iter: int = 10**6, m: float = 1.0) ->
 def indep_fixed_point(f: float) -> IndepFixedPoint:
     """Fixed point of the decoupled bit/phase recursion for forward
     noise with diagonal factor f: x_g is the good (post-selected)
-    component and x_b the bad one.
+    component and x_b the bad one.  Raises NoConvergenceError if the
+    recursion diverges, stalls or divides by zero (at f = -1).
     """
     x_g = 1.0
     x_b = 1.0
-    for _ in range(10**6):
-        x_g2 = (x_b + x_b * f) / (1.0 + x_b * x_b * f)
-        x_b2 = x_g2 * x_g2 * f
-        if abs(x_g2 - x_g) < 1e-14 and abs(x_b2 - x_b) < 1e-14:
-            return IndepFixedPoint(x_g=x_g2, x_b=x_b2)
-        if not (math.isfinite(x_g2) and math.isfinite(x_b2)):
-            raise NoConvergenceError("independent recursion diverged")
-        x_g, x_b = x_g2, x_b2
+    try:
+        for _ in range(10**6):
+            x_g2 = (x_b + x_b * f) / (1.0 + x_b * x_b * f)
+            x_b2 = x_g2 * x_g2 * f
+            if abs(x_g2 - x_g) < 1e-14 and abs(x_b2 - x_b) < 1e-14:
+                return IndepFixedPoint(x_g=x_g2, x_b=x_b2)
+            if not (math.isfinite(x_g2) and math.isfinite(x_b2)):
+                raise NoConvergenceError("independent recursion diverged")
+            x_g, x_b = x_g2, x_b2
+    except ZeroDivisionError:
+        raise NoConvergenceError("independent recursion broke down: division by zero") from None
     raise NoConvergenceError("independent recursion did not converge")
 
 

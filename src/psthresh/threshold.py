@@ -43,7 +43,7 @@ from .codes import (
     postselect_classes,
     recover_713,
 )
-from .noise import Depolarizing, Forward, RateError, _check_prob, model_family
+from .noise import Depolarizing, RateError, _check_prob, model_family
 from .postselect import (
     NoConvergenceError,
     indep_fixed_point,
@@ -518,9 +518,10 @@ def mc_threshold_error_bar(
     """Mean and sample standard deviation of the Monte Carlo threshold
     over n_seeds independent seeds (at least 10 for a meaningful bar),
     plus the individual estimates.  Each seed is a concat_threshold_mc
-    solve, so a bracket that fails for any seed raises BracketError."""
-    if n_seeds < 2:
-        raise ValueError("need at least two seeds for an error bar")
+    solve, so a bracket that fails for any seed raises BracketError.
+    Raises ValueError unless n_seeds is an integer >= 2."""
+    if isinstance(n_seeds, bool) or not isinstance(n_seeds, Integral) or n_seeds < 2:
+        raise ValueError("need at least two seeds for an error bar, an integer, got %r" % (n_seeds,))
     estimates = [
         concat_threshold_mc(dist_fn, lo, hi, replace(config, seed=config.seed + i), tol)
         for i in range(n_seeds)
@@ -552,7 +553,7 @@ def model_level0(family):
 def forward_combined_diagonal(pf: float) -> float:
     """Sector diagonal of the teleported error for forward noise at rate
     pf, from the decoupled fixed point: x_g**3 f**2.  Raises RateError
-    unless 0 <= pf <= 1."""
+    unless 0 <= pf <= 1, and NoConvergenceError at pf = 1 (division by zero)."""
     _check_prob("pf", pf)
     f = 1.0 - 2.0 * pf
     return indep_fixed_point(f).x_g**3 * f * f
@@ -568,7 +569,7 @@ def crash_difference_threshold(
     below its value at p_baseline, i.e. the rate whose crash margin
     equals the degeneracy correction delta, bisected on
     [1e-4, p_baseline].  Raises ValueError unless delta >= 0 and
-    1e-4 < p_baseline <= 1 (NaN included)."""
+    1e-4 < p_baseline <= 1 (NaN included); NoConvergenceError at p_baseline = 1."""
     if not delta >= 0:
         raise ValueError("the crash margin delta must be non-negative, got %r" % delta)
     lo = 1e-4

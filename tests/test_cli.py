@@ -495,3 +495,23 @@ def test_public_names_are_what_cli_and_acceptance_import():
         Path(__file__).with_name("test_acceptance.py")
     )
     assert sorted(psthresh.__all__) == sorted(used)
+
+
+def test_src_modules_use_every_name_they_import():
+    # __init__.py imports names to re-export them, so it is left out
+    unused = []
+    for path in sorted(Path(psthresh.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unused += ["%s:%d %s" % (path.name, line, name) for name, line in imported.items() if name not in read]
+    assert unused == []

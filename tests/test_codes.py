@@ -50,15 +50,13 @@ from psthresh.codes import (
     _character_sums,
     _check_distribution,
     _cumulative_syndrome_weights,
-    _decomposition_tables,
     _drawn_class_rows,
     _drawn_syndromes,
     _popcount,
     _popcount_signs,
     _shared_product,
-    _sign_kinds,
     _syndrome_buffers,
-    _syndrome_tables,
+    _tables_713,
 )
 from psthresh.pauli import pauli_commutes
 from psthresh.threshold import McConfig, _mc_level, model_level0
@@ -469,7 +467,7 @@ def decompose_713(children):
     (bit | phase << 3), each half packed with parity-check row k at bit
     k, and axis 2 the logical class.  The library's Monte Carlo rows and
     first-level fidelity keep this full decomposition's bits."""
-    transform = _decomposition_tables()[1]
+    transform = _tables_713().transform
     children = np.asarray(children, dtype=float)
     if children.ndim == 2:
         children = children[None]
@@ -729,8 +727,8 @@ def _as_bits(a):
 
 def test_character_sums_match_gemm():
     # each qubit's sums are the K=4 gemm's, at batch 1 and in a block
-    sig, _ = _decomposition_tables()
-    kinds = _sign_kinds()
+    tables = _tables_713()
+    sig, kinds = tables.sig, tables.kinds
     assert kinds.shape == (7, 256) and not kinds.flags.writeable
     dists = _shared_dists()
     for dist in dists:
@@ -805,11 +803,11 @@ def _drawn_rows(children, u):
 def test_transform_factors_by_syndrome():
     # each column of the decomposition transform is a per-syndrome sign
     # times the column of the same class at syndrome 0, bit for bit
-    weight_transform, signs, classes = _syndrome_tables()
+    tables = _tables_713()
     transform = _reference_draw_tables()[2]
-    np.testing.assert_array_equal(signs.T[:, :, None] * classes[:, None, :4], transform)
-    np.testing.assert_array_equal(classes[:, 4:], 0.0)
-    np.testing.assert_array_equal(weight_transform, _reference_draw_tables()[1] / 64.0)
+    np.testing.assert_array_equal(tables.signs.T[:, :, None] * tables.classes[:, None, :4], transform)
+    np.testing.assert_array_equal(tables.classes[:, 4:], 0.0)
+    np.testing.assert_array_equal(tables.weight_transform, _reference_draw_tables()[1] / 64.0)
 
 
 # 256 is a full block of a population level, 16 the last block of a 10^4
@@ -991,11 +989,12 @@ def test_decomposition_tables_match_reference_popcount(monkeypatch):
     cols = [sum(row[i] << k for k, row in enumerate(PARITY_CHECK_713)) for i in range(7)]
     for masks in ([c | (1 << 3) for c in cols], [(c << 4) | (1 << 7) for c in cols], np.arange(256)):
         _assert_same_table(_popcount_signs(masks), _reference_popcount_signs(masks))
-    got = _decomposition_tables()
+    got = _tables_713()
     monkeypatch.setattr(codes, "_popcount_signs", _reference_popcount_signs)
-    _assert_same_table(got, _decomposition_tables.__wrapped__())
-    # the transform stays Fortran-ordered (see _decomposition_tables)
-    assert got[1].flags.f_contiguous
+    # every field of the NamedTuple
+    _assert_same_table(got, _tables_713.__wrapped__())
+    # the transform stays Fortran-ordered (see _tables_713)
+    assert got.transform.flags.f_contiguous
 
 
 def test_import_leaves_tables_unbuilt():
@@ -1006,8 +1005,7 @@ def test_import_leaves_tables_unbuilt():
         "import psthresh\n"
         "from psthresh import codes\n"
         "print([f.cache_info().currsize for f in (codes.golay_codewords, "
-        "codes.golay_coset_enumerators, codes._decomposition_tables, "
-        "codes._sign_kinds)])\n"
+        "codes.golay_coset_enumerators, codes._tables_713)])\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -1017,7 +1015,7 @@ def test_import_leaves_tables_unbuilt():
         timeout=120,
         check=True,
     )
-    assert out.stdout.strip() == "[0, 0, 0, 0]"
+    assert out.stdout.strip() == "[0, 0, 0]"
 
 
 def test_golay_syndrome_weights_normalized():

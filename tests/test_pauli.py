@@ -5,6 +5,8 @@ dense 16x16 superoperator oracle built from the actual CNOT unitary, so
 the hand-coded component pairs are never the only source of truth.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -66,6 +68,11 @@ def test_dist_to_channel_rejects_junk():
         dist_to_channel([0.3, 0.3, 0.3, 0.3])
     with pytest.raises(ValueError):
         channel_to_dist([1.0, 1.0, -1.0])
+    # a NaN gave the channel [-1, -1, 1] and four NaN probabilities
+    with pytest.raises(ValueError):
+        dist_to_channel([math.nan, 0.0, 0.0, 1.0])
+    with pytest.raises(ValueError):
+        channel_to_dist([math.nan, 1.0, 1.0])
 
 
 def test_cnot_conjugate_matches_superoperator():
@@ -134,3 +141,17 @@ def test_traceout_crosscheck_small():
         m = rng.uniform(0.9, 1.0)
         worst = max(worst, traceout_crosscheck(s, d, q, m_noise=m))
     assert worst < 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("arg", ["s", "d", "q", "m_noise"])
+def test_traceout_crosscheck_rejects_non_finite(arg, bad):
+    # a NaN in s gave a deviation of 0.0, which reads as agreement
+    args = {"s": [0.9, 0.9, 0.9], "d": [1.0, 1.0, 1.0], "q": np.ones(16), "m_noise": 1.0}
+    if arg == "m_noise":
+        args[arg] = bad
+    else:
+        args[arg] = np.array(args[arg], dtype=float)
+        args[arg][1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        traceout_crosscheck(**args)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from psthresh import threshold
 from psthresh.codes import crash_poly_2317, crash_poly_713, recover_713
 from psthresh.noise import Depolarizing, Forward, model_family
-from psthresh.postselect import NoConvergenceError, model_teleport_output
+from psthresh.postselect import NoConvergenceError, indep_fixed_point, model_teleport_output
 from psthresh.threshold import (
     ABOVE_INFIDELITY,
     BracketError,
@@ -517,8 +517,10 @@ def test_mc_error_bar():
     assert len(ests) == 3
     assert mean == pytest.approx(np.mean(ests))
     assert err == pytest.approx(np.std(ests, ddof=1))
-    with pytest.raises(ValueError):
-        mc_threshold_error_bar(one_type_dist, 0.05, 0.18, QUICK, n_seeds=1)
+    # a float count failed inside range with a TypeError
+    for n_seeds in (1, 2.5, 2.0):
+        with pytest.raises(ValueError, match="at least two seeds"):
+            mc_threshold_error_bar(one_type_dist, 0.05, 0.18, QUICK, n_seeds=n_seeds)
     # every seed checks its bracket, as one concat_threshold_mc does
     with pytest.raises(BracketError, match="does not converge at lo"):
         mc_threshold_error_bar(one_type_dist, 0.22, 0.3, QUICK, n_seeds=2, tol=5e-3)
@@ -580,6 +582,21 @@ def test_crash_difference_threshold_rejects_bad_baseline(p_baseline):
     # 2.0 gave 0.0823; 1e-4 and below failed inside the bisection
     with pytest.raises(ValueError, match="p_baseline"):
         crash_difference_threshold(crash_poly_2317(), 0.0, p_baseline)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: forward_combined_diagonal(1.0),
+        lambda: crash_difference_threshold(crash_poly_2317(), 0.0, 1.0),
+        lambda: indep_fixed_point(-1.0),
+    ],
+    ids=["forward_combined_diagonal", "crash_difference_threshold", "indep_fixed_point"],
+)
+def test_pf_one_is_no_convergence(call):
+    # pf = 1 (f = -1) ended in ZeroDivisionError on the recursion's first step
+    with pytest.raises(NoConvergenceError, match="division by zero"):
+        call()
 
 
 # ---------------------------------------------------------------------------
