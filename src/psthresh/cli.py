@@ -430,9 +430,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", type=_unit, help="single verdict at this rate")
     p.add_argument("--lo", type=_unit)
     p.add_argument("--hi", type=_unit)
-    p.add_argument("--population", type=_count, default=McConfig.population)
-    p.add_argument("--levels", type=_count, default=McConfig.levels)
-    p.add_argument("--seed", type=_seed, default=McConfig.seed)
+    defaults = McConfig._field_defaults
+    p.add_argument("--population", type=_count, default=defaults["population"])
+    p.add_argument("--levels", type=_count, default=defaults["levels"])
+    p.add_argument("--seed", type=_seed, default=defaults["seed"])
     p.add_argument("--seeds", type=_count, default=1, help="average this many seeds (error bar)")
     p.add_argument("--tol", type=_positive, help="bisection tolerance (default 2e-4)")
     p.add_argument("--raw", action="store_true", help="print the probability, not a percentage")

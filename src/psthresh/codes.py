@@ -28,10 +28,10 @@ Four layers are provided here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, fsum, lcm, log2, prod
+from numbers import Integral
 from operator import truediv
 from typing import NamedTuple
 
@@ -84,9 +84,10 @@ def _span(generators) -> np.ndarray:
 
 def coset_class_713(pattern: int) -> int:
     """Distance class of a 7-bit error pattern: the minimum weight over
-    its stabilizer coset, always in 0..3."""
-    if not 0 <= pattern < 128:
-        raise ValueError("pattern must be a 7-bit integer")
+    its stabilizer coset, always in 0..3.  Raises ValueError unless
+    pattern is an integer (not a bool) in 0..127."""
+    if isinstance(pattern, bool) or not isinstance(pattern, Integral) or not 0 <= pattern < 128:
+        raise ValueError("pattern must be a 7-bit integer, got %r" % (pattern,))
     return int(_popcount(pattern ^ _tables_713().span).min())
 
 
@@ -210,8 +211,7 @@ def postselect_classes(a, b):
 # ---------------------------------------------------------------------------
 # crash polynomials
 
-@dataclass(frozen=True)
-class CrashPolynomial:
+class CrashPolynomial(NamedTuple):
     """Polynomial f(x) = sum_w c_w x^w with exact rational coefficients,
     fixed by f(1) = 1 and vanishing derivatives at 1 up to order n - 1
     for its n exponents.  Those conditions say sum_w c_w P(w) = P(0) for
@@ -324,9 +324,10 @@ _KLEIN = np.array(
 
 
 def _popcount_signs(masks: np.ndarray) -> np.ndarray:
-    """(-1)^popcount(c & mask) for c in 0..255, one row per mask."""
+    """(-1)^popcount(c & mask) for c in 0..255, one row per mask; every
+    mask is below 256, so each parity is one _BYTE_POPCOUNT lookup."""
     v = np.arange(256)[None, :] & np.asarray(masks)[:, None]
-    return np.where(_popcount(v) % 2 == 0, 1.0, -1.0)
+    return np.where(_BYTE_POPCOUNT[v] & 1 == 0, 1.0, -1.0)
 
 
 class _Tables713(NamedTuple):

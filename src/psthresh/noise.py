@@ -13,7 +13,7 @@ Three families are supported:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,16 +31,27 @@ def _check_prob(name: str, value: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class Depolarizing:
-    """Depolarizing CNOT noise with measurement-error fraction r."""
-
+class _DepolarizingFields(NamedTuple):
     p: float
     r: float = 0.0
 
-    def __post_init__(self):
+
+class Depolarizing(_DepolarizingFields):
+    """Depolarizing CNOT noise with measurement-error fraction r.  Every
+    construction, _replace and unpickling included, raises RateError
+    unless p and r lie in [0, 1]."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _check_prob("p", self.p)
         _check_prob("r", self.r)
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def knill(p: float) -> Depolarizing:
@@ -48,14 +59,25 @@ def knill(p: float) -> Depolarizing:
     return Depolarizing(p, r=1.0)
 
 
-@dataclass(frozen=True)
-class Forward:
-    """Forward-only CNOT noise at rate pf; no measurement errors."""
-
+class _ForwardFields(NamedTuple):
     pf: float
 
-    def __post_init__(self):
+
+class Forward(_ForwardFields):
+    """Forward-only CNOT noise at rate pf; no measurement errors.  Every
+    construction, _replace and unpickling included, raises RateError
+    unless pf lies in [0, 1]."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _check_prob("pf", self.pf)
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def two_qubit_dist(model) -> np.ndarray:

@@ -16,8 +16,8 @@ Everything here is a pure function on immutable values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,8 +120,7 @@ def total_cnot_noise(q, s, d) -> np.ndarray:
     return np.asarray(q, dtype=float) * cnot_conjugate(s, d)
 
 
-@dataclass(frozen=True)
-class TraceoutBranch:
+class TraceoutBranch(NamedTuple):
     """One measurement outcome branch: acceptance weight plus the
     normalized diagonal channel left on the unmeasured qubit."""
 

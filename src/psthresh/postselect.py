@@ -20,7 +20,7 @@ composition.  ``fixed_point`` runs it from the noiseless channel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,15 +40,13 @@ class NoConvergenceError(RuntimeError):
     """The post-selection iteration failed to reach a fixed point."""
 
 
-@dataclass(frozen=True)
-class FixedPointResult:
+class FixedPointResult(NamedTuple):
     channel: np.ndarray
     iterations: int
     residual: float
 
 
-@dataclass(frozen=True)
-class IndepFixedPoint:
+class IndepFixedPoint(NamedTuple):
     x_g: float
     x_b: float
 
@@ -129,9 +127,12 @@ def fixed_point(q, tol: float = 1e-14, max_iter: int = 10**6, m: float = 1.0) ->
 def indep_fixed_point(f: float) -> IndepFixedPoint:
     """Fixed point of the decoupled bit/phase recursion for forward
     noise with diagonal factor f: x_g is the good (post-selected)
-    component and x_b the bad one.  Raises NoConvergenceError if the
+    component and x_b the bad one.  Raises ValueError unless
+    -1 <= f <= 1 (a NaN f included), and NoConvergenceError if the
     recursion diverges, stalls or divides by zero (at f = -1).
     """
+    if not -1.0 <= f <= 1.0:
+        raise ValueError("f must be in [-1, 1], got %r" % (f,))
     x_g = 1.0
     x_b = 1.0
     try:

@@ -23,9 +23,9 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 
@@ -280,8 +280,13 @@ BELOW_INFIDELITY = 1e-6
 ABOVE_INFIDELITY = 0.45
 
 
-@dataclass(frozen=True)
-class McConfig:
+class _McConfigFields(NamedTuple):
+    population: int = 10_000
+    levels: int = 12
+    seed: int = 1
+
+
+class McConfig(_McConfigFields):
     """Settings for the population-dynamics verdict.
 
     population is the number of tracked conditional distributions; a
@@ -311,19 +316,27 @@ class McConfig:
     concat_threshold_mc of a process starts the workers (0.2-0.45 s,
     about 48 MB each) and they serve every verdict after it; a lone
     mc_verdict starts none.
+
+    Every construction, _replace and unpickling included, raises
+    ValueError unless population and levels are integers >= 1 and seed
+    one >= 0.
     """
 
-    population: int = 10_000
-    levels: int = 12
-    seed: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name, least in (("population", 1), ("levels", 1), ("seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
                 raise ValueError(
                     "%s must be an integer >= %d, got %r" % (name, least, value)
                 )
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 #: individuals per block of a population level: the character product
@@ -523,7 +536,7 @@ def mc_threshold_error_bar(
     if isinstance(n_seeds, bool) or not isinstance(n_seeds, Integral) or n_seeds < 2:
         raise ValueError("need at least two seeds for an error bar, an integer, got %r" % (n_seeds,))
     estimates = [
-        concat_threshold_mc(dist_fn, lo, hi, replace(config, seed=config.seed + i), tol)
+        concat_threshold_mc(dist_fn, lo, hi, config._replace(seed=config.seed + i), tol)
         for i in range(n_seeds)
     ]
     arr = np.asarray(estimates)
@@ -531,7 +544,9 @@ def mc_threshold_error_bar(
 
 
 def one_type_dist(p: float) -> np.ndarray:
-    """Level-0 distribution of the single-type channel (0, 0, p)."""
+    """Level-0 distribution of the single-type channel (0, 0, p).
+    Raises RateError unless 0 <= p <= 1."""
+    _check_prob("p", p)
     return np.array([1.0 - p, 0.0, 0.0, p])
 
 

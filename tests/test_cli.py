@@ -1,8 +1,9 @@
 """End-to-end tests of the command line interface, run in process."""
 
 import ast
-import dataclasses
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -362,8 +363,9 @@ def test_concat_tol_defaults_to_solver(capsys):
 
 def test_concat_flags_default_to_mc_config():
     args = cli.build_parser().parse_args(["concat", "--model", "one-type"])
-    for field in dataclasses.fields(cli.McConfig):
-        assert getattr(args, field.name) == field.default, field.name
+    assert cli.McConfig._field_defaults == {"population": 10_000, "levels": 12, "seed": 1}
+    for name, default in cli.McConfig._field_defaults.items():
+        assert getattr(args, name) == default, name
 
 
 # ---------------------------------------------------------------------------
@@ -515,3 +517,21 @@ def test_src_modules_use_every_name_they_import():
         read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
         unused += ["%s:%d %s" % (path.name, line, name) for name, line in imported.items() if name not in read]
     assert unused == []
+
+
+def test_import_leaves_dataclasses_unloaded():
+    # the package's records are NamedTuples; numpy and statistics are
+    # loaded first, as by the benchmark's set-up child
+    src = str(Path(psthresh.__file__).resolve().parent.parent)
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import numpy, statistics\n"
+        "assert 'dataclasses' not in sys.modules\n"
+        "import psthresh\n"
+        "print('dataclasses' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", code, src], capture_output=True, text=True, timeout=120, check=True
+    )
+    assert out.stdout.strip() == "False"

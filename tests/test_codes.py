@@ -85,6 +85,16 @@ def test_distance_table():
     np.testing.assert_array_equal(table.sum(axis=1), [comb(7, w) for w in range(8)])
 
 
+@pytest.mark.parametrize("pattern", [-1, 128, 1.5, True, "3"])
+def test_coset_class_rejects_bad_patterns(pattern):
+    with pytest.raises(ValueError, match="pattern must be a 7-bit integer"):
+        coset_class_713(pattern)
+
+
+def test_coset_class_takes_numpy_ints():
+    assert coset_class_713(np.int64(127)) == coset_class_713(np.uint8(127)) == coset_class_713(127) == 3
+
+
 def test_stabilizers_commute():
     # the parity-check rows as X-type strings, then as Z-type strings
     gens = [

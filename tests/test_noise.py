@@ -5,6 +5,8 @@ explicit 16-outcome distribution; the closed forms checked here are the
 independent route.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -95,6 +97,48 @@ def test_validation():
         Forward(1.2)
     with pytest.raises(TypeError):
         two_qubit_dist("depolarizing")
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Depolarizing(-0.1), "p must be in \\[0, 1\\], got -0.1"),
+        (lambda: Depolarizing(p=0.05, r=1.5), "r must be in \\[0, 1\\], got 1.5"),
+        (lambda: Depolarizing(0.05)._replace(p=2.0), "p must be in \\[0, 1\\], got 2"),
+        (lambda: knill(0.05)._replace(r=float("nan")), "r must be in \\[0, 1\\], got nan"),
+        (lambda: Depolarizing._make([0.05, -1.0]), "r must be in \\[0, 1\\], got -1"),
+        (lambda: pickle.loads(pickle.dumps(tuple.__new__(Depolarizing, (0.05, 3.0)))), "r must be in"),
+        (lambda: Forward(1.2), "pf must be in \\[0, 1\\], got 1.2"),
+        (lambda: Forward(pf=-0.5), "pf must be in \\[0, 1\\], got -0.5"),
+        (lambda: Forward(0.1)._replace(pf=1.5), "pf must be in \\[0, 1\\], got 1.5"),
+        (lambda: pickle.loads(pickle.dumps(tuple.__new__(Forward, (7.0,)))), "pf must be in"),
+    ],
+    ids=[
+        "depolarizing-positional", "depolarizing-keyword", "depolarizing-replace-p",
+        "knill-replace-r", "depolarizing-make", "depolarizing-pickle",
+        "forward-positional", "forward-keyword", "forward-replace", "forward-pickle",
+    ],
+)
+def test_every_construction_validates(make, message):
+    # _replace and unpickling build the record through the same check as
+    # the constructor; a pickle of a record that skipped it fails to load
+    with pytest.raises(RateError, match=message):
+        make()
+
+
+def test_records_repr_hash_and_round_trip():
+    assert repr(knill(0.05)) == "Depolarizing(p=0.05, r=1.0)"
+    assert repr(Depolarizing(0.1)) == "Depolarizing(p=0.1, r=0.0)"
+    assert repr(Forward(0.02)) == "Forward(pf=0.02)"
+    for model in (knill(0.05), Depolarizing(0.1, 0.5), Forward(0.02)):
+        clone = pickle.loads(pickle.dumps(model))
+        assert clone == model and type(clone) is type(model)
+        assert hash(clone) == hash(model) == hash(tuple(model))
+    assert knill(0.05)._replace(r=0.0) == Depolarizing(0.05)
+    assert knill(0.05) != Depolarizing(0.05)
+    assert len({knill(0.05), Depolarizing(0.05, r=1.0), Depolarizing(0.05)}) == 2
+    with pytest.raises(AttributeError):
+        knill(0.05).p = 0.1
 
 
 def test_model_family():

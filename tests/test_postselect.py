@@ -87,6 +87,12 @@ def test_indep_fixed_point_self_consistent():
     assert ind.x_b == pytest.approx(ind.x_g**2 * f, abs=1e-12)
 
 
+@pytest.mark.parametrize("f", [-1.5, 1.5, math.nan])
+def test_indep_fixed_point_rejects_f_outside_unit_range(f):
+    with pytest.raises(ValueError, match=r"f must be in \[-1, 1\]"):
+        indep_fixed_point(f)
+
+
 def test_teleport_output_noiseless():
     np.testing.assert_allclose(
         teleport_output(np.ones(3), np.ones(16)), [1.0, 0.0, 0.0, 0.0], atol=1e-15

@@ -6,6 +6,7 @@ takes a fraction of a second.
 """
 
 import math
+import pickle
 import random
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from psthresh import threshold
 from psthresh.codes import crash_poly_2317, crash_poly_713, recover_713
-from psthresh.noise import Depolarizing, Forward, model_family
+from psthresh.noise import Depolarizing, Forward, RateError, model_family
 from psthresh.postselect import NoConvergenceError, indep_fixed_point, model_teleport_output
 from psthresh.threshold import (
     ABOVE_INFIDELITY,
@@ -347,6 +348,39 @@ def test_mc_config_rejects_empty_population():
 def test_mc_config_rejects_bad_values(field, value):
     with pytest.raises(ValueError, match=field):
         McConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: McConfig(0), "population must be an integer >= 1, got 0"),
+        (lambda: McConfig(400, 2.0), "levels must be an integer >= 1, got 2.0"),
+        (lambda: McConfig(seed=-1), "seed must be an integer >= 0, got -1"),
+        (lambda: QUICK._replace(levels=0), "levels must be an integer >= 1, got 0"),
+        (lambda: McConfig()._replace(seed=True), "seed must be an integer >= 0, got True"),
+        (lambda: McConfig._make([400, 8, 1.5]), "seed must be an integer >= 0, got 1.5"),
+        (lambda: pickle.loads(pickle.dumps(tuple.__new__(McConfig, (400, 8, -2)))), "seed must be an integer >= 0"),
+    ],
+    ids=["positional", "positional-float", "keyword", "replace", "replace-bool", "make", "pickle"],
+)
+def test_mc_config_every_construction_validates(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_mc_config_repr_hash_and_round_trip():
+    assert repr(McConfig()) == "McConfig(population=10000, levels=12, seed=1)"
+    assert repr(QUICK) == "McConfig(population=400, levels=8, seed=5)"
+    assert QUICK._replace(seed=6) == McConfig(population=400, levels=8, seed=6)
+    clone = pickle.loads(pickle.dumps(QUICK))
+    assert clone == QUICK and type(clone) is McConfig and hash(clone) == hash(QUICK)
+    assert len({McConfig(), McConfig(10_000, 12, 1), QUICK}) == 2
+
+
+@pytest.mark.parametrize("p", [2.0, -0.1, math.nan])
+def test_one_type_dist_rejects_bad_rate(p):
+    with pytest.raises(RateError, match="p must be in"):
+        one_type_dist(p)
 
 
 def test_mc_config_accepts_integers():
