@@ -13,6 +13,7 @@ Three families are supported:
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -31,27 +32,43 @@ def _check_prob(name: str, value: float) -> float:
     return value
 
 
-class _DepolarizingFields(NamedTuple):
-    p: float
-    r: float = 0.0
+def _check_count(name: str, value, least: int) -> None:
+    """Raise ValueError unless value is an integer, not a bool, >= least."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ValueError("%s must be an integer >= %d, got %r" % (name, least, value))
 
 
-class Depolarizing(_DepolarizingFields):
-    """Depolarizing CNOT noise with measurement-error fraction r.  Every
-    construction, _replace and unpickling included, raises RateError
-    unless p and r lie in [0, 1]."""
+class _Checked:
+    """Base of a checked record R(_Checked, _RFields) over a NamedTuple
+    _RFields: every construction of R, _make, _replace, copying and
+    unpickling included, runs R._check."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        _check_prob("p", self.p)
-        _check_prob("r", self.r)
+        self._check()
         return self
 
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
+
+
+class _DepolarizingFields(NamedTuple):
+    p: float
+    r: float = 0.0
+
+
+class Depolarizing(_Checked, _DepolarizingFields):
+    """Depolarizing CNOT noise with measurement-error fraction r; raises
+    RateError unless p and r lie in [0, 1]."""
+
+    __slots__ = ()
+
+    def _check(self):
+        _check_prob("p", self.p)
+        _check_prob("r", self.r)
 
 
 def knill(p: float) -> Depolarizing:
@@ -63,21 +80,14 @@ class _ForwardFields(NamedTuple):
     pf: float
 
 
-class Forward(_ForwardFields):
-    """Forward-only CNOT noise at rate pf; no measurement errors.  Every
-    construction, _replace and unpickling included, raises RateError
-    unless pf lies in [0, 1]."""
+class Forward(_Checked, _ForwardFields):
+    """Forward-only CNOT noise at rate pf; no measurement errors.  Raises
+    RateError unless pf lies in [0, 1]."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         _check_prob("pf", self.pf)
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
 
 def two_qubit_dist(model) -> np.ndarray:

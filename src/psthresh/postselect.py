@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .noise import diagonal_q, measurement_m
+from .noise import _check_count, diagonal_q, measurement_m
 from .pauli import LABEL_INDEX, VALIDITY_TOL
 
 #: indices of the Q entries the accept branch of a purification step reads
@@ -114,13 +114,12 @@ def fixed_point(q, tol: float = 1e-14, max_iter: int = 10**6, m: float = 1.0) ->
 
     Raises NoConvergenceError if the iteration runs out of steps or the
     acceptance probability breaks down, which is how an above-threshold
-    gate noise manifests, and ValueError unless tol > 0 and
-    max_iter >= 1.
+    gate noise manifests, and ValueError unless tol > 0 and max_iter is
+    an integer >= 1.
     """
     if not tol > 0:
         raise ValueError("tol must be > 0, got %r" % (tol,))
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1, got %r" % (max_iter,))
+    _check_count("max_iter", max_iter, 1)
     return _iterate(_accept_q(q), float(m), 1.0, 1.0, 1.0, tol, max_iter)
 
 

@@ -4,12 +4,12 @@ estimates for the [[23,1,7]] code, and the success probability of a
 post-selected cascade.
 
 Every solver locates its crossing with `bisect`, the one bracket-halving
-loop; each caller checks its own bracket first and hands it a signed
-gap, negative below the crossing.  From a finite gap it settles most
-midpoints by regula falsi instead of evaluating them: the result is bit
-for bit that of plain bisection as long as the gap's sign changes once
-over the bracket, in at most three times (and on the smooth gaps here
-about a quarter of) its probes.  A gap of -inf or +inf gives no
+loop; each caller makes sure of its own bracket first and hands it a
+signed gap, negative below the crossing.  From a finite gap it
+settles most midpoints by regula falsi instead of evaluating them: the
+result is bit for bit that of plain bisection as long as the gap's sign
+changes once over the bracket, in at most three times (and on the smooth
+gaps here about a quarter of) its probes.  A gap of -inf or +inf gives no
 estimate, so every midpoint is probed: the Monte Carlo solve's gap is
 its verdict's sign.  That verdict uses counter-based random streams
 keyed by (seed, level), so results are reproducible and any range of a
@@ -24,7 +24,6 @@ import math
 import os
 import sys
 from functools import lru_cache
-from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -43,7 +42,7 @@ from .codes import (
     postselect_classes,
     recover_713,
 )
-from .noise import Depolarizing, RateError, _check_prob, model_family
+from .noise import Depolarizing, RateError, _check_count, _check_prob, _Checked, model_family
 from .postselect import (
     NoConvergenceError,
     indep_fixed_point,
@@ -95,8 +94,8 @@ def bisect(gap, lo: float, hi: float, tol: float) -> float:
 
     gap(p) is a signed gap, negative below the crossing.  Each step takes
     mid = (lo + hi) / 2: mid below the crossing moves lo up to mid,
-    otherwise hi comes down to it.  The caller checks the gap's sign at
-    the ends.  Raises ValueError unless lo < hi and tol > 0 (NaN
+    otherwise hi comes down to it.  The caller makes sure of the gap's
+    sign at the ends.  Raises ValueError unless lo < hi and tol > 0 (NaN
     included).  The loop also stops once mid is no longer strictly
     inside (lo, hi), which only a tolerance under the float spacing at
     the crossing can reach.
@@ -230,11 +229,10 @@ def sweep_r(r_values=None, points: int = 11, tol: float = 1e-6):
     the measurement error fraction r; returns a list of (r, threshold)
     pairs, with NaN thresholds where the bracket fails or the model
     rejects r.  Without r_values, r runs over `points` even steps of
-    [0, 1], and ValueError is raised unless points >= 2.  Other errors,
-    such as a bad tolerance, are raised."""
+    [0, 1], and ValueError is raised unless points is an integer >= 2.
+    Other errors, such as a bad tolerance, are raised."""
     if r_values is None:
-        if not points >= 2:
-            raise ValueError("points must be at least 2, got %r" % (points,))
+        _check_count("points", points, 2)
         r_values = [i / (points - 1) for i in range(points)]
     out = []
     for r in r_values:
@@ -286,7 +284,7 @@ class _McConfigFields(NamedTuple):
     seed: int = 1
 
 
-class McConfig(_McConfigFields):
+class McConfig(_Checked, _McConfigFields):
     """Settings for the population-dynamics verdict.
 
     population is the number of tracked conditional distributions; a
@@ -317,26 +315,16 @@ class McConfig(_McConfigFields):
     about 48 MB each) and they serve every verdict after it; a lone
     mc_verdict starts none.
 
-    Every construction, _replace and unpickling included, raises
-    ValueError unless population and levels are integers >= 1 and seed
-    one >= 0.
+    Raises ValueError unless population and levels are integers >= 1 and
+    seed one >= 0.
     """
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        for name, least in (("population", 1), ("levels", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
-                raise ValueError(
-                    "%s must be an integer >= %d, got %r" % (name, least, value)
-                )
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
+    def _check(self):
+        _check_count("population", self.population, 1)
+        _check_count("levels", self.levels, 1)
+        _check_count("seed", self.seed, 0)
 
 
 #: individuals per block of a population level: the character product
@@ -533,8 +521,7 @@ def mc_threshold_error_bar(
     plus the individual estimates.  Each seed is a concat_threshold_mc
     solve, so a bracket that fails for any seed raises BracketError.
     Raises ValueError unless n_seeds is an integer >= 2."""
-    if isinstance(n_seeds, bool) or not isinstance(n_seeds, Integral) or n_seeds < 2:
-        raise ValueError("need at least two seeds for an error bar, an integer, got %r" % (n_seeds,))
+    _check_count("n_seeds", n_seeds, 2)
     estimates = [
         concat_threshold_mc(dist_fn, lo, hi, config._replace(seed=config.seed + i), tol)
         for i in range(n_seeds)
@@ -635,7 +622,9 @@ def fixed_fidelity_point(code: str, family: str):
     cross.
 
     Supported: ('713', 'knill' | 'depolarizing' | 'forward') and
-    ('2317', 'forward').  Returns (rate, fidelity).
+    ('2317', 'forward').  Returns (rate, fidelity).  The brackets are
+    constants over which each gap is known to change sign, so they are
+    not checked.
     """
     tol = 1e-9
     if code == "713" and family in ("knill", "depolarizing"):
@@ -645,10 +634,7 @@ def fixed_fidelity_point(code: str, family: str):
             dist = model_teleport_output(fam(p))
             return float(dist[0]) - first_level_fidelity(dist)
 
-        lo, hi = 0.02, 0.065
-        if gap(lo) >= 0 or gap(hi) <= 0:
-            raise BracketError("no fixed-fidelity crossing in [%g, %g]" % (lo, hi))
-        p = bisect(gap, lo, hi, tol)
+        p = bisect(gap, 0.02, 0.065, tol)
         return p, float(model_teleport_output(fam(p))[0])
 
     if code == "713" and family == "forward":
@@ -657,20 +643,14 @@ def fixed_fidelity_point(code: str, family: str):
         def gap(pf):
             return (1.0 + forward_combined_diagonal(pf)) / 2.0 - _forward_class_level1(pf)
 
-        lo, hi = 0.02, 0.04
-        if gap(lo) >= 0 or gap(hi) <= 0:
-            raise BracketError("no fixed-fidelity crossing in [%g, %g]" % (lo, hi))
-        pf = bisect(gap, lo, hi, tol)
+        pf = bisect(gap, 0.02, 0.04, tol)
         return pf, ((1.0 + forward_combined_diagonal(pf)) / 2.0) ** 2
 
     if code == "2317" and family == "forward":
         poly = crash_poly_2317()
         # the sector diagonal is unchanged by one level exactly when
         # f23(c) = c; find that c, then the rate that produces it
-        lo_c, hi_c = 0.5, 0.999999
-        if poly(lo_c) >= lo_c or poly(hi_c) <= hi_c:
-            raise BracketError("no nontrivial f23 fixed point bracketed")
-        c_star = bisect(lambda c: poly(c) - c, lo_c, hi_c, tol)
+        c_star = bisect(lambda c: poly(c) - c, 0.5, 0.999999, tol)
         pf = bisect(lambda p: c_star - forward_combined_diagonal(p), 1e-4, 0.2, tol)
         return pf, ((1.0 + c_star) / 2.0) ** 2
 
@@ -686,6 +666,5 @@ def overhead_success(p: float, n: int) -> float:
     all succeed.  Raises ValueError unless 0 <= p <= 1 and n is an
     integer >= 0."""
     _check_prob("p", p)
-    if isinstance(n, bool) or not isinstance(n, Integral) or n < 0:
-        raise ValueError("n must be an integer >= 0, got %r" % (n,))
+    _check_count("n", n, 0)
     return (1.0 - p) ** n

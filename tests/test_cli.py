@@ -82,6 +82,22 @@ def test_hashing_bracket_failure(capsys):
     assert "hashing" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--lo", "0.2"), ("--hi", "0.03")])
+def test_hashing_widens_a_bad_bracket(capsys, flag, value):
+    argv = ["hashing", "--model", "knill", "--raw"]
+    _, default, _ = run(capsys, argv)
+    code, out, err = run(capsys, argv + [flag, value])
+    assert code == 0 and err == ""
+    assert abs(float(out) - float(default)) <= 1e-6  # the default --tol
+
+
+def test_hashing_finds_no_above_threshold_point(capsys):
+    code, out, err = run(capsys, ["hashing", "--model", "knill", "--hi", "0"])
+    assert code == 2
+    assert out == ""
+    assert "no above-threshold point found" in err
+
+
 def test_usage_errors():
     for argv in (
         ["hashing"],

@@ -5,6 +5,7 @@ explicit 16-outcome distribution; the closed forms checked here are the
 independent route.
 """
 
+import copy
 import pickle
 
 import numpy as np
@@ -97,6 +98,9 @@ def test_validation():
         Forward(1.2)
     with pytest.raises(TypeError):
         two_qubit_dist("depolarizing")
+    for call, arg in ((two_qubit_dist, object()), (measurement_m, "x")):
+        with pytest.raises(TypeError, match="unknown noise model"):
+            call(arg)
 
 
 @pytest.mark.parametrize(
@@ -108,20 +112,24 @@ def test_validation():
         (lambda: knill(0.05)._replace(r=float("nan")), "r must be in \\[0, 1\\], got nan"),
         (lambda: Depolarizing._make([0.05, -1.0]), "r must be in \\[0, 1\\], got -1"),
         (lambda: pickle.loads(pickle.dumps(tuple.__new__(Depolarizing, (0.05, 3.0)))), "r must be in"),
+        (lambda: copy.copy(tuple.__new__(Depolarizing, (0.05, 3.0))), "r must be in"),
         (lambda: Forward(1.2), "pf must be in \\[0, 1\\], got 1.2"),
         (lambda: Forward(pf=-0.5), "pf must be in \\[0, 1\\], got -0.5"),
         (lambda: Forward(0.1)._replace(pf=1.5), "pf must be in \\[0, 1\\], got 1.5"),
         (lambda: pickle.loads(pickle.dumps(tuple.__new__(Forward, (7.0,)))), "pf must be in"),
+        (lambda: copy.copy(tuple.__new__(Forward, (7.0,))), "pf must be in"),
     ],
     ids=[
         "depolarizing-positional", "depolarizing-keyword", "depolarizing-replace-p",
-        "knill-replace-r", "depolarizing-make", "depolarizing-pickle",
+        "knill-replace-r", "depolarizing-make", "depolarizing-pickle", "depolarizing-copy",
         "forward-positional", "forward-keyword", "forward-replace", "forward-pickle",
+        "forward-copy",
     ],
 )
 def test_every_construction_validates(make, message):
-    # _replace and unpickling build the record through the same check as
-    # the constructor; a pickle of a record that skipped it fails to load
+    # _replace, copying and unpickling build the record through the same
+    # check as the constructor; a copy or pickle of a record that skipped
+    # it fails
     with pytest.raises(RateError, match=message):
         make()
 
@@ -139,6 +147,9 @@ def test_records_repr_hash_and_round_trip():
     assert len({knill(0.05), Depolarizing(0.05, r=1.0), Depolarizing(0.05)}) == 2
     with pytest.raises(AttributeError):
         knill(0.05).p = 0.1
+    for model in (Depolarizing(0.05), Forward(0.1)):
+        assert not hasattr(model, "__dict__")
+        assert copy.copy(model) == model and type(copy.copy(model)) is type(model)
 
 
 def test_model_family():

@@ -73,6 +73,8 @@ def test_dist_to_channel_rejects_junk():
         dist_to_channel([math.nan, 0.0, 0.0, 1.0])
     with pytest.raises(ValueError):
         channel_to_dist([math.nan, 1.0, 1.0])
+    with pytest.raises(ValueError, match="expected a length-4 Pauli distribution"):
+        dist_to_channel([1, 0, 0])
 
 
 def test_cnot_conjugate_matches_superoperator():

@@ -124,11 +124,14 @@ def test_fixed_point_iteration_budget():
 @pytest.mark.parametrize(
     "kwargs,message",
     [
-        ({"max_iter": 0}, "max_iter must be >= 1, got 0"),
-        ({"max_iter": -3}, "max_iter must be >= 1, got -3"),
+        ({"max_iter": 0}, "max_iter must be an integer >= 1, got 0"),
+        ({"max_iter": -3}, "max_iter must be an integer >= 1, got -3"),
         ({"tol": 0.0}, "tol must be > 0, got 0.0"),
         ({"tol": -1e-9}, "tol must be > 0, got -1e-09"),
         ({"tol": math.nan}, "tol must be > 0, got nan"),
+        ({"max_iter": 2.5}, "max_iter must be an integer >= 1, got 2.5"),
+        ({"max_iter": 1e6}, "max_iter must be an integer >= 1, got 1000000.0"),
+        ({"max_iter": True}, "max_iter must be an integer >= 1, got True"),
     ],
 )
 def test_fixed_point_rejects_bad_budget_and_tol(kwargs, message):

@@ -5,6 +5,7 @@ Monte Carlo machinery is exercised at small populations where a verdict
 takes a fraction of a second.
 """
 
+import copy
 import math
 import pickle
 import random
@@ -265,6 +266,10 @@ def test_entropy_is_one_at_threshold():
     assert teleport_entropy(Depolarizing(p)) == pytest.approx(1.0, abs=1e-6)
 
 
+def test_entropy_is_infinite_on_breakdown():
+    assert teleport_entropy(Forward(1.0)) == math.inf
+
+
 def test_teleported_components_at_threshold():
     p = hashing_threshold("depolarizing", tol=1e-9)
     out = model_teleport_output(Depolarizing(p))
@@ -307,9 +312,9 @@ def test_sweep_r_nan_only_for_rejected_rates():
             sweep_r(r_values=[0.0], tol=tol)
 
 
-@pytest.mark.parametrize("points", [1, 0, -2])
+@pytest.mark.parametrize("points", [1, 0, -2, 2.5, 3.0, True])
 def test_sweep_r_rejects_too_few_points(points):
-    with pytest.raises(ValueError, match="points"):
+    with pytest.raises(ValueError, match="points must be an integer >= 2, got %r" % (points,)):
         sweep_r(points=points)
 
 
@@ -360,8 +365,9 @@ def test_mc_config_rejects_bad_values(field, value):
         (lambda: McConfig()._replace(seed=True), "seed must be an integer >= 0, got True"),
         (lambda: McConfig._make([400, 8, 1.5]), "seed must be an integer >= 0, got 1.5"),
         (lambda: pickle.loads(pickle.dumps(tuple.__new__(McConfig, (400, 8, -2)))), "seed must be an integer >= 0"),
+        (lambda: copy.copy(tuple.__new__(McConfig, (400, 8, -2))), "seed must be an integer >= 0"),
     ],
-    ids=["positional", "positional-float", "keyword", "replace", "replace-bool", "make", "pickle"],
+    ids=["positional", "positional-float", "keyword", "replace", "replace-bool", "make", "pickle", "copy"],
 )
 def test_mc_config_every_construction_validates(make, message):
     with pytest.raises(ValueError, match=message):
@@ -375,6 +381,8 @@ def test_mc_config_repr_hash_and_round_trip():
     clone = pickle.loads(pickle.dumps(QUICK))
     assert clone == QUICK and type(clone) is McConfig and hash(clone) == hash(QUICK)
     assert len({McConfig(), McConfig(10_000, 12, 1), QUICK}) == 2
+    assert not hasattr(McConfig(), "__dict__")
+    assert copy.copy(QUICK) == QUICK and type(copy.copy(QUICK)) is McConfig
 
 
 @pytest.mark.parametrize("p", [2.0, -0.1, math.nan])
@@ -553,7 +561,7 @@ def test_mc_error_bar():
     assert err == pytest.approx(np.std(ests, ddof=1))
     # a float count failed inside range with a TypeError
     for n_seeds in (1, 2.5, 2.0):
-        with pytest.raises(ValueError, match="at least two seeds"):
+        with pytest.raises(ValueError, match="n_seeds must be an integer >= 2"):
             mc_threshold_error_bar(one_type_dist, 0.05, 0.18, QUICK, n_seeds=n_seeds)
     # every seed checks its bracket, as one concat_threshold_mc does
     with pytest.raises(BracketError, match="does not converge at lo"):
