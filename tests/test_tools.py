@@ -34,6 +34,7 @@ RECORD_MACHINE = {
 RECORD = {
     "hashing": (48, "d7e628bdd6a7eeea634ca08358c0eb521ba2d956c5d473c3baf48a9c8fcdda40"),
     "teleport": (900, "1e4b83ec5a1eadd97e5a8f445952ad4ed25550a873cbffca0c1a70a451e7eded"),
+    "pauli": (202, "da5e979f25bfe731da8eaa9b6c674521671756abe362a24f68ff6b5f0f60f699"),
     "fidelity": (3005, "12e295b07b855679ddeb694fab33489ff1c85042d0a22f226682c76400d7ccd2"),
     "golay": (2001, "3296a6ec043131831680d6976d762a1aac912f21d08e0bd672f0ef1e60fe0381"),
     "fixed-fidelity": (4, "849a2b934a6d96fd36d86cbb4b1acee0faf18e648f2a779d923dd430b225feb2"),
@@ -100,6 +101,7 @@ def test_code_map_outputs_lines(output_lines):
     crash = sum(1 for row in TARGETS if row.criterion == 8 and row.compute is not None)
     # the counts that the tool's docstring gives for each code-map kind
     want = {
+        "pauli": 2 + 200,
         "fidelity": 3005,
         "golay": 2001,
         "fixed-fidelity": 4,

@@ -13,6 +13,11 @@ is exact (``float.hex()``):
   tol=TOL HEX`` at r = 0, 0.05, ..., 1, each at tol 1e-9 and 1e-12;
 * ``teleport FAMILY p=P HEX``: the bytes of ``model_teleport_output`` at
   p = k / 300 (k = 0..299), or the ``NoConvergenceError`` message;
+* ``pauli TABLE DTYPE SHAPE strides=S writeable=W SHA256``: the sha256
+  of the bytes of ``commutation_signs()`` and ``build_cnot_superoperator()``
+  with their layout, and ``pauli traceout-crosscheck draw=K HEX``:
+  ``traceout_crosscheck`` on 200 draws made as acceptance criterion 11
+  makes them (seed 2026);
 * ``fidelity D0 D1 D2 D3 HEX``: ``first_level_fidelity`` on 3005 seeded
   distributions (edge cases, near-identity, one-type and simplex draws);
 * ``golay p=P KEPT FLIPPED DIAGONAL ENTROPY``: ``golay_syndrome_weights``,
@@ -108,6 +113,23 @@ def hashing_lines():
             except NoConvergenceError as exc:
                 out = str(exc)
             yield "teleport %s p=%r %s" % (name, p, out)
+
+
+def pauli_lines():
+    from psthresh.pauli import build_cnot_superoperator, commutation_signs, dist_to_channel, traceout_crosscheck
+
+    tables = (("commutation-signs", commutation_signs()), ("cnot-superoperator", build_cnot_superoperator()))
+    for name, table in tables:
+        yield "pauli %s %s %s strides=%s writeable=%s %s" % (
+            name, table.dtype, "x".join(map(str, table.shape)), ",".join(map(str, table.strides)),
+            table.flags.writeable, hashlib.sha256(table.tobytes()).hexdigest())
+    rng = np.random.default_rng(2026)
+    for k in range(200):
+        s = dist_to_channel(rng.dirichlet(np.ones(4)))
+        d = dist_to_channel(rng.dirichlet(np.ones(4)))
+        q = commutation_signs() @ rng.dirichlet(np.ones(16))
+        dev = traceout_crosscheck(s, d, q, m_noise=rng.uniform(0, 1))
+        yield "pauli traceout-crosscheck draw=%d %s" % (k, dev.hex())
 
 
 def code_map_lines():
@@ -263,7 +285,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(args.tree.resolve() / "src"))
-    for lines in (hashing_lines(), code_map_lines(), mc_level_lines(), cli_lines(), mc_lines(args.seeds)):
+    kinds = (hashing_lines(), pauli_lines(), code_map_lines(), mc_level_lines(), cli_lines(), mc_lines(args.seeds))
+    for lines in kinds:
         for line in lines:
             print(line)
     return 0
