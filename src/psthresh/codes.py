@@ -317,10 +317,9 @@ def degeneracy_correction(scheme: str, p_g: float) -> float:
 # only that syndrome's class row, with the reference's bits (see the
 # drawn-syndrome section below).
 
-#: Klein four-group multiplication table on class indices (I, X, Y, Z)
-_KLEIN = np.array(
-    [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]], dtype=np.int64
-)
+#: Klein four-group multiplication table on class indices (I, X, Y, Z):
+#: the product of two Paulis up to phase is the XOR of their indices
+_KLEIN = np.bitwise_xor.outer(np.arange(4), np.arange(4))
 
 
 def _popcount_signs(masks: np.ndarray) -> np.ndarray:

@@ -52,16 +52,15 @@ def pauli_commutes(a: str, b: str) -> bool:
 
 @lru_cache(maxsize=1)
 def commutation_signs() -> np.ndarray:
-    """16x16 matrix of +-1: entry [i, j] is +1 iff labels i and j commute.
+    """16x16 matrix of +-1: entry [i, j] is +1 iff labels i and j commute,
+    i.e. iff the symplectic form x_i . z_j + z_i . x_j of their (x, z)
+    bits is even.
 
     This is the single source of truth for commutation signs; the noise
     module builds diagonal Q entries from it.
     """
-    n = len(TWO_QUBIT_LABELS)
-    signs = np.empty((n, n))
-    for i, a in enumerate(TWO_QUBIT_LABELS):
-        for j, b in enumerate(TWO_QUBIT_LABELS):
-            signs[i, j] = 1.0 if pauli_commutes(a, b) else -1.0
+    x, z = np.array([[_XZ_BITS[c] for c in lab] for lab in TWO_QUBIT_LABELS]).transpose(2, 0, 1)
+    signs = 1.0 - 2.0 * ((x @ z.T + z @ x.T) % 2)
     signs.setflags(write=False)
     return signs
 
@@ -172,46 +171,15 @@ _CNOT_U = np.array(
 
 
 @lru_cache(maxsize=1)
-def _cnot_pauli_map():
-    """Label -> (conjugated label index, sign) under conjugation by CNOT
-    (source qubit is the control), computed from the 4x4 matrices."""
-    mats = {
-        lab: np.kron(_PAULI_MATS[lab[0]], _PAULI_MATS[lab[1]])
-        for lab in TWO_QUBIT_LABELS
-    }
-    out = {}
-    for lab, mat in mats.items():
-        conj = _CNOT_U @ mat @ _CNOT_U
-        for lab2, mat2 in mats.items():
-            if np.allclose(conj, mat2):
-                out[lab] = (LABEL_INDEX[lab2], 1.0)
-                break
-            if np.allclose(conj, -mat2):
-                out[lab] = (LABEL_INDEX[lab2], -1.0)
-                break
-        else:
-            raise AssertionError("conjugation left the Pauli group: " + lab)
-    return out
-
-
-@lru_cache(maxsize=1)
 def build_cnot_superoperator() -> np.ndarray:
-    """16x16 signed permutation matrix of CNOT conjugation in the Pauli
-    basis.  Involutive; fixes II, IX, ZI, ZX; swaps XI <-> XX, IZ <-> ZZ."""
-    mapping = _cnot_pauli_map()
-    o = np.zeros((16, 16))
-    for lab, (target, sign) in mapping.items():
-        o[target, LABEL_INDEX[lab]] = sign
+    """16x16 Pauli transfer matrix O[i, j] = tr(P_i U P_j U) / 4 of
+    conjugation by the CNOT unitary U (source qubit is the control): a
+    signed permutation, involutive; fixes II, IX, ZI, ZX; swaps
+    XI <-> XX, IZ <-> ZZ."""
+    mats = np.array([np.kron(_PAULI_MATS[a], _PAULI_MATS[b]) for a, b in TWO_QUBIT_LABELS])
+    o = np.einsum("iab,bc,jcd,da->ij", mats, _CNOT_U, mats, _CNOT_U).real / 4
     o.setflags(write=False)
     return o
-
-
-def _pauli_superoperator(label: str) -> np.ndarray:
-    """Diagonal superoperator of applying the Pauli ``label`` (signs from
-    commutation)."""
-    return np.diag(
-        [1.0 if pauli_commutes(label, lab) else -1.0 for lab in TWO_QUBIT_LABELS]
-    )
 
 
 # encoders of the two 2-qubit codes used by the trace-out cross-check, as
@@ -268,7 +236,7 @@ def traceout_crosscheck(s, d, q, m_noise: float = 1.0) -> float:
 
     dev = 0.0
     for recovery in ("II", "IX"):
-        o_r = _pauli_superoperator(recovery)
+        o_r = np.diag(commutation_signs()[LABEL_INDEX[recovery]])
         for enc, noise in ((_E_DETECT, n_detect), (_E_BITFLIP, n_bitflip)):
             g = 0.5 * enc.T @ o_r @ noise @ enc
             dev = max(dev, float(np.abs(np.diag(g) - expected[recovery]).max()))

@@ -216,6 +216,8 @@ def hashing_threshold(
         if gap(hi) < 0:
             if not extend or hi >= 0.4999:
                 raise BracketError("entropy stays below one bit up to hi=%g" % hi)
+            if hi <= 0:  # 1.5 * hi cannot grow
+                raise BracketError("no above-threshold point found")
             hi = min(1.5 * hi, 0.4999)
         else:
             break

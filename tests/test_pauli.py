@@ -44,6 +44,7 @@ def test_commutation_signs_match_symplectic():
             assert signs[i, j] == (1.0 if pauli_commutes(a, b) else -1.0)
     assert (signs == signs.T).all()
     assert (signs[0] == 1.0).all()
+    assert not signs.flags.writeable
 
 
 def test_pauli_commutes_basics():
@@ -75,6 +76,26 @@ def test_dist_to_channel_rejects_junk():
         channel_to_dist([math.nan, 1.0, 1.0])
     with pytest.raises(ValueError, match="expected a length-4 Pauli distribution"):
         dist_to_channel([1, 0, 0])
+
+
+def test_cnot_superoperator_is_a_signed_permutation():
+    op = build_cnot_superoperator()
+    assert op.shape == (16, 16) and op.dtype == np.float64 and not op.flags.writeable
+    # every entry exactly -1, 0 or +1, and no zero carries a sign bit
+    assert set(op.ravel().tolist()) <= {-1.0, 0.0, 1.0}
+    assert not np.signbit(op[op == 0.0]).any()
+    assert ((op != 0).sum(axis=0) == 1).all() and ((op != 0).sum(axis=1) == 1).all()
+    assert (op @ op == np.eye(16)).all()
+
+
+def test_cnot_superoperator_fixed_and_swapped_labels():
+    op = build_cnot_superoperator()
+    index = {lab: i for i, lab in enumerate(TWO_QUBIT_LABELS)}
+    for lab in ("II", "IX", "ZI", "ZX"):
+        assert op[index[lab], index[lab]] == 1.0
+    for a, b in (("XI", "XX"), ("IZ", "ZZ")):
+        assert op[index[a], index[b]] == op[index[b], index[a]] == 1.0
+        assert op[index[a], index[a]] == op[index[b], index[b]] == 0.0
 
 
 def test_cnot_conjugate_matches_superoperator():

@@ -292,6 +292,17 @@ def test_hashing_threshold_bracket_errors():
         hashing_threshold("depolarizing", hi=0.01, extend=False)
 
 
+def test_hashing_stops_when_the_upper_end_cannot_grow(monkeypatch):
+    # 1.5 * 0 stays 0, so one evaluation at hi settles that no bracket
+    # exists (the search used to evaluate gap(0) 60 times)
+    models = []
+    entropy = threshold.teleport_entropy
+    monkeypatch.setattr(threshold, "teleport_entropy", lambda model: models.append(model) or entropy(model))
+    with pytest.raises(BracketError, match="no above-threshold point found"):
+        hashing_threshold("knill", hi=0)
+    assert [model.p for model in models] == [1e-3, 0]
+
+
 def test_sweep_r_decreases():
     rows = sweep_r(points=3, tol=1e-7)
     assert [r for r, _ in rows] == [0.0, 0.5, 1.0]

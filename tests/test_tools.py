@@ -4,6 +4,7 @@ the tools share."""
 
 import argparse
 import hashlib
+import importlib.util
 import platform
 import subprocess
 import sys
@@ -20,6 +21,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TOOLS = ROOT / "tools"
 sys.path.insert(0, str(TOOLS))
 
+import bench_record  # noqa: E402
 from bench_record import parse_seeds  # noqa: E402
 
 #: the machine the record below was made on
@@ -159,3 +161,20 @@ def test_empty_seed_range_is_usage_error(tool):
     assert out.returncode == 2
     assert out.stdout == ""
     assert "usage:" in out.stderr and "--seeds" in out.stderr
+
+
+def test_bench_record_compiles_each_tree_before_its_first_run(tmp_path, monkeypatch):
+    modules = [tmp_path / "src" / "pkg" / "mod.py", tmp_path / "bench" / "run.py"]
+    for path in modules:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("X = 1\n")
+    compiled = []
+
+    def first_run(tree, workload, seed, seconds):
+        compiled.append([Path(importlib.util.cache_from_source(str(path))).is_file() for path in modules])
+        raise StopIteration
+
+    monkeypatch.setattr(bench_record, "run_once", first_run)
+    with pytest.raises(StopIteration):
+        bench_record.main(["--tag", "unused", "--workload", "hashing-cli", "--tree", "t=%s" % tmp_path])
+    assert compiled == [[True, True]]

@@ -7,9 +7,12 @@ Each ``--tree LABEL=PATH`` names a source checkout holding ``bench/`` and
 ``src/``.  For every seed, ``bench/run.py --trace 0`` runs once on each
 tree, in a fresh process with the tree as working directory; the order
 of the trees alternates from one seed to the next, so that slow spells
-of the machine fall on both sides.  The run's last stdout line gives its
-metrics, and the record it writes to the tree's ``.bench_out/`` gives
-the machine and the commit it ran on.
+of the machine fall on both sides.  Before the first run, each tree's
+``src/`` and ``bench/`` are compiled to bytecode: the run's set-up child
+(``python -I``) writes ``__pycache__`` into the tree it times, so a tree
+that held no bytecode would start behind one that did.  The run's last
+stdout line gives its metrics, and the record it writes to the tree's
+``.bench_out/`` gives the machine and the commit it ran on.
 
 The file holds, per tree, every run's metrics and, per end-to-end metric
 of ``BENCHMARK.json``, the median, quartiles and IQR over the seeds; per
@@ -21,6 +24,7 @@ are given; and the machine record shared by all runs.  Nothing under
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import subprocess
 import sys
@@ -54,6 +58,13 @@ def parse_tree(text):
     if not (tree / "bench" / "run.py").is_file():
         raise argparse.ArgumentTypeError("no bench/run.py under %s" % tree)
     return label, tree
+
+
+def compile_tree(tree):
+    """Write the bytecode of every module under the tree's src/ and bench/."""
+    for sub in ("src", "bench"):
+        if not compileall.compile_dir(tree / sub, quiet=1):
+            raise SystemExit("bench_record: %s does not compile" % (tree / sub))
 
 
 def run_once(tree, workload, seed, seconds):
@@ -94,6 +105,8 @@ def main(argv=None):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [m["name"] for m in spec["end_to_end"]]
 
+    for _, tree in args.tree:
+        compile_tree(tree)
     runs = {label: [] for label in labels}
     commits = {label: set() for label in labels}
     order, machine = [], None
