@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from psthresh.pauli import (
+    LABEL_INDEX,
     TWO_QUBIT_LABELS,
     build_cnot_superoperator,
     channel_to_dist,
@@ -90,12 +91,11 @@ def test_cnot_superoperator_is_a_signed_permutation():
 
 def test_cnot_superoperator_fixed_and_swapped_labels():
     op = build_cnot_superoperator()
-    index = {lab: i for i, lab in enumerate(TWO_QUBIT_LABELS)}
     for lab in ("II", "IX", "ZI", "ZX"):
-        assert op[index[lab], index[lab]] == 1.0
+        assert op[LABEL_INDEX[lab], LABEL_INDEX[lab]] == 1.0
     for a, b in (("XI", "XX"), ("IZ", "ZZ")):
-        assert op[index[a], index[b]] == op[index[b], index[a]] == 1.0
-        assert op[index[a], index[a]] == op[index[b], index[b]] == 0.0
+        i, j = LABEL_INDEX[a], LABEL_INDEX[b]
+        assert op[i, j] == op[j, i] == 1.0 and op[i, i] == op[j, j] == 0.0
 
 
 def test_cnot_conjugate_matches_superoperator():

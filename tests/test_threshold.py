@@ -294,7 +294,7 @@ def test_hashing_threshold_bracket_errors():
 
 def test_hashing_stops_when_the_upper_end_cannot_grow(monkeypatch):
     # 1.5 * 0 stays 0, so one evaluation at hi settles that no bracket
-    # exists (the search used to evaluate gap(0) 60 times)
+    # exists
     models = []
     entropy = threshold.teleport_entropy
     monkeypatch.setattr(threshold, "teleport_entropy", lambda model: models.append(model) or entropy(model))
