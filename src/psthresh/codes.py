@@ -21,7 +21,8 @@ Four layers are provided here:
   that share a distribution, behind the first-level fidelity, and, for
   the Monte Carlo population dynamics, the syndrome weights of such a
   product and the class row of one drawn syndrome, each with the full
-  decomposition's bits;
+  decomposition's bits, and, for a flow with phase flips only, the eight
+  one-sector syndrome weights and parity splits;
 * the binary Golay [23,12] coset weight enumerators behind the
   [[23,1,7]] entropy and crash-probability estimates.
 """
@@ -339,6 +340,7 @@ class _Tables713(NamedTuple):
     weight_transform: np.ndarray  # [64, 64] on parity-free characters, c = a | b << 3
     signs: np.ndarray  # [64, 256] per-syndrome character signs
     classes: np.ndarray  # [256, 8] class columns of syndrome 0, zero-padded
+    sector_words: np.ndarray  # [16, 7] one-sector character supports, V0 then V1
 
 
 @lru_cache(maxsize=1)
@@ -373,7 +375,12 @@ def _tables_713() -> _Tables713:
     parity_free = (np.arange(64) & 7) | ((np.arange(64) >> 3) << 4)
     weight_transform = signs[:, parity_free] / 64.0
 
-    tables = _Tables713(span, sig, kinds, transform, weight_transform, signs, classes)
+    # the one-sector section's supports: the span's words (V0) and the same
+    # words shifted by the logical word 1111111 (V1), qubit i in column i
+    words = np.concatenate([span, span ^ 0b1111111])
+    sector_words = (words[:, None] >> np.arange(7)) & 1 == 1
+
+    tables = _Tables713(span, sig, kinds, transform, weight_transform, signs, classes, sector_words)
     for arr in tables:
         arr.setflags(write=False)
     return tables
@@ -536,6 +543,50 @@ def _drawn_class_rows(qh: np.ndarray, syndromes: np.ndarray, buffers) -> np.ndar
     term[:n] *= qh
     np.matmul(term, tables.classes, rows)
     return rows[:n, :4]
+
+
+# ---------------------------------------------------------------------------
+# one-sector syndrome weights of 7-qubit flip products
+#
+# With errors of one type only, qubit i flipped with probability q_i, the
+# expectation of (-1)^(e.w) for a word w is the product of 1 - 2 q_i over
+# the qubits of w.  Over the 8 words a of the check-row span (V0, word a
+# the XOR of the check rows k of the set bits k of a), the 8-point
+# Walsh-Hadamard transform of these products, over 8, gives the syndrome
+# weights P(s), bit k of s from check row k; over the same words shifted
+# by the logical word 1111111 (V1), it gives P(s, 0) - P(s, 1), the split
+# of P(s) by the parity of e.  So 8 characters carry what the two-sector
+# decomposition carries in 256 for a flow with no X or Y weight.  Every
+# step is elementwise in a fixed order, with no BLAS call, so a column's
+# bits do not depend on the columns beside it.
+
+
+def _sector_weights(f: np.ndarray):
+    """Syndrome weights P(s) and parity splits P(s, 0) - P(s, 1), [8, n]
+    each, of seven independent flips whose 1 - 2 q are the rows of
+    f [7, n]."""
+    out = np.ones((16, f.shape[1]))
+    for row, word in zip(out, _tables_713().sector_words):
+        for i in np.flatnonzero(word):  # qubits in ascending order
+            row *= f[i]
+    # three butterfly stages within each half; a group of 2 h rows never
+    # straddles the halves
+    for h in (4, 2, 1):
+        pairs = out.reshape(-1, 2, h, out.shape[1])
+        top, bottom = pairs[:, 0], pairs[:, 1]
+        total = top + bottom
+        np.subtract(top, bottom, out=bottom)
+        top[...] = total
+    out *= 0.125
+    return out[:8], out[8:]
+
+
+def _sector_recovered(weight: np.ndarray, split: np.ndarray) -> np.ndarray:
+    """Post-recovery flip probability min(P(s, 0), P(s, 1)) / P(s) from
+    the syndrome weight P(s) and parity split P(s, 0) - P(s, 1),
+    elementwise; 0 where P(s) <= 0, as recover_713's trivial row."""
+    lighter = np.minimum(weight + split, weight - split)
+    return np.divide(lighter, 2.0 * weight, out=np.zeros(weight.shape), where=weight > 0)
 
 
 # ---------------------------------------------------------------------------

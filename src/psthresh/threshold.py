@@ -16,6 +16,13 @@ keyed by (seed, level), so results are reproducible and any range of a
 level can be drawn on its own: a solve splits each level into even
 ranges of rows across worker processes (_workers), one per usable CPU,
 with results identical to one process.
+
+A Monte Carlo flow runs on one of two kernels, by its level-0
+distribution.  With phase flips only (no X or Y weight), an individual
+is one flip probability and a level forms 8 characters per individual
+(_sector_rows); otherwise an individual is a class row over
+(I, X, Y, Z) and a level forms 256 (_level_rows).  The two-sector kernel
+on a one-type flow is the tests' reference for the one-sector one.
 """
 
 from __future__ import annotations
@@ -34,6 +41,8 @@ from .codes import (
     _cumulative_syndrome_weights,
     _drawn_class_rows,
     _drawn_syndromes,
+    _sector_recovered,
+    _sector_weights,
     _syndrome_buffers,
     combine_classes,
     crash_poly_2317,
@@ -289,30 +298,48 @@ class _McConfigFields(NamedTuple):
 class McConfig(_Checked, _McConfigFields):
     """Settings for the population-dynamics verdict.
 
-    population is the number of tracked conditional distributions; a
-    level resamples each individual from seven parents.  Randomness is
-    drawn from counter-based streams keyed by (seed, level).  The flow
-    runs for at most `levels` levels; it stops as below threshold once
-    the mean infidelity falls under BELOW_INFIDELITY, and as above once
-    it passes ABOVE_INFIDELITY.
+    population is the number of tracked individuals; a level resamples
+    each individual from seven parents.  Randomness is drawn from
+    counter-based streams keyed by (seed, level).  The flow runs for at
+    most `levels` levels; it stops as below threshold once the mean
+    infidelity falls under BELOW_INFIDELITY, and as above once it passes
+    ABOVE_INFIDELITY.
 
-    A level runs in row blocks of 256 individuals.  Each block's
-    character product ([256, 256]), syndrome weights and their cumulative
-    sums ([256, 64] each) stay in cache from the product through the
-    syndrome draw to the drawn syndrome's class row, and the buffers are
-    reused from block to block.  That row has the bits of the same row of
-    the full decomposition (decompose_713 in tests/test_codes.py).
-    Recovery is then applied to the chosen rows of the whole level at
-    once.  Level 1, where every individual is dist0, builds one row's
-    product and the class rows of all 64 syndromes.  Results do not
+    Two kernels run the levels, chosen once per flow by dist0.  Both
+    draw the parents and the syndrome uniforms from the same streams
+    (_level_draws), and pick the syndrome by counting the cumulative
+    syndrome weights under the uniform.
+
+    The one-sector kernel (_sector_rows) runs a dist0 with no X or Y
+    weight, such as one_type_dist's: each individual is then one
+    post-recovery flip probability q, and the mean infidelity is the
+    mean of q.  Per individual it forms 8 character products of 1 - 2q
+    over the words of the check-row span and 8 over those words shifted
+    by the logical word, transforms each set to the 8 syndrome weights
+    and parity splits, and keeps the lighter parity of the drawn
+    syndrome.  It is elementwise throughout, and level 1 runs as every
+    other level does.
+
+    The two-sector kernel (_level_rows) runs every other dist0, with a
+    class row over (I, X, Y, Z) per individual, in row blocks of 256
+    individuals.  Each block's character product ([256, 256]), syndrome
+    weights and their cumulative sums ([256, 64] each) stay in cache
+    from the product through the syndrome draw to the drawn syndrome's
+    class row, and the buffers are reused from block to block.  That row
+    has the bits of the same row of the full decomposition
+    (decompose_713 in tests/test_codes.py).  Recovery is then applied to
+    the chosen rows of the whole level at once.  Level 1, where every
+    individual is dist0, builds one row's product and the class rows of
+    all 64 syndromes in-process (_mc_first_level).  Results do not
     depend on the block size.
 
-    From level 2 on, a level of at least 2 * _WORKER_BLOCKS blocks runs
-    on worker processes, one per usable CPU (os.sched_getaffinity), each
-    given an even share of rows in one range; the parent waits for their
-    rows.  Each worker draws the level's (seed, level) stream itself and
-    computes its rows exactly as one process would, so results are
-    bit-identical however the level is split.  The first
+    A level of at least 2 * _WORKER_BLOCKS blocks, from level 2 on for
+    the two-sector kernel and at every level for the one-sector one,
+    runs on worker processes, one per usable CPU (os.sched_getaffinity),
+    each given an even share of rows in one range; the parent waits for
+    their rows.  Each worker draws the level's (seed, level) stream
+    itself and computes its rows exactly as one process would, so
+    results are bit-identical however the level is split.  The first
     concat_threshold_mc of a process starts the workers (0.2-0.45 s,
     about 48 MB each) and they serve every verdict after it; a lone
     mc_verdict starts none.
@@ -393,6 +420,26 @@ def _level_rows(popn: np.ndarray, seed: int, level: int, start: int, stop: int) 
     return cond[:, 0]
 
 
+def _sector_rows(popn: np.ndarray, seed: int, level: int, start: int, stop: int) -> np.ndarray:
+    """Rows start:stop of a level of the one-sector population dynamics,
+    where popn [pop] holds each individual's post-recovery flip
+    probability: each individual is rebuilt from seven parents drawn from
+    popn, its syndrome is drawn from their syndrome weights by the
+    uniform and the cumulative count of _level_rows (capped at 7), and
+    its flip probability is that syndrome's _sector_recovered.  Every
+    step is elementwise, so a row's bits do not depend on the range."""
+    idx, u = _level_draws(popn.shape[0], seed, level)
+    # [7, rows]: the children's 1 - 2q, one row per qubit
+    weights, splits = _sector_weights(1.0 - 2.0 * np.take(popn, idx[start:stop].T))
+    # np.cumsum's sums, a row at a time: faster than np.cumsum on axis 0
+    cum = weights.copy()
+    for k in range(1, 8):
+        cum[k] += cum[k - 1]
+    syndromes = np.minimum(np.add.reduce(cum < u[start:stop], axis=0, dtype=np.intp), 7)
+    cols = np.arange(stop - start)
+    return _sector_recovered(weights[syndromes, cols], splits[syndromes, cols])
+
+
 def _level_ranges(pop: int, parts: int):
     """parts contiguous (start, stop) ranges covering a population of
     pop, as even in rows as they can be."""
@@ -400,16 +447,18 @@ def _level_ranges(pop: int, parts: int):
     return list(zip(edges, edges[1:]))
 
 
-def _mc_level(popn: np.ndarray, config: McConfig, level: int, pool=None, parts: int = 1) -> np.ndarray:
-    """One level of the population dynamics (_level_rows of the whole
-    population).  Given a worker pool and parts > 1, the level is split
-    into `parts` even ranges of rows, one per worker, and the parent
-    waits for their rows."""
+def _mc_level(
+    popn: np.ndarray, config: McConfig, level: int, pool=None, parts: int = 1, rows=_level_rows
+) -> np.ndarray:
+    """One level of the population dynamics: the row function `rows`
+    (_level_rows or _sector_rows) on the whole population.  Given a
+    worker pool and parts > 1, the level is split into `parts` even
+    ranges of rows, one per worker, and the parent waits for their rows."""
     pop = popn.shape[0]
     if pool is None or parts < 2:
-        return _level_rows(popn, config.seed, level, 0, pop)
+        return rows(popn, config.seed, level, 0, pop)
     calls = [(popn, config.seed, level, a, b) for a, b in _level_ranges(pop, parts)]
-    return np.concatenate(pool.map(_level_rows, calls))
+    return np.concatenate(pool.map(rows, calls))
 
 
 def _mc_first_level(dist0: np.ndarray, config: McConfig) -> np.ndarray:
@@ -431,6 +480,27 @@ def _mc_first_level(dist0: np.ndarray, config: McConfig) -> np.ndarray:
     return cond[0, syndromes]
 
 
+def _mc_flow(dist0: np.ndarray, config: McConfig, pool=None, parts: int = 1):
+    """The population and its mean infidelity after each level of the
+    flow from dist0, for config.levels levels, each level run by
+    _mc_level.  With no X or Y weight in dist0 (dist0[1] == dist0[2] ==
+    0.0), the population is one post-recovery flip probability per
+    individual, started at dist0[3], and every level runs _sector_rows;
+    otherwise it is one class row per individual, level 1 is
+    _mc_first_level and the others run _level_rows."""
+    if dist0[1] == dist0[2] == 0.0:
+        popn = np.full(config.population, dist0[3])
+        for level in range(1, config.levels + 1):
+            popn = _mc_level(popn, config, level, pool, parts, _sector_rows)
+            yield popn, popn.mean()
+        return
+    popn = _mc_first_level(dist0, config)
+    yield popn, 1.0 - popn[:, 0].mean()
+    for level in range(2, config.levels + 1):
+        popn = _mc_level(popn, config, level, pool, parts, _level_rows)
+        yield popn, 1.0 - popn[:, 0].mean()
+
+
 def mc_verdict(dist0, config: McConfig = McConfig()):
     """Verdict ('below', 'above' or 'inconclusive', level) for the
     concatenation flow started from error distribution dist0.
@@ -439,7 +509,8 @@ def mc_verdict(dist0, config: McConfig = McConfig()):
     the population-mean infidelity drops under BELOW_INFIDELITY within
     the level budget.  Above: the mean infidelity passes
     ABOVE_INFIDELITY, on the way to a randomised sector.  A flow that
-    does neither within config.levels levels is inconclusive.
+    does neither within config.levels levels is inconclusive.  A dist0
+    with phase flips only runs on the one-sector kernel (see McConfig).
 
     dist0 must be a length-4 vector of finite, non-negative entries that
     sum to 1 within 1e-9, or ValueError is raised.  The levels run on
@@ -449,12 +520,7 @@ def mc_verdict(dist0, config: McConfig = McConfig()):
     dist0 = _check_distribution("dist0", dist0)
     pool = _running_workers()
     parts = min(_worker_count(config.population), pool.size) if pool is not None else 1
-    for level in range(1, config.levels + 1):
-        if level == 1:
-            popn = _mc_first_level(dist0, config)
-        else:
-            popn = _mc_level(popn, config, level, pool, parts)
-        infidelity = 1.0 - popn[:, 0].mean()
+    for level, (_, infidelity) in enumerate(_mc_flow(dist0, config, pool, parts), 1):
         if infidelity < BELOW_INFIDELITY:
             return "below", level
         if infidelity > ABOVE_INFIDELITY:

@@ -9,6 +9,7 @@ import copy
 import math
 import pickle
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,11 +17,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psthresh import threshold
-from psthresh.codes import crash_poly_2317, crash_poly_713, recover_713
+from psthresh.codes import (
+    PARITY_CHECK_713,
+    _sector_recovered,
+    _sector_weights,
+    crash_poly_2317,
+    crash_poly_713,
+    recover_713,
+)
 from psthresh.noise import Depolarizing, Forward, RateError, model_family
 from psthresh.postselect import NoConvergenceError, indep_fixed_point, model_teleport_output
 from psthresh.threshold import (
     ABOVE_INFIDELITY,
+    BELOW_INFIDELITY,
     BracketError,
     McConfig,
     bisect,
@@ -43,6 +52,7 @@ from psthresh.threshold import (
     _level_draws,
     _mc_first_level,
     _mc_level,
+    _sector_rows,
 )
 
 from test_codes import _reference_decompose, _reference_drawn_rows
@@ -485,6 +495,128 @@ def test_first_level_matches_tiled_level(population, dist):
     got = _mc_first_level(dist0, config)
     np.testing.assert_array_equal(got, _mc_level(tiled, config, 1))
     np.testing.assert_array_equal(got, _reference_level(tiled, config, 1))
+
+
+# ---------------------------------------------------------------------------
+# the one-sector kernel
+
+
+def _enumerated_sector(q):
+    """P(s, l) [8][2] as exact Fractions for seven independent flips with
+    probabilities q, by enumeration of the 2^7 patterns: bit k of s is
+    the parity of the pattern on check row k, and l is its parity."""
+    joint = [[Fraction(0), Fraction(0)] for _ in range(8)]
+    for e in range(128):
+        bits = [(e >> i) & 1 for i in range(7)]
+        prob = math.prod(Fraction(qi) if b else 1 - Fraction(qi) for qi, b in zip(q, bits))
+        s = sum((sum(b & r for b, r in zip(bits, row)) % 2) << k for k, row in enumerate(PARITY_CHECK_713))
+        joint[s][sum(bits) % 2] += prob
+    return joint
+
+
+def _enumerated_recovery(q):
+    """Syndrome weights [8] and each syndrome's post-recovery flip
+    probability [8] (0 for a syndrome with no weight) from
+    _enumerated_sector, as floats."""
+    joint = _enumerated_sector(q)
+    weights = [p0 + p1 for p0, p1 in joint]
+    recovered = [min(p0, p1) / w if w else Fraction(0) for (p0, p1), w in zip(joint, weights)]
+    return np.array(weights, dtype=float), np.array(recovered, dtype=float)
+
+
+SECTOR_RATES = [0.0, 0.01, 0.1, 0.3, 0.5]
+
+
+@pytest.mark.parametrize(
+    "q", [[q] * 7 for q in SECTOR_RATES] + [[0.02, 0.05, 0.11, 0.17, 0.23, 0.31, 0.44]],
+    ids=[str(q) for q in SECTOR_RATES] + ["seven rates"],
+)
+def test_sector_kernel_matches_enumeration(q):
+    want_weights, want_recovered = _enumerated_recovery(q)
+    weights, splits = _sector_weights(1.0 - 2.0 * np.array(q)[:, None])
+    np.testing.assert_allclose(weights[:, 0], want_weights, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(_sector_recovered(weights[:, 0], splits[:, 0]), want_recovered, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("q", SECTOR_RATES)
+def test_first_sector_level_matches_enumeration(q):
+    # seven children at q each: an individual's flip probability is the
+    # recovered one of the syndrome that its uniform draws from the
+    # enumerated weights
+    config = McConfig(population=2000, seed=7)
+    weights, recovered = _enumerated_recovery([q] * 7)
+    _, u = _level_draws(config.population, config.seed, 1)
+    drawn = np.minimum((np.cumsum(weights) < u[:, None]).sum(axis=1), 7)
+    got = _mc_level(np.full(config.population, q), config, 1, rows=_sector_rows)
+    np.testing.assert_allclose(got, recovered[drawn], rtol=0, atol=1e-15)
+
+
+def _two_sector_verdict(dist0, config):
+    """mc_verdict's rules run on the two-sector kernel: _mc_first_level,
+    then _mc_level."""
+    popn = _mc_first_level(dist0, config)
+    for level in range(1, config.levels + 1):
+        if level > 1:
+            popn = _mc_level(popn, config, level)
+        infidelity = 1.0 - popn[:, 0].mean()
+        if infidelity < BELOW_INFIDELITY:
+            return "below", level
+        if infidelity > ABOVE_INFIDELITY:
+            return "above", level
+    return "inconclusive", config.levels
+
+
+def _solve_probes(monkeypatch, lo, hi, config, tol):
+    """(p, verdict) of every probe, bracket checks first, of the one-type
+    solve of [lo, hi]."""
+    probes = []
+    verdict_at = threshold.mc_verdict_at
+
+    def recorded(dist_fn, p, probe_config):
+        verdict = verdict_at(dist_fn, p, probe_config)
+        probes.append((p, verdict))
+        return verdict
+
+    monkeypatch.setattr(threshold, "mc_verdict_at", recorded)
+    concat_threshold_mc(one_type_dist, lo, hi, config, tol)
+    return probes
+
+
+# the criterion-5 one-type solve at population 2048 (in-process), and
+# test_mc_threshold_small_population's
+@pytest.mark.parametrize(
+    "config, lo, hi, tol",
+    [(McConfig(population=2048, seed=s), 0.09, 0.13, 2e-4) for s in (1, 2, 3)] + [(QUICK, 0.05, 0.18, 5e-3)],
+    ids=["2048 seed 1", "2048 seed 2", "2048 seed 3", "quick"],
+)
+def test_sector_solve_probes_match_two_sector(monkeypatch, config, lo, hi, tol):
+    probes = _solve_probes(monkeypatch, lo, hi, config, tol)
+    assert len(probes) >= 6
+    for p, verdict in probes:
+        assert verdict == _two_sector_verdict(one_type_dist(p), config), p
+
+
+def _spy(calls, name, fn):
+    """fn, appending name to calls at each call."""
+
+    def spied(*args):
+        calls.append(name)
+        return fn(*args)
+
+    return spied
+
+
+def test_mc_verdict_picks_kernel_by_dist0(monkeypatch):
+    calls = []
+    for name in ("_sector_rows", "_level_rows", "_mc_first_level"):
+        monkeypatch.setattr(threshold, name, _spy(calls, name, getattr(threshold, name)))
+    assert mc_verdict(one_type_dist(0.1), QUICK)[1] > 2
+    assert set(calls) == {"_sector_rows"}
+    # an X or a Y weight of 1e-12 takes the two-sector rows
+    for dist0 in ([0.9 - 1e-12, 1e-12, 0.0, 0.1], [0.9 - 1e-12, 0.0, 1e-12, 0.1]):
+        calls.clear()
+        assert mc_verdict(dist0, QUICK)[1] > 2
+        assert set(calls) == {"_mc_first_level", "_level_rows"}
 
 
 @pytest.mark.parametrize(

@@ -26,6 +26,7 @@ from psthresh.threshold import (
     _level_rows,
     _mc_first_level,
     _mc_level,
+    _sector_rows,
     _worker_count,
 )
 
@@ -44,7 +45,15 @@ def _run_python(*args):
     )
 
 
-def _level2_population(config):
+#: the row functions of both kernels
+ROWS = (_level_rows, _sector_rows)
+
+
+def _level2_population(config, rows=_level_rows):
+    """The population after level 1 of a flow near threshold on the
+    kernel of `rows`."""
+    if rows is _sector_rows:
+        return _mc_level(np.full(config.population, 0.1096), config, 1, rows=_sector_rows)
     return _mc_first_level(model_level0("knill")(0.0688), config)
 
 
@@ -86,10 +95,11 @@ def test_level_ranges_are_even_rows(pop):
     ],
 )
 def test_split_level_matches_one_process(edges):
-    popn = _level2_population(SPLIT)
-    for level in (2, 5):
-        parts = [_level_rows(popn, SPLIT.seed, level, a, b) for a, b in zip(edges, edges[1:])]
-        np.testing.assert_array_equal(np.concatenate(parts), _mc_level(popn, SPLIT, level))
+    for rows in ROWS:
+        popn = _level2_population(SPLIT, rows)
+        for level in (2, 5):
+            parts = [rows(popn, SPLIT.seed, level, a, b) for a, b in zip(edges, edges[1:])]
+            np.testing.assert_array_equal(np.concatenate(parts), _mc_level(popn, SPLIT, level, rows=rows))
 
 
 def test_level_draws_stream_layout():
@@ -127,14 +137,15 @@ def test_worker_pipes_take_a_level_request(worker_pool):
 
 
 def test_pool_level_matches_one_process(worker_pool):
-    popn = _level2_population(SPLIT)
-    for level in range(2, 6):
-        want = _mc_level(popn, SPLIT, level)
-        for parts in (2, 3):
-            np.testing.assert_array_equal(_mc_level(popn, SPLIT, level, worker_pool, parts), want)
-        calls = [(popn, SPLIT.seed, level, a, b) for a, b in [(0, 256), (256, 512), (512, 2000)]]
-        np.testing.assert_array_equal(np.concatenate(worker_pool.map(_level_rows, calls)), want)
-        popn = want
+    for rows in ROWS:
+        popn = _level2_population(SPLIT, rows)
+        for level in range(2, 6):
+            want = _mc_level(popn, SPLIT, level, rows=rows)
+            for parts in (2, 3):
+                np.testing.assert_array_equal(_mc_level(popn, SPLIT, level, worker_pool, parts, rows), want)
+            calls = [(popn, SPLIT.seed, level, a, b) for a, b in [(0, 256), (256, 512), (512, 2000)]]
+            np.testing.assert_array_equal(np.concatenate(worker_pool.map(rows, calls)), want)
+            popn = want
 
 
 def test_worker_runs_the_parents_package(worker_pool):

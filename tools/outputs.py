@@ -39,8 +39,10 @@ is exact (``float.hex()``):
 * ``mc-level FAMILY p=P level=L INFIDELITY SHA256``: the Monte Carlo
   population of each criterion-5 family of ``psthresh.cli.TARGETS`` at
   its published rate, population 2048 (in-process), seed 1, at levels
-  1-6: the mean infidelity and the first 16 hex digits of the sha256 of
-  the population's bytes;
+  1-6, on the kernel a solve runs (``threshold._mc_flow``): the mean
+  infidelity and the first 16 hex digits of the sha256 of the
+  population's bytes, the flip probabilities of the one-sector kernel
+  (one-type) or the class rows of the two-sector one;
 * ``cli ARGV exit=CODE stdout=REPR stderr=REPR``: one in-process
   ``psthresh.cli.main`` call per line over every subcommand but
   ``reproduce``, with each output format and ``--raw``, and the failures
@@ -186,18 +188,15 @@ def code_map_lines():
 def mc_level_lines():
     from psthresh import cli, threshold
 
-    config = threshold.McConfig(population=2048, seed=1)
+    config = threshold.McConfig(population=2048, levels=6, seed=1)
     for row in cli.TARGETS:
         if row.criterion != 5:
             continue
         family, p = row.label.split()[0], row.want / 100
-        popn = threshold._mc_first_level(cli._level0(family)(p), config)
-        for level in range(1, 7):
-            if level > 1:
-                popn = threshold._mc_level(popn, config, level)
-            infidelity = float(1.0 - popn[:, 0].mean())
+        flow = threshold._mc_flow(cli._level0(family)(p), config)
+        for level, (popn, infidelity) in enumerate(flow, 1):
             digest = hashlib.sha256(popn.tobytes()).hexdigest()[:16]
-            yield "mc-level %s p=%r level=%d %s %s" % (family, p, level, infidelity.hex(), digest)
+            yield "mc-level %s p=%r level=%d %s %s" % (family, p, level, float(infidelity).hex(), digest)
 
 
 def cli_argvs():
