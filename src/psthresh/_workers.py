@@ -1,19 +1,26 @@
 """Worker processes for the Monte Carlo population levels.
 
 A pool is a set of plain child interpreters (``sys.executable -c``) that
-import this package from the parent's own source directory, with their
-BLAS pinned to one thread.  Requests and replies are pickles over each
-child's stdin and stdout: a request is a module-level function and its
-arguments, a reply ``("ok", result)`` or ``("error", traceback text)``.
+import this package from the parent's own source directory, in the
+environment ``_WORKER_ENV``: BLAS pinned to one thread, and a glibc heap
+that keeps its pages.  By default glibc maps each block over its 128 KiB
+mmap threshold afresh and trims the top of the heap after a free, so
+every level a worker ran faulted in new pages for numpy's temporaries
+(about 300 minor faults, a third of a one-type half level's time at
+population 10^4); with the settings the next level reuses the last one's
+pages.  Requests and replies are pickles over each child's stdin and
+stdout: a request is a module-level function and its arguments, a reply
+``("ok", result)`` or ``("error", traceback text)``.
 A child ignores SIGINT and exits when its stdin closes.  Its pipes hold
 1 MiB where Linux allows it, so a level's 320 KB request (population
 10^4) leaves in one write and the next worker's need not wait for it.
 
 multiprocessing's spawn method is not used: it re-runs the caller's
 ``__main__``, which breaks scripts without a ``__main__`` guard, and its
-children share one environment, so their BLAS threads cannot be pinned
-without pinning the parent's.  Two processes each running a
-multi-threaded BLAS on two cores were several times slower than one.
+children share one environment, so their BLAS threads and heap cannot be
+set without setting the parent's, which a library must leave alone.  Two
+processes each running a multi-threaded BLAS on two cores were several
+times slower than one.
 
 Importing this module starts nothing.  ``start`` starts this process's
 pool, which is closed at interpreter exit; a pool that failed, or that
@@ -45,8 +52,17 @@ _CHILD = "import sys; sys.path.insert(0, sys.argv[1]); from psthresh._workers im
 _PIPE_BYTES = 1 << 20
 
 #: environment of a worker: one BLAS thread, as the pool already uses a
-#: process per usable CPU
-_ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+#: process per usable CPU; blocks up to 32 MiB (glibc's 64-bit maximum)
+#: from the heap rather than mmap, and up to 256 MiB of free heap top kept
+#: mapped.  Either threshold alone still leaves faults; other C libraries
+#: ignore both.
+_WORKER_ENV = {
+    "OPENBLAS_NUM_THREADS": "1",
+    "OMP_NUM_THREADS": "1",
+    "MKL_NUM_THREADS": "1",
+    "MALLOC_MMAP_THRESHOLD_": str(32 << 20),
+    "MALLOC_TRIM_THRESHOLD_": str(256 << 20),
+}
 
 
 class WorkerPool:
@@ -75,7 +91,7 @@ class WorkerPool:
         # the directory holding this package, so that the workers run this
         # source tree and not another installed copy
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env = dict(os.environ, **_ONE_THREAD)
+        env = dict(os.environ, **_WORKER_ENV)
         with self.lock:
             self._check_open()
             while len(self.procs) < workers:

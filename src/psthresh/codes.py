@@ -584,8 +584,11 @@ def _sector_weights(f: np.ndarray):
 def _sector_recovered(weight: np.ndarray, split: np.ndarray) -> np.ndarray:
     """Post-recovery flip probability min(P(s, 0), P(s, 1)) / P(s) from
     the syndrome weight P(s) and parity split P(s, 0) - P(s, 1),
-    elementwise; 0 where P(s) <= 0, as recover_713's trivial row."""
+    elementwise; 0 where P(s) <= 0, as recover_713's trivial row.  The
+    lighter half is a difference of products near 1 for a rare syndrome
+    and can round below 0, so it is clamped at 0."""
     lighter = np.minimum(weight + split, weight - split)
+    np.maximum(lighter, 0.0, out=lighter)
     return np.divide(lighter, 2.0 * weight, out=np.zeros(weight.shape), where=weight > 0)
 
 

@@ -51,6 +51,7 @@ from psthresh.threshold import (
     teleport_entropy,
     _level_draws,
     _mc_first_level,
+    _mc_flow,
     _mc_level,
     _sector_rows,
 )
@@ -549,6 +550,14 @@ def test_first_sector_level_matches_enumeration(q):
     drawn = np.minimum((np.cumsum(weights) < u[:, None]).sum(axis=1), 7)
     got = _mc_level(np.full(config.population, q), config, 1, rows=_sector_rows)
     np.testing.assert_allclose(got, recovered[drawn], rtol=0, atol=1e-15)
+
+
+def test_deep_sector_flow_has_no_negative_flip_probability():
+    # levels 10-12 of this flow are deep below threshold, where a rare
+    # syndrome's lighter half rounded below 0 before it was clamped
+    flow = _mc_flow(one_type_dist(0.10963), McConfig(population=2048, levels=12, seed=1))
+    for level, (popn, _) in enumerate(flow, 1):
+        assert popn.min() >= 0.0, level
 
 
 def _two_sector_verdict(dist0, config):

@@ -4,6 +4,7 @@ loudly.  Every wait on a thread or process has a timeout; a hung pipe is
 caught by pytest's faulthandler_timeout."""
 
 import os
+import platform
 import signal
 import subprocess
 import sys
@@ -146,6 +147,22 @@ def test_pool_level_matches_one_process(worker_pool):
             calls = [(popn, SPLIT.seed, level, a, b) for a, b in [(0, 256), (256, 512), (512, 2000)]]
             np.testing.assert_array_equal(np.concatenate(worker_pool.map(rows, calls)), want)
             popn = want
+
+
+#: a worker's minor page faults after each of two runs of the same pooled
+#: half level (population 10^4, two workers) of a one-type flow
+_HALF_LEVEL_FAULTS = (
+    "[(t._sector_rows(popn, 1, 2, 0, 5000), res.getrusage(res.RUSAGE_SELF).ru_minflt)[1]"
+    " for t, np, res in [(__import__('psthresh.threshold').threshold, __import__('numpy'), __import__('resource'))]"
+    " for popn in [np.full(10_000, 0.1096)] for _ in range(2)]"
+)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap settings are glibc's")
+def test_repeated_half_level_faults_in_no_pages(worker_pool):
+    # the worker's heap keeps the pages of a level's temporaries for the next
+    ((first, second),) = worker_pool.map(eval, [(_HALF_LEVEL_FAULTS,)])
+    assert second == first
 
 
 def test_worker_runs_the_parents_package(worker_pool):
