@@ -28,7 +28,6 @@ from .pauli import (
     channel_to_dist,
     commutation_signs,
     dist_to_channel,
-    traceout_crosscheck,
 )
 from .postselect import (
     indep_fixed_point,
@@ -91,7 +90,6 @@ __all__ = [
     "postselect_classes",
     "sweep_r",
     "teleport_entropy",
-    "traceout_crosscheck",
 ]
 
 __version__ = "0.1.0"

@@ -34,7 +34,6 @@ from psthresh.pauli import (
     channel_to_dist,
     commutation_signs,
     dist_to_channel,
-    traceout_crosscheck,
 )
 from psthresh.postselect import indep_fixed_point, model_fixed_point
 from psthresh.threshold import (
@@ -45,6 +44,8 @@ from psthresh.threshold import (
     one_type_dist,
     teleport_entropy,
 )
+
+from test_pauli import traceout_crosscheck
 
 
 def _near(label, got, want, tol):

@@ -58,8 +58,9 @@ from psthresh.codes import (
     _syndrome_buffers,
     _tables_713,
 )
-from psthresh.pauli import pauli_commutes
 from psthresh.threshold import McConfig, _mc_level, model_level0
+
+from test_pauli import pauli_commutes
 
 # ---------------------------------------------------------------------------
 # [[7,1,3]] structure

@@ -23,7 +23,9 @@ from psthresh.noise import (
     model_family,
     two_qubit_dist,
 )
-from psthresh.pauli import LABEL_INDEX, TWO_QUBIT_LABELS, pauli_commutes
+from psthresh.pauli import LABEL_INDEX, TWO_QUBIT_LABELS
+
+from test_pauli import pauli_commutes
 
 probs = st.floats(min_value=0.0, max_value=1.0)
 

@@ -21,8 +21,6 @@ from psthresh.pauli import (
     VALIDITY_TOL,
     commutation_signs,
     dist_to_channel,
-    measure_traceout,
-    total_cnot_noise,
 )
 from psthresh.postselect import (
     FixedPointResult,
@@ -36,6 +34,8 @@ from psthresh.postselect import (
     teleport_output,
 )
 from psthresh.threshold import hashing_threshold
+
+from test_pauli import measure_traceout, total_cnot_noise
 
 
 def _step(c, q, m):

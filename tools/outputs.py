@@ -4,7 +4,8 @@
     python3 tools/outputs.py > change.txt
     diff parent.txt change.txt
 
-``--tree PATH`` runs the package under ``PATH/src`` instead of this
+``--tree PATH`` runs the package under ``PATH/src``, and the reference
+code the ``pauli`` kind reads under ``PATH/tests``, instead of this
 checkout's.  Every line starts with its kind, and every computed float
 is exact (``float.hex()``):
 
@@ -14,10 +15,11 @@ is exact (``float.hex()``):
 * ``teleport FAMILY p=P HEX``: the bytes of ``model_teleport_output`` at
   p = k / 300 (k = 0..299), or the ``NoConvergenceError`` message;
 * ``pauli TABLE DTYPE SHAPE strides=S writeable=W SHA256``: the sha256
-  of the bytes of ``commutation_signs()`` and ``build_cnot_superoperator()``
-  with their layout, and ``pauli traceout-crosscheck draw=K HEX``:
-  ``traceout_crosscheck`` on 200 draws made as acceptance criterion 11
-  makes them (seed 2026);
+  of the bytes of ``commutation_signs()`` and of the dense CNOT oracle
+  ``build_cnot_superoperator()`` with their layout, and ``pauli
+  traceout-crosscheck draw=K HEX``: ``traceout_crosscheck`` on 200 draws
+  made as acceptance criterion 11 makes them (seed 2026); the oracle and
+  the crosscheck are the reference chain of ``tests/test_pauli.py``;
 * ``fidelity D0 D1 D2 D3 HEX``: ``first_level_fidelity`` on 3005 seeded
   distributions (edge cases, near-identity, one-type and simplex draws);
 * ``golay p=P KEPT FLIPPED DIAGONAL ENTROPY``: ``golay_syndrome_weights``,
@@ -118,7 +120,8 @@ def hashing_lines():
 
 
 def pauli_lines():
-    from psthresh.pauli import build_cnot_superoperator, commutation_signs, dist_to_channel, traceout_crosscheck
+    from psthresh.pauli import commutation_signs, dist_to_channel
+    from test_pauli import build_cnot_superoperator, traceout_crosscheck
 
     tables = (("commutation-signs", commutation_signs()), ("cnot-superoperator", build_cnot_superoperator()))
     for name, table in tables:
@@ -283,7 +286,7 @@ def main(argv=None):
     parser.add_argument("--seeds", type=parse_seeds, default=[], help="add the Monte Carlo probes of these seeds")
     args = parser.parse_args(argv)
 
-    sys.path.insert(0, str(args.tree.resolve() / "src"))
+    sys.path[:0] = [str(args.tree.resolve() / "src"), str(args.tree.resolve() / "tests")]
     kinds = (hashing_lines(), pauli_lines(), code_map_lines(), mc_level_lines(), cli_lines(), mc_lines(args.seeds))
     for lines in kinds:
         for line in lines:
