@@ -299,11 +299,13 @@ class McConfig(_Checked, _McConfigFields):
     """Settings for the population-dynamics verdict.
 
     population is the number of tracked individuals; a level resamples
-    each individual from seven parents.  Randomness is drawn from
-    counter-based streams keyed by (seed, level).  The flow runs for at
-    most `levels` levels; it stops as below threshold once the mean
-    infidelity falls under BELOW_INFIDELITY, and as above once it passes
-    ABOVE_INFIDELITY.
+    each individual from seven parents, systematically: every individual
+    is a parent exactly seven times, and the syndrome uniforms are
+    stratified.  Randomness is drawn from counter-based streams keyed by
+    (seed, level).  The flow runs for at most `levels` levels; it stops
+    as below threshold once the mean infidelity falls under
+    BELOW_INFIDELITY, and as above once it passes ABOVE_INFIDELITY (see
+    mc_verdict for a flow that runs out of levels).
 
     Two kernels run the levels, chosen once per flow by dist0.  Both
     draw the parents and the syndrome uniforms from the same streams
@@ -390,9 +392,19 @@ def _running_workers():
 def _level_draws(pop: int, seed: int, level: int):
     """Parent indices [pop, 7] and syndrome uniforms [pop] of a level,
     drawn in that order from the (seed, level) stream; read-only and
-    cached, as every probe draws the same (0.64 MB a level at 10^4)."""
+    cached, as every probe draws the same (0.64 MB a level at 10^4).
+
+    The resampling is systematic rather than multinomial: column j of
+    the parents is a permutation of the population, so each individual
+    is a parent exactly 7 times, and the uniforms are stratified, one in
+    each [k/pop, (k+1)/pop), in permuted order.  The columns are filled
+    in place, which keeps the peak memory of a level at that of the
+    result."""
     rng = np.random.default_rng((seed, level))
-    idx, u = rng.integers(0, pop, size=(pop, 7)), rng.random(pop)
+    idx = np.empty((pop, 7), np.int64)
+    for j in range(7):
+        idx[:, j] = rng.permutation(pop)
+    u = (rng.permutation(pop) + rng.random()) / pop
     idx.flags.writeable = u.flags.writeable = False
     return idx, u
 
@@ -501,16 +513,34 @@ def _mc_flow(dist0: np.ndarray, config: McConfig, pool=None, parts: int = 1):
         yield popn, 1.0 - popn[:, 0].mean()
 
 
+def _flow_verdict(infidelities, levels: int):
+    """(verdict, level) of a flow from its mean infidelity after each of
+    its `levels` levels, read lazily: 'below' at the first level under
+    BELOW_INFIDELITY, 'above' at the first past ABOVE_INFIDELITY.  A flow
+    that reaches neither is 'below' if its last level still lowered the
+    infidelity (I_L < I_(L-1)) and 'inconclusive' otherwise."""
+    previous = last = math.nan
+    for level, infidelity in enumerate(infidelities, 1):
+        if infidelity < BELOW_INFIDELITY:
+            return "below", level
+        if infidelity > ABOVE_INFIDELITY:
+            return "above", level
+        previous, last = last, infidelity
+    return ("below" if last < previous else "inconclusive"), levels
+
+
 def mc_verdict(dist0, config: McConfig = McConfig()):
     """Verdict ('below', 'above' or 'inconclusive', level) for the
     concatenation flow started from error distribution dist0.
 
     The verdict names the attractor the flow reaches.  Below threshold:
     the population-mean infidelity drops under BELOW_INFIDELITY within
-    the level budget.  Above: the mean infidelity passes
+    the level budget, or the flow runs out of levels while its last level
+    still lowered the mean infidelity.  Above: the mean infidelity passes
     ABOVE_INFIDELITY, on the way to a randomised sector.  A flow that
-    does neither within config.levels levels is inconclusive.  A dist0
-    with phase flips only runs on the one-sector kernel (see McConfig).
+    does neither within config.levels levels, and whose last level did
+    not lower its mean infidelity, is inconclusive.  A dist0 with phase
+    flips only runs on the one-sector kernel (see McConfig).
 
     dist0 must be a length-4 vector of finite, non-negative entries that
     sum to 1 within 1e-9, or ValueError is raised.  The levels run on
@@ -520,12 +550,8 @@ def mc_verdict(dist0, config: McConfig = McConfig()):
     dist0 = _check_distribution("dist0", dist0)
     pool = _running_workers()
     parts = min(_worker_count(config.population), pool.size) if pool is not None else 1
-    for level, (_, infidelity) in enumerate(_mc_flow(dist0, config, pool, parts), 1):
-        if infidelity < BELOW_INFIDELITY:
-            return "below", level
-        if infidelity > ABOVE_INFIDELITY:
-            return "above", level
-    return "inconclusive", config.levels
+    flow = _mc_flow(dist0, config, pool, parts)
+    return _flow_verdict((infidelity for _, infidelity in flow), config.levels)
 
 
 def mc_verdict_at(dist_fn, p: float, config: McConfig = McConfig()):
@@ -551,8 +577,8 @@ def concat_threshold_mc(
 ) -> float:
     """Bisect the population-dynamics verdict between lo (below) and hi
     (above).  dist_fn maps the error rate to the level-0 distribution.
-    Inconclusive verdicts count as above, so the estimate errs low.
-    Raises ValueError unless lo < hi.
+    An inconclusive verdict, a flow that neither settles nor still falls
+    at its last level, counts as above.  Raises ValueError unless lo < hi.
 
     The first solve in a process whose population is large enough to
     share starts the worker processes (see McConfig) that run the levels

@@ -49,6 +49,7 @@ from psthresh.threshold import (
     shannon_entropy,
     sweep_r,
     teleport_entropy,
+    _flow_verdict,
     _level_draws,
     _mc_first_level,
     _mc_flow,
@@ -431,6 +432,39 @@ def test_mc_verdict_below_and_above():
     assert verdict == "above"
 
 
+def test_flow_verdict_rule():
+    # a flow that meets a stopping bound stops there, and later levels
+    # are not read
+    def settled(infidelity):
+        yield 0.1
+        yield infidelity
+        raise AssertionError("read a level past the verdict")
+
+    assert _flow_verdict(settled(0.5 * BELOW_INFIDELITY), 4) == ("below", 2)
+    assert _flow_verdict(settled(0.5 + 0.5 * ABOVE_INFIDELITY), 4) == ("above", 2)
+    # one that runs out of levels is below when its last level still
+    # lowered the mean infidelity, however far it rose before
+    assert _flow_verdict([0.15, 0.16, 0.2, 0.19], 4) == ("below", 4)
+    # and inconclusive when its last level raised or kept it, or when it
+    # has a single level
+    assert _flow_verdict([0.2, 0.16, 0.15, 0.151], 4) == ("inconclusive", 4)
+    assert _flow_verdict([0.15, 0.15], 2) == ("inconclusive", 2)
+    assert _flow_verdict([0.15], 1) == ("inconclusive", 1)
+
+
+def test_mc_verdict_reads_the_last_step_of_an_unsettled_flow():
+    # two one-type flows near threshold that meet neither bound in five
+    # levels: at 0.11 the mean infidelity falls at level 5 (0.1609 to
+    # 0.1571), at 0.111 it rises (0.1847 to 0.2002)
+    config = McConfig(population=400, levels=5, seed=5)
+    flows = {p: [infidelity for _, infidelity in _mc_flow(one_type_dist(p), config)] for p in (0.11, 0.111)}
+    assert flows[0.11][-1] < flows[0.11][-2] and flows[0.111][-1] > flows[0.111][-2]
+    for flow in flows.values():
+        assert BELOW_INFIDELITY < min(flow) and max(flow) < ABOVE_INFIDELITY
+    assert mc_verdict(one_type_dist(0.11), config) == ("below", 5)
+    assert mc_verdict(one_type_dist(0.111), config) == ("inconclusive", 5)
+
+
 @pytest.mark.slow
 def test_mc_verdict_near_threshold_converges():
     # The mean infidelity climbs above its level-0 value for seven levels
@@ -561,18 +595,17 @@ def test_deep_sector_flow_has_no_negative_flip_probability():
 
 
 def _two_sector_verdict(dist0, config):
-    """mc_verdict's rules run on the two-sector kernel: _mc_first_level,
-    then _mc_level."""
-    popn = _mc_first_level(dist0, config)
-    for level in range(1, config.levels + 1):
-        if level > 1:
+    """mc_verdict's rule (_flow_verdict) on the two-sector kernel:
+    _mc_first_level, then _mc_level."""
+
+    def infidelities():
+        popn = _mc_first_level(dist0, config)
+        yield 1.0 - popn[:, 0].mean()
+        for level in range(2, config.levels + 1):
             popn = _mc_level(popn, config, level)
-        infidelity = 1.0 - popn[:, 0].mean()
-        if infidelity < BELOW_INFIDELITY:
-            return "below", level
-        if infidelity > ABOVE_INFIDELITY:
-            return "above", level
-    return "inconclusive", config.levels
+            yield 1.0 - popn[:, 0].mean()
+
+    return _flow_verdict(infidelities(), config.levels)
 
 
 def _solve_probes(monkeypatch, lo, hi, config, tol):

@@ -45,8 +45,8 @@ RECORD = {
     "class": (641, "04068205827bfd2228a9cb1c02ed493326518bbc1573e466f7044d3cbc1ca4ef"),
     "forward-class": (701, "48d99495de0abe63eb07df9462946e3d462059f1eee18a4f777b9aaf0ba91f96"),
     "solve": (44, "aabf1332e95784bc559cbec4498270823acc4a2eedc3c3578b620de8141c0eda"),
-    "mc-level": (24, "bdce18a6b525974cffb24b63f15e97f9ae90960324a997f44641f4c0d43e056b"),
-    "cli": (62, "e1e45ea21ddd95a4571416dd3ad137994b6748f39a450f84cef5c0e4c24c2715"),
+    "mc-level": (24, "ad5c7df3f037fd0c9c6c936cc3be031264e659dc4ec760c04424cbe283655d10"),
+    "cli": (62, "eed9d37d76b9cea986e5599419caab1d20e2e13b8aed405fe749333d975a5fb2"),
 }
 
 

@@ -104,11 +104,19 @@ def test_split_level_matches_one_process(edges):
 
 
 def test_level_draws_stream_layout():
-    # the parents, then the syndrome uniforms, from the (seed, level) stream
+    # seven permutations of the parents, one a column, then the permuted
+    # strata and one offset of the syndrome uniforms, from the (seed,
+    # level) stream
     idx, u = _level_draws(500, 5, 3)
     rng = np.random.default_rng((5, 3))
-    np.testing.assert_array_equal(idx, rng.integers(0, 500, size=(500, 7)))
-    np.testing.assert_array_equal(u, rng.random(500))
+    assert idx.dtype == np.int64 and idx.shape == (500, 7)
+    np.testing.assert_array_equal(idx, np.stack([rng.permutation(500) for _ in range(7)], axis=1))
+    np.testing.assert_array_equal(u, (rng.permutation(500) + rng.random()) / 500)
+    # each individual is a parent exactly 7 times, and each stratum
+    # [k/pop, (k+1)/pop) holds exactly one uniform
+    np.testing.assert_array_equal(np.bincount(idx.ravel(), minlength=500), np.full(500, 7))
+    np.testing.assert_array_equal(np.bincount(np.floor(u * 500).astype(np.int64), minlength=500), np.ones(500))
+    assert ((0.0 <= u) & (u < 1.0)).all()
 
 
 def test_level_draws_are_cached_read_only():
