@@ -52,6 +52,7 @@ from .threshold import (
     overhead_success,
     sweep_r,
     teleport_entropy,
+    three_type_dist,
 )
 
 __all__ = [
@@ -90,6 +91,7 @@ __all__ = [
     "postselect_classes",
     "sweep_r",
     "teleport_entropy",
+    "three_type_dist",
 ]
 
 __version__ = "0.1.0"

@@ -269,9 +269,7 @@ def capacity_one_type() -> float:
 def capacity_three_type() -> float:
     """Error rate p of the symmetric channel (p, p, p) at which the full
     distribution's entropy reaches one bit."""
-    return bisect(
-        lambda p: shannon_entropy([1 - 3 * p, p, p, p]) - 1.0, 0.0, 1.0 / 3.0, 1e-9
-    )
+    return bisect(lambda p: shannon_entropy(three_type_dist(p)) - 1.0, 0.0, 1.0 / 3.0, 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -629,6 +627,15 @@ def one_type_dist(p: float) -> np.ndarray:
     Raises RateError unless 0 <= p <= 1."""
     _check_prob("p", p)
     return np.array([1.0 - p, 0.0, 0.0, p])
+
+
+def three_type_dist(p: float) -> np.ndarray:
+    """Level-0 distribution of the symmetric three-type channel (p, p, p):
+    X, Y and Z each at rate p.  Raises RateError unless 0 <= p <= 1/3."""
+    p = float(p)
+    if not 0.0 <= p <= 1.0 / 3.0:
+        raise RateError("p must be in [0, 1/3], got %g" % p)
+    return np.array([1.0 - 3.0 * p, p, p, p])
 
 
 def model_level0(family):

@@ -496,6 +496,15 @@ def test_targets_table():
             assert row.tol > 0, row.label
 
 
+def test_713_three_type_capacity_row_hits():
+    # the Monte Carlo threshold of the three-type channel (p, p, p) at the
+    # default McConfig (seed 1), bisected from [5%, 8%]
+    row = next(row for row in cli.TARGETS if row.label == "713 three-type capacity (pp)")
+    assert (row.criterion, row.want, row.tol) == (None, 6.270, 0.05)
+    got = row.compute()
+    assert abs(got - row.want) <= row.tol, got
+
+
 def _package_imports(path):
     """Names that a file imports from the package's layer modules (not
     from psthresh.cli)."""

@@ -49,6 +49,7 @@ from psthresh.threshold import (
     shannon_entropy,
     sweep_r,
     teleport_entropy,
+    three_type_dist,
     _flow_verdict,
     _level_draws,
     _mc_first_level,
@@ -412,6 +413,15 @@ def test_mc_config_repr_hash_and_round_trip():
 def test_one_type_dist_rejects_bad_rate(p):
     with pytest.raises(RateError, match="p must be in"):
         one_type_dist(p)
+
+
+def test_three_type_dist():
+    assert three_type_dist(0.0).tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert three_type_dist(0.0627).tolist() == [1.0 - 3.0 * 0.0627, 0.0627, 0.0627, 0.0627]
+    assert three_type_dist(1.0 / 3.0)[0] == 0.0
+    for p in (0.34, -0.1, math.nan):
+        with pytest.raises(RateError, match=r"p must be in \[0, 1/3\]"):
+            three_type_dist(p)
 
 
 def test_mc_config_accepts_integers():
