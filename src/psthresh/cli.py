@@ -233,8 +233,9 @@ TARGETS = (
     _recorded(None, "2317 depolarizing threshold (pp)", 8.25),
     _recorded(None, "2317 knill threshold (pp)", 6.88),
     _P_E_2317_FORWARD,
-    # the concatenated [[7,1,3]] flow on the three-type channel, as the
-    # one-type Monte Carlo threshold sits by the one-type capacity
+    # read as the concatenated [[7,1,3]] Monte Carlo threshold of the
+    # three-type channel, as the one-type threshold (10.963) is read
+    # beside the one-type capacity (11.0028)
     Target(
         None, "713 three-type capacity (pp)", 6.270, 0.05,
         lambda: 100 * concat_threshold_mc(three_type_dist, 0.05, 0.08),

@@ -396,8 +396,7 @@ def _level_draws(pop: int, seed: int, level: int):
     the parents is a permutation of the population, so each individual
     is a parent exactly 7 times, and the uniforms are stratified, one in
     each [k/pop, (k+1)/pop), in permuted order.  The columns are filled
-    in place, which keeps the peak memory of a level at that of the
-    result."""
+    one permutation at a time, so the seven are never held at once."""
     rng = np.random.default_rng((seed, level))
     idx = np.empty((pop, 7), np.int64)
     for j in range(7):

@@ -1,8 +1,8 @@
 """Tests for the Pauli channel algebra, and the reference chain of the
 purification step that the package's closed form is checked against.
 
-The reference chain is the step as the paper writes it: the printed CNOT
-conjugation table (``cnot_conjugate``), the total noise
+The reference chain spells the step out over all 16 noise entries: the
+printed CNOT conjugation table (``cnot_conjugate``), the total noise
 (``total_cnot_noise``) and the measured trace-out of the destination
 (``measure_traceout``).  No solve runs it; ``postselect._iterate`` holds
 the same step in closed form, and ``tests/test_postselect.py`` checks it

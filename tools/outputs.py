@@ -286,7 +286,8 @@ def main(argv=None):
     parser.add_argument("--seeds", type=parse_seeds, default=[], help="add the Monte Carlo probes of these seeds")
     args = parser.parse_args(argv)
 
-    sys.path[:0] = [str(args.tree.resolve() / "src"), str(args.tree.resolve() / "tests")]
+    tree = args.tree.resolve()
+    sys.path[:0] = [str(tree / "src"), str(tree / "tests")]
     kinds = (hashing_lines(), pauli_lines(), code_map_lines(), mc_level_lines(), cli_lines(), mc_lines(args.seeds))
     for lines in kinds:
         for line in lines:
