@@ -280,14 +280,18 @@ def _print_row(args, fields, text: str) -> None:
         print(text)
 
 
+def _given(args, *names) -> dict:
+    """The named flags that were set, as keyword arguments, so that an
+    unset flag leaves the solver's own default."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def cmd_hashing(args) -> int:
     if args.r is not None and args.model != "depolarizing":
         return _usage_error(args, "--r applies to --model depolarizing only")
     family = model_family(args.model, r=args.r)
     try:
-        thr = hashing_threshold(
-            family, lo=args.lo, hi=args.hi, tol=args.tol, extend=not args.no_extend
-        )
+        thr = hashing_threshold(family, extend=not args.no_extend, **_given(args, "lo", "hi", "tol"))
     except BracketError as exc:
         print("hashing: %s" % exc, file=sys.stderr)
         return EXIT_BRACKET
@@ -298,7 +302,7 @@ def cmd_hashing(args) -> int:
 
 def cmd_sweep(args) -> int:
     grid = {"r_values": args.r_values} if args.points is None else {"points": args.points}
-    results = sweep_r(tol=args.tol, **grid)
+    results = sweep_r(**_given(args, "tol"), **grid)
     rows = [(("%.9g" % r), ("%.9g" % (100.0 * thr))) for r, thr in results]
     failed = any(thr != thr for _, thr in results)  # NaN check
     if args.format == "json":
@@ -351,8 +355,7 @@ def cmd_concat(args) -> int:
         return _usage_error(args, "need --at, or both --lo and --hi")
     if not args.lo < args.hi:
         return _usage_error(args, "--lo must be below --hi")
-    # unset, the solvers' own default tolerance applies
-    tol = {} if args.tol is None else {"tol": args.tol}
+    tol = _given(args, "tol")
     try:
         if args.seeds > 1:
             thr, err, _ = mc_threshold_error_bar(
@@ -411,9 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hashing", help="hashing-bound threshold of a noise family")
     p.add_argument("--model", choices=SOLVER_FAMILIES, required=True)
     p.add_argument("--r", type=_unit, help="measurement fraction (depolarizing only)")
-    p.add_argument("--lo", type=_unit, default=1e-3)
-    p.add_argument("--hi", type=_unit, default=0.25)
-    p.add_argument("--tol", type=_positive, default=1e-6)
+    p.add_argument("--lo", type=_unit)
+    p.add_argument("--hi", type=_unit)
+    p.add_argument("--tol", type=_positive)
     p.add_argument("--no-extend", action="store_true", help="fail instead of widening the bracket")
     p.add_argument("--raw", action="store_true", help="print the probability, not a percentage")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
@@ -423,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     grid = p.add_mutually_exclusive_group()
     grid.add_argument("--points", type=_points, help="evenly spaced r in [0, 1]")
     grid.add_argument("--r-values", type=_unit, nargs="+")
-    p.add_argument("--tol", type=_positive, default=1e-6)
+    p.add_argument("--tol", type=_positive)
     p.add_argument("--assert-monotone", action="store_true")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_sweep)
@@ -439,10 +442,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hi", type=_unit)
     defaults = McConfig._field_defaults
     p.add_argument("--population", type=_count, default=defaults["population"])
-    p.add_argument("--levels", type=_count, default=defaults["levels"])
+    p.add_argument(
+        "--levels", type=_count, default=defaults["levels"],
+        help="levels per flow; a flow still falling at its last level is below, a rule calibrated at "
+        "%%(default)s levels and %d individuals that with fewer can call an above-threshold flow below"
+        % defaults["population"],
+    )
     p.add_argument("--seed", type=_seed, default=defaults["seed"])
     p.add_argument("--seeds", type=_count, default=1, help="average this many seeds (error bar)")
-    p.add_argument("--tol", type=_positive, help="bisection tolerance (default 2e-4)")
+    p.add_argument("--tol", type=_positive, help="bisection tolerance (default: the solver's)")
     p.add_argument("--raw", action="store_true", help="print the probability, not a percentage")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.set_defaults(func=cmd_concat)

@@ -55,24 +55,6 @@ PARITY_CHECK_713 = (
 CLASS_SIZES_713 = (8, 56, 56, 8)
 
 
-#: number of set bits of each byte value
-_BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.intp)
-
-
-def _popcount(v) -> np.ndarray:
-    """Number of set bits of each entry of the non-negative int array v,
-    a byte at a time by table lookup (np.bitwise_count needs numpy 2)."""
-    v = np.asarray(v, dtype=np.int64)
-    if (v < 0).any():
-        raise ValueError("popcount of a negative int")
-    out = _BYTE_POPCOUNT[v & 0xFF]
-    v = v >> 8
-    while v.any():
-        out += _BYTE_POPCOUNT[v & 0xFF]
-        v >>= 8
-    return out
-
-
 def _span(generators) -> np.ndarray:
     """All XOR combinations of the int bit masks `generators`, read-only
     int64: word m is the XOR of generator j for each set bit j of m."""
@@ -89,16 +71,15 @@ def coset_class_713(pattern: int) -> int:
     pattern is an integer (not a bool) in 0..127."""
     if isinstance(pattern, bool) or not isinstance(pattern, Integral) or not 0 <= pattern < 128:
         raise ValueError("pattern must be a 7-bit integer, got %r" % (pattern,))
-    return int(_popcount(pattern ^ _tables_713().span).min())
+    return int(np.bitwise_count(pattern ^ _tables_713().span).min())
 
 
 def distance_table_713() -> np.ndarray:
     """8x4 table: entry [w, d] counts weight-w patterns in distance
     class d, by enumeration of all 128 patterns."""
-    table = np.zeros((8, 4), dtype=np.int64)
-    for e in range(128):
-        table[bin(e).count("1"), coset_class_713(e)] += 1
-    return table
+    e = np.arange(128)
+    classes = np.bitwise_count(e[:, None] ^ _tables_713().span).min(axis=1)
+    return np.bincount(4 * np.bitwise_count(e) + classes, minlength=32).reshape(8, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +305,9 @@ _KLEIN = np.bitwise_xor.outer(np.arange(4), np.arange(4))
 
 
 def _popcount_signs(masks: np.ndarray) -> np.ndarray:
-    """(-1)^popcount(c & mask) for c in 0..255, one row per mask; every
-    mask is below 256, so each parity is one _BYTE_POPCOUNT lookup."""
+    """(-1)^popcount(c & mask) for c in 0..255, one row per mask."""
     v = np.arange(256)[None, :] & np.asarray(masks)[:, None]
-    return np.where(_BYTE_POPCOUNT[v] & 1 == 0, 1.0, -1.0)
+    return np.where(np.bitwise_count(v) & 1 == 0, 1.0, -1.0)
 
 
 class _Tables713(NamedTuple):
@@ -613,19 +593,17 @@ def golay_codewords() -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def golay_coset_enumerators():
-    """Per coset-weight class j: weight enumerators (even[24], odd[24])
-    of the even-weight and odd-weight halves of the coset."""
+def golay_coset_enumerators() -> np.ndarray:
+    """Read-only int64 [4, 2, 24]: per coset-weight class j, the weight
+    enumerators of the even-weight (row 0) and odd-weight (row 1) halves
+    of the coset."""
     # weights[j]: codeword weights in the coset of leader j; row 0 gives parity
-    weights = _popcount(golay_codewords() ^ np.array(GOLAY_COSET_LEADERS)[:, None])
+    weights = np.bitwise_count(golay_codewords() ^ np.array(GOLAY_COSET_LEADERS)[:, None])
     odd = weights[0] & 1 == 1
-    enums = tuple(
-        tuple(np.bincount(w[half], minlength=GOLAY_N + 1).astype(np.int64, copy=False) for half in (~odd, odd))
-        for w in weights
+    enums = np.array(
+        [[np.bincount(w[half], minlength=GOLAY_N + 1) for half in (~odd, odd)] for w in weights], dtype=np.int64
     )
-    for pair in enums:
-        for arr in pair:
-            arr.setflags(write=False)
+    enums.setflags(write=False)
     return enums
 
 

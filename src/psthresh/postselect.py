@@ -13,7 +13,7 @@ The iteration, ``_iterate``, is one loop over Python floats that holds
 the step in closed form: the accept branch reads only 8 of the 16
 gate-noise entries Q (II, IZ, XI, XZ, YI, YZ, ZI, ZZ), in the operation
 order of the reference chain ``total_cnot_noise`` followed by
-``measure_traceout`` (both in tests/test_pauli.py), so it gives the same
+``measure_traceout`` (both in tests/pauli_reference.py), so it gives the same
 bits as that composition.  ``fixed_point`` runs it from the noiseless
 channel.
 """

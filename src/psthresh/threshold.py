@@ -51,7 +51,7 @@ from .codes import (
     postselect_classes,
     recover_713,
 )
-from .noise import Depolarizing, RateError, _check_count, _check_prob, _Checked, model_family
+from .noise import RateError, _check_count, _check_prob, _Checked, model_family
 from .postselect import (
     NoConvergenceError,
     indep_fixed_point,
@@ -249,7 +249,7 @@ def sweep_r(r_values=None, points: int = 11, tol: float = 1e-6):
     for r in r_values:
         rr = float(r)
         try:
-            thr = hashing_threshold(lambda p: Depolarizing(p, r=rr), tol=tol)
+            thr = hashing_threshold(model_family("depolarizing", r=rr), tol=tol)
         except (BracketError, RateError):
             thr = float("nan")
         out.append((rr, thr))
@@ -605,16 +605,18 @@ def mc_threshold_error_bar(
     hi: float,
     config: McConfig = McConfig(),
     n_seeds: int = 10,
-    tol: float = 2e-4,
+    tol: float = None,
 ):
     """Mean and sample standard deviation of the Monte Carlo threshold
     over n_seeds independent seeds (at least 10 for a meaningful bar),
     plus the individual estimates.  Each seed is a concat_threshold_mc
-    solve, so a bracket that fails for any seed raises BracketError.
-    Raises ValueError unless n_seeds is an integer >= 2."""
+    solve, to tol if given, else to that solve's default tolerance, so a
+    bracket that fails for any seed raises BracketError.  Raises
+    ValueError unless n_seeds is an integer >= 2."""
     _check_count("n_seeds", n_seeds, 2)
+    solve = {} if tol is None else {"tol": tol}
     estimates = [
-        concat_threshold_mc(dist_fn, lo, hi, config._replace(seed=config.seed + i), tol)
+        concat_threshold_mc(dist_fn, lo, hi, config._replace(seed=config.seed + i), **solve)
         for i in range(n_seeds)
     ]
     arr = np.asarray(estimates)

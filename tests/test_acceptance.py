@@ -45,7 +45,7 @@ from psthresh.threshold import (
     teleport_entropy,
 )
 
-from test_pauli import traceout_crosscheck
+from pauli_reference import traceout_crosscheck
 
 
 def _near(label, got, want, tol):

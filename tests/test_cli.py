@@ -378,6 +378,27 @@ def test_concat_tol_defaults_to_solver(capsys):
     assert run(capsys, argv + ["--tol", "2e-4"])[1] == out
 
 
+def test_hashing_and_sweep_flags_default_to_solver(monkeypatch, capsys):
+    # unset, --lo, --hi and --tol reach neither solver, so their defaults
+    # are the solvers' own
+    for name, argv, explicit in (
+        ("hashing_threshold", ["hashing", "--model", "knill"], ["--lo", "1e-3", "--hi", "0.25", "--tol", "1e-6"]),
+        ("sweep_r", ["sweep", "--points", "3"], ["--tol", "1e-6"]),
+    ):
+        solver, received = getattr(cli, name), []
+
+        def recorded(*args, solver=solver, received=received, **kwargs):
+            received.append(set(kwargs))
+            return solver(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, recorded)
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert not received[0] & {"lo", "hi", "tol"}, name
+        assert run(capsys, argv + explicit)[1] == out
+        assert received[1] >= {flag.lstrip("-") for flag in explicit[::2]}
+
+
 def test_concat_flags_default_to_mc_config():
     args = cli.build_parser().parse_args(["concat", "--model", "one-type"])
     assert cli.McConfig._field_defaults == {"population": 10_000, "levels": 12, "seed": 1}

@@ -52,7 +52,6 @@ from psthresh.codes import (
     _cumulative_syndrome_weights,
     _drawn_class_rows,
     _drawn_syndromes,
-    _popcount,
     _popcount_signs,
     _shared_product,
     _syndrome_buffers,
@@ -60,7 +59,7 @@ from psthresh.codes import (
 )
 from psthresh.threshold import McConfig, _mc_level, model_level0
 
-from test_pauli import pauli_commutes
+from pauli_reference import pauli_commutes
 
 # ---------------------------------------------------------------------------
 # [[7,1,3]] structure
@@ -969,21 +968,12 @@ def _assert_same_table(got, want):
     assert got.tobytes(order="A") == want.tobytes(order="A")
 
 
-def test_popcount_matches_bin_count():
-    small = np.arange(2**16)
-    rng = np.random.default_rng(12)
-    large = np.concatenate([rng.integers(0, 2**24, 10**4), [2**24 - 1]])
-    for v in (small, large):
-        np.testing.assert_array_equal(_popcount(v), [bin(int(x)).count("1") for x in v])
-    # a 2-d array keeps its shape
-    assert _popcount(np.arange(6).reshape(2, 3)).tolist() == [[0, 1, 1], [2, 1, 2]]
-    with pytest.raises(ValueError):
-        _popcount(np.array([3, -1]))
-
-
 def test_golay_tables_match_reference_builds():
     _assert_same_table(golay_codewords(), _reference_golay_codewords())
-    _assert_same_table(golay_coset_enumerators(), _reference_golay_enumerators())
+    got, want = golay_coset_enumerators(), np.array(_reference_golay_enumerators())
+    assert got.dtype == want.dtype and got.shape == want.shape == (4, 2, 24)
+    np.testing.assert_array_equal(got, want)
+    assert not got.flags.writeable
 
 
 def test_golay_enumerators_leader_independent():

@@ -25,7 +25,7 @@ from psthresh.noise import (
 )
 from psthresh.pauli import LABEL_INDEX, TWO_QUBIT_LABELS
 
-from test_pauli import pauli_commutes
+from pauli_reference import pauli_commutes
 
 probs = st.floats(min_value=0.0, max_value=1.0)
 

@@ -35,7 +35,7 @@ from psthresh.postselect import (
 )
 from psthresh.threshold import hashing_threshold
 
-from test_pauli import measure_traceout, total_cnot_noise
+from pauli_reference import measure_traceout, total_cnot_noise
 
 
 def _step(c, q, m):

@@ -754,6 +754,11 @@ def test_mc_error_bar():
     assert len(ests) == 3
     assert mean == pytest.approx(np.mean(ests))
     assert err == pytest.approx(np.std(ests, ddof=1))
+    # unset, tol is each solve's own default
+    _, _, ests = mc_threshold_error_bar(one_type_dist, 0.05, 0.18, QUICK, n_seeds=2)
+    assert ests == [
+        concat_threshold_mc(one_type_dist, 0.05, 0.18, QUICK._replace(seed=QUICK.seed + i)) for i in range(2)
+    ]
     # a float count failed inside range with a TypeError
     for n_seeds in (1, 2.5, 2.0):
         with pytest.raises(ValueError, match="n_seeds must be an integer >= 2"):

@@ -141,6 +141,22 @@ def test_mc_level_lines(output_lines):
         assert 0.0 <= float.fromhex(fields[4]) <= 1.0 and len(fields[5]) == 16
 
 
+def test_pauli_lines_need_no_test_dependencies(output_lines):
+    # the reference chain the pauli kind reads imports neither pytest nor
+    # hypothesis, so the tool runs where only numpy is installed
+    code = (
+        "import sys\n"
+        "sys.modules['pytest'] = sys.modules['hypothesis'] = None\n"
+        "sys.path[:0] = %r\n"
+        "import outputs\n"
+        "for line in outputs.pauli_lines():\n"
+        "    print(line)\n"
+    ) % [str(TOOLS), str(ROOT / "src"), str(ROOT / "tests")]
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [line for line in output_lines if line.startswith("pauli ")]
+
+
 def test_parse_seeds():
     assert parse_seeds("1-3") == [1, 2, 3]
     assert parse_seeds("4-4") == [4]
