@@ -613,9 +613,8 @@ def golay_syndrome_weights(p: float):
     Raises ValueError unless 0 <= p <= 1."""
     _check_prob("p", p)
     pw = np.array([p**w * (1 - p) ** (GOLAY_N - w) for w in range(GOLAY_N + 1)])
-    enums = golay_coset_enumerators()
-    kept = np.array([float(a @ pw) for a, _ in enums])
-    flipped = np.array([float(b @ pw) for _, b in enums])
+    # one dot product per enumerator row, with the bits of row @ pw
+    kept, flipped = np.vecdot(golay_coset_enumerators(), pw).T
     return kept, flipped
 
 

@@ -1019,6 +1019,17 @@ def test_import_leaves_tables_unbuilt():
     assert out.stdout.strip() == "[0, 0, 0]"
 
 
+def test_golay_syndrome_weights_match_row_dot_products():
+    # np.vecdot takes one dot product per enumerator row, with the bits of
+    # the per-row loop it replaced
+    enums = golay_coset_enumerators()
+    for p in [0.0, 0.5, 1.0] + np.random.default_rng(14).uniform(0.0, 1.0, 500).tolist():
+        pw = np.array([p**w * (1 - p) ** (23 - w) for w in range(24)])
+        kept, flipped = golay_syndrome_weights(p)
+        assert kept.tolist() == [float(a @ pw) for a, _ in enums]
+        assert flipped.tolist() == [float(b @ pw) for _, b in enums]
+
+
 def test_golay_syndrome_weights_normalized():
     kept, flipped = golay_syndrome_weights(0.09)
     n = np.array(GOLAY_COSET_COUNTS, dtype=float)
