@@ -43,7 +43,7 @@ def pauli_commutes(a: str, b: str) -> bool:
 
 # Conjugation of S (x) D by CNOT, expressed per two-qubit label as the pair
 # (source component, destination component) to read the entry from.  This is
-# the printed conjugation table; the tests below check it against the
+# the printed conjugation table; tests/test_pauli.py checks it against the
 # dense superoperator oracle.
 _R_TABLE = (
     ("I", "I"), ("I", "X"), ("Z", "Y"), ("Z", "Z"),
