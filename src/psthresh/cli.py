@@ -6,7 +6,8 @@ crossing (or a sweep has failed rows), 3 when a Monte Carlo verdict is
 inconclusive or its bracket fails, 64 for usage errors, which include
 out-of-range values (--tol not above 0, a rate or fraction outside
 [0, 1], too few points, population, levels or seeds, a negative seed,
-a concat --lo not below --hi) and flags the chosen mode would ignore:
+a --lo not below --hi, an unset hashing end counting at its solver
+default) and flags the chosen mode would ignore:
 --r with a model other than depolarizing, --points with --r-values, and
 --lo, --hi, --tol, --raw or --seeds above 1 with --at.
 
@@ -295,6 +296,10 @@ def cmd_hashing(args) -> int:
     except BracketError as exc:
         print("hashing: %s" % exc, file=sys.stderr)
         return EXIT_BRACKET
+    except ValueError:
+        # the one check the flags' types leave to the solver: lo < hi, an
+        # unset end at the solver's default
+        return _usage_error(args, "--lo must be below --hi")
     field = _probability(args, thr)
     _print_row(args, [("model", args.model, args.model), field], field[1])
     return EXIT_OK

@@ -317,7 +317,7 @@ class _Tables713(NamedTuple):
     sig: np.ndarray  # [7, 4, 256] per-qubit character signs
     kinds: np.ndarray  # [7, 256] sign kind of each qubit's character, (s_x < 0) + 2 (s_z < 0)
     transform: np.ndarray  # [256, 256] u's Walsh-Hadamard row in u's (syndrome, class) column
-    weight_transform: np.ndarray  # [64, 64] on parity-free characters, c = a | b << 3
+    cumulative_transform: np.ndarray  # [64, 64] [c, s]: the weight transform summed over syndromes 0..s
     signs: np.ndarray  # [64, 256] per-syndrome character signs
     classes: np.ndarray  # [256, 8] class columns of syndrome 0, zero-padded
     sector_words: np.ndarray  # [16, 7] one-sector character supports, V0 then V1
@@ -351,16 +351,18 @@ def _tables_713() -> _Tables713:
     signs = np.ascontiguousarray(transform[:, 0::4].T) * 256.0
     classes = np.zeros((256, 8))
     classes[:, :4] = transform[:, :4]
-    # parity-free characters u = a | b << 4, in the order c = a | b << 3
+    # the syndrome weights' transform [c, s] (symmetric) on parity-free
+    # characters u = a | b << 4, in the order c = a | b << 3, summed along
+    # the syndromes: integers over 64, so exact
     parity_free = (np.arange(64) & 7) | ((np.arange(64) >> 3) << 4)
-    weight_transform = signs[:, parity_free] / 64.0
+    cumulative_transform = np.cumsum(np.ascontiguousarray(signs[:, parity_free]) / 64.0, axis=1)
 
     # the one-sector section's supports: the span's words (V0) and the same
     # words shifted by the logical word 1111111 (V1), qubit i in column i
     words = np.concatenate([span, span ^ 0b1111111])
     sector_words = (words[:, None] >> np.arange(7)) & 1 == 1
 
-    tables = _Tables713(span, sig, kinds, transform, weight_transform, signs, classes, sector_words)
+    tables = _Tables713(span, sig, kinds, transform, cumulative_transform, signs, classes, sector_words)
     for arr in tables:
         arr.setflags(write=False)
     return tables
@@ -455,34 +457,40 @@ def first_level_fidelity(dist) -> float:
 # syndrome drawn from the syndrome weights.  The weight of syndrome s sums
 # the joint over its four classes, which keeps only the 64 characters
 # whose parity bits are zero: it is their 64-point Walsh-Hadamard
-# transform, over 64.  A column of the decomposition transform is a sign
-# per character that depends on the syndrome alone (its syndrome
-# character, and the parity flips by which a nontrivial syndrome
-# relabels the classes) times the column of the same class at syndrome
-# 0.  So the drawn syndrome's class row is the character product times
-# that syndrome's signs (exact), times the class columns of syndrome 0,
-# in a gemm that adds the characters in ascending order, as the full
-# decomposition does from 5 rows up: the row has the reference's bits.
+# transform, over 64.  The draw counts the running sums of the weights,
+# in syndrome order, under its uniform, so the transform is summed along
+# the syndromes first (integers over 64, exact) and one matmul gives the
+# running sums.  They can differ from running sums of the weights in the
+# last bit or so, which moves a draw only for a uniform that close to a
+# sum.  A column of the decomposition transform is a sign per character
+# that depends on the syndrome alone (its syndrome character, and the
+# parity flips by which a nontrivial syndrome relabels the classes)
+# times the column of the same class at syndrome 0.  So the drawn
+# syndrome's class row is the character product times that syndrome's
+# signs (exact), times the class columns of syndrome 0, in a gemm that
+# adds the characters in ascending order, as the full decomposition does
+# from 5 rows up: the row has the reference's bits.
 #
 # OpenBLAS (0.3.31) gives a row the same bits in any batch only in some
 # layouts: one row goes through gemv, which adds in another order, so it
 # runs as a 2-row gemm; the class columns are padded to 8, since with 4
-# a block adds in another order; and the weights' matmul takes the
-# (symmetric) weight transform transposed.  The test_drawn_rows_* tests
-# in tests/test_codes.py check each of these.
+# a block adds in another order; and the cumulative transform is C-ordered
+# [character, syndrome].  The test_drawn_rows_* tests in
+# tests/test_codes.py check each of these, and
+# test_level_rows_match_reference in tests/test_threshold.py a whole
+# level in blocks of 128 rows and of other sizes.
 
 
 def _syndrome_buffers(rows: int):
     """Work buffers for blocks of up to `rows` rows (at least 2): the
     character product and one qubit's character sums ([rows, 256] each),
-    the parity-free characters, the syndrome weights and their cumulative
-    sums ([rows, 64] each), and the class rows [rows, 8]."""
+    the parity-free characters and the cumulative syndrome weights
+    ([rows, 64] each), and the class rows [rows, 8]."""
     rows = max(rows, 2)
     return (
         np.empty((rows, 256)),
         np.zeros((rows, 256)),
         np.zeros((rows, 64)),
-        np.empty((rows, 64)),
         np.empty((rows, 64)),
         np.empty((rows, 8)),
     )
@@ -492,15 +500,14 @@ def _cumulative_syndrome_weights(children: np.ndarray, buffers):
     """Character product [batch, 256] of children [batch, 7, 4], and the
     cumulative sums [batch, 64] of its syndrome weights, in syndrome
     order, in the leading rows of buffers."""
-    weight_transform = _tables_713().weight_transform
+    cumulative_transform = _tables_713().cumulative_transform
     n = children.shape[0]
     m = max(n, 2)  # one row would go through gemv
-    qh, term = buffers[0][:n], buffers[1][:n]
-    parity_free, weights, cum = buffers[2][:m], buffers[3][:m], buffers[4][:n]
+    qh, term, parity_free, cum = buffers[0][:n], buffers[1][:n], buffers[2][:m], buffers[3][:m]
     _character_product(children, qh, term)
     np.copyto(parity_free[:n].reshape(n, 8, 8), qh.reshape(n, 2, 8, 2, 8)[:, 0, :, 0, :])
-    np.matmul(parity_free, weight_transform.T, weights)
-    return qh, np.cumsum(weights[:n], axis=1, out=cum)
+    np.matmul(parity_free, cumulative_transform, cum)
+    return qh, cum[:n]
 
 
 def _drawn_syndromes(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -517,7 +524,7 @@ def _drawn_class_rows(qh: np.ndarray, syndromes: np.ndarray, buffers) -> np.ndar
     tables = _tables_713()
     n = syndromes.shape[0]
     m = max(n, 2)  # one row would go through gemv
-    term, rows = buffers[1][:m], buffers[5][:m]
+    term, rows = buffers[1][:m], buffers[4][:m]
     # mode="raise" would copy through a buffer; syndromes are in 0..63
     np.take(tables.signs, syndromes, axis=0, out=term[:n], mode="clip")
     term[:n] *= qh

@@ -203,8 +203,11 @@ def hashing_threshold(
 
     family is a model-family name or a callable p -> model.  The initial
     bracket [lo, hi] is widened automatically unless extend is False;
-    BracketError is raised if no bracket exists below 0.5.
+    BracketError is raised if no bracket exists below 0.5.  Raises
+    ValueError unless lo < hi.
     """
+    if not lo < hi:
+        raise ValueError("the bracket needs lo < hi, got lo=%r, hi=%r" % (lo, hi))
     fam = _resolve_family(family)
 
     # shannon_entropy drops NaN entries and a breakdown gives +inf, so H
@@ -225,8 +228,6 @@ def hashing_threshold(
         if gap(hi) < 0:
             if not extend or hi >= 0.4999:
                 raise BracketError("entropy stays below one bit up to hi=%g" % hi)
-            if hi <= 0:  # 1.5 * hi cannot grow
-                raise BracketError("no above-threshold point found")
             hi = min(1.5 * hi, 0.4999)
         else:
             break
@@ -321,19 +322,21 @@ class McConfig(_Checked, _McConfigFields):
     other level does.
 
     The two-sector kernel (_level_rows) runs every other dist0, with a
-    class row over (I, X, Y, Z) per individual, in row blocks of 256
-    individuals.  Each block's character product ([256, 256]), syndrome
-    weights and their cumulative sums ([256, 64] each) stay in cache
-    from the product through the syndrome draw to the drawn syndrome's
-    class row, and the buffers are reused from block to block.  That row
-    has the bits of the same row of the full decomposition
-    (decompose_713 in tests/test_codes.py).  Recovery is then applied to
-    the chosen rows of the whole level at once.  Level 1, where every
-    individual is dist0, builds one row's product and the class rows of
-    all 64 syndromes in-process (_mc_first_level).  Results do not
-    depend on the block size.
+    class row over (I, X, Y, Z) per individual, in row blocks of 128
+    individuals.  Each block's character product ([128, 256]) and its
+    cumulative syndrome weights ([128, 64], one matmul against the
+    cumulative transform, whose entries are exact) stay in cache from
+    the product through the syndrome draw to the drawn syndrome's class
+    row, and the buffers are reused from block to block.  That row has
+    the bits of the same row of the full decomposition (decompose_713 in
+    tests/test_codes.py).  Recovery is then applied to the chosen rows
+    of the whole level at once.  Level 1, where every individual is
+    dist0, builds one row's product and the class rows of all 64
+    syndromes in-process (_mc_first_level).  Results do not depend on
+    the block size; the BLAS layouts that keep them so are listed in
+    codes.py's drawn-syndrome section.
 
-    A level of at least 2 * _WORKER_BLOCKS blocks, from level 2 on for
+    A level of at least 2 * _WORKER_ROWS rows, from level 2 on for
     the two-sector kernel and at every level for the one-sector one,
     runs on worker processes, one per usable CPU (os.sched_getaffinity),
     each given an even share of rows in one range; the parent waits for
@@ -357,25 +360,27 @@ class McConfig(_Checked, _McConfigFields):
 
 
 #: individuals per block of a population level: the character product
-#: and one qubit's character sums ([block, 256] doubles each, 1 MiB) fit in
-#: a core's L2
-_BLOCK_ROWS = 256
+#: and one qubit's character sums ([block, 256] doubles, 256 KiB each) stay
+#: in a core's L2.  On a 2-core Xeon with 2 MiB of L2 a core, a 5000-row
+#: knill level on one BLAS thread took 7.7 ms in blocks of 128 rows, and
+#: 8.3, 8.7 and 12.5 ms in blocks of 192, 256 and 512
+_BLOCK_ROWS = 128
 
-#: fewest blocks of a level worth handing to a worker process: on 2 cores,
+#: fewest rows of a level worth handing to a worker process: on 2 cores,
 #: two workers took a 4096-row level in about the time of one process,
 #: and a 6144-row level in 25-35% less
-_WORKER_BLOCKS = 12
+_WORKER_ROWS = 12 * 256
 
 
 def _worker_count(pop: int) -> int:
     """Worker processes for a level of pop individuals: one per usable
-    CPU, as long as the level has _WORKER_BLOCKS blocks for each, and
-    none (the level runs in-process) when that leaves fewer than two."""
+    CPU, as long as the level has _WORKER_ROWS rows for each, and none
+    (the level runs in-process) when that leaves fewer than two."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
         cpus = os.cpu_count() or 1
-    workers = min(cpus, -(-pop // _BLOCK_ROWS) // _WORKER_BLOCKS)
+    workers = min(cpus, pop // _WORKER_ROWS)
     return workers if workers >= 2 else 0
 
 
@@ -409,10 +414,10 @@ def _level_draws(pop: int, seed: int, level: int):
 def _level_rows(popn: np.ndarray, seed: int, level: int, start: int, stop: int) -> np.ndarray:
     """Rows start:stop of a level of the population dynamics: each
     individual is rebuilt from seven parents drawn from popn.  Per block,
-    its syndrome is drawn from the block's syndrome weights and only that
-    syndrome's class row is built; recovery is applied to those rows for
-    the whole range at once.  A row's bits do not depend on the block
-    around it, so the range may start anywhere."""
+    its syndrome is drawn from the block's cumulative syndrome weights
+    and only that syndrome's class row is built; recovery is applied to
+    those rows for the whole range at once.  A row's bits do not depend
+    on the block around it, so the range may start anywhere."""
     pop = popn.shape[0]
     idx, u = _level_draws(pop, seed, level)
     chosen = np.empty((stop - start, popn.shape[1]))

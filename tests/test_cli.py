@@ -82,6 +82,18 @@ def test_hashing_bracket_failure(capsys):
     assert "hashing" in err
 
 
+# an unset end counts at the solver's default, lo 1e-3 and hi 0.25
+@pytest.mark.parametrize(
+    "bracket",
+    [["--lo", "0.2", "--hi", "0.1"], ["--lo", "0.1", "--hi", "0.1"], ["--lo", "0.3"], ["--hi", "0"]],
+    ids=" ".join,
+)
+def test_hashing_bracket_not_ascending_is_usage_error(capsys, bracket):
+    code, out, err = run(capsys, ["hashing", "--model", "knill"] + bracket)
+    assert (code, out) == (64, "")
+    assert err == "hashing: --lo must be below --hi\n"
+
+
 @pytest.mark.parametrize("flag, value", [("--lo", "0.2"), ("--hi", "0.03")])
 def test_hashing_widens_a_bad_bracket(capsys, flag, value):
     argv = ["hashing", "--model", "knill", "--raw"]
@@ -89,13 +101,6 @@ def test_hashing_widens_a_bad_bracket(capsys, flag, value):
     code, out, err = run(capsys, argv + [flag, value])
     assert code == 0 and err == ""
     assert abs(float(out) - float(default)) <= 1e-6  # the default --tol
-
-
-def test_hashing_finds_no_above_threshold_point(capsys):
-    code, out, err = run(capsys, ["hashing", "--model", "knill", "--hi", "0"])
-    assert code == 2
-    assert out == ""
-    assert "no above-threshold point found" in err
 
 
 def test_usage_errors():

@@ -798,8 +798,12 @@ def _reference_drawn_rows(children, u):
     parity_free = q.reshape(-1, 2, 8, 2, 8)[:, 0, :, 0, :].reshape(-1, 64)
     weights = parity_free @ (signs / 64.0).T
     pick = np.minimum((np.cumsum(weights, axis=1) < u[:, None]).sum(axis=1), 63)
-    terms = q[:, :, None] * transform[:, pick].transpose(1, 0, 2)
-    return pick, np.cumsum(terms, axis=1)[:, -1]
+    rows = np.empty((q.shape[0], 4))
+    # 1024 rows at a time bounds the memory; each row is summed on its own
+    for lo in range(0, q.shape[0], 1024):
+        terms = q[lo : lo + 1024, :, None] * transform[:, pick[lo : lo + 1024]].transpose(1, 0, 2)
+        rows[lo : lo + 1024] = np.cumsum(terms, axis=1)[:, -1]
+    return pick, rows
 
 
 def _drawn_rows(children, u):
@@ -817,12 +821,17 @@ def test_transform_factors_by_syndrome():
     transform = _reference_draw_tables()[2]
     np.testing.assert_array_equal(tables.signs.T[:, :, None] * tables.classes[:, None, :4], transform)
     np.testing.assert_array_equal(tables.classes[:, 4:], 0.0)
-    np.testing.assert_array_equal(tables.weight_transform, _reference_draw_tables()[1] / 64.0)
+    # the cumulative transform is the reference's running sums of integer
+    # signs over 64, exactly, in the C layout whose bits no batch changes
+    signs = _reference_draw_tables()[1].astype(np.int64)
+    np.testing.assert_array_equal(tables.cumulative_transform, np.cumsum(signs.T, axis=1) / 64.0)
+    assert tables.cumulative_transform.flags.c_contiguous
 
 
-# 256 is a full block of a population level, 16 the last block of a 10^4
-# population; 1, 3 and 5 are short tails, and 259 spans more than a block
-@pytest.mark.parametrize("batch", [1, 3, 5, 16, 256, 259])
+# 128 is a full block of a population level; 8 and 16 the last blocks of
+# a worker's 5000 rows and of a 10^4 population; 1, 3 and 5 are short
+# tails, and 256 and 259 span more than a block
+@pytest.mark.parametrize("batch", [1, 3, 5, 8, 16, 128, 256, 259])
 def test_drawn_rows_match_decompose(batch, knill_population):
     rng = np.random.default_rng(100 + batch)
     raw = rng.random((batch, 7, 4)) ** 3
@@ -841,8 +850,8 @@ def test_drawn_rows_match_decompose(batch, knill_population):
 
 
 # OpenBLAS sums in order on large batches whatever the kernel's layout;
-# 16 and 256 rows check that the kernel does on blocks too
-@pytest.mark.parametrize("batch", [2, 16, 256, 2000])
+# 8, 16 and 128 rows check that the kernel does on blocks too
+@pytest.mark.parametrize("batch", [2, 8, 16, 128, 256, 2000])
 def test_drawn_rows_match_reference(batch, knill_population):
     rng = np.random.default_rng(2)
     children = knill_population[rng.integers(0, 10_000, (batch, 7))]
@@ -852,18 +861,18 @@ def test_drawn_rows_match_reference(batch, knill_population):
 
 
 def test_drawn_rows_match_any_batch(knill_population):
-    # a population level relies on this down to a single row: blocks of
-    # 256 leave a tail of any size, and level 1 builds one row.  The
+    # a population level relies on this down to a single row: blocks
+    # leave a tail of any size, and level 1 builds one row.  The
     # cumulative weights are compared too, since a draw flips only when a
-    # uniform falls between two roundings of a weight; 255 and 259 rows
-    # are batches where the weights' matmul in C order changes bits
+    # uniform falls between two roundings of a running sum; in F order,
+    # the cumulative transform's matmul changes bits on 1-18 rows
     rng = np.random.default_rng(0)
     children = knill_population[rng.integers(0, 10_000, (8192, 7))]
     u = rng.random(8192)
     syndromes, rows = _drawn_rows(children, u)
     cum = _cumulative_syndrome_weights(children, _syndrome_buffers(8192))[1]
-    blocks = [(0, n) for n in range(1, 6)] + [(8191, 8192), (8188, 8192), (3, 7), (0, 16),
-                                              (100, 356), (7000, 7255), (7000, 7259)]
+    blocks = [(0, n) for n in range(1, 12)] + [(8191, 8192), (8188, 8192), (3, 7), (0, 16), (4992, 5000),
+                                               (100, 228), (100, 356), (7000, 7255), (7000, 7259)]
     for start, stop in blocks:
         got_syndromes, got_rows = _drawn_rows(children[start:stop], u[start:stop])
         np.testing.assert_array_equal(got_syndromes, syndromes[start:stop])

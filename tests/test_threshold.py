@@ -52,6 +52,8 @@ from psthresh.threshold import (
     three_type_dist,
     _flow_verdict,
     _level_draws,
+    _level_ranges,
+    _level_rows,
     _mc_first_level,
     _mc_flow,
     _mc_level,
@@ -274,6 +276,18 @@ def test_hashing_threshold_values():
     )
 
 
+# (1e-3, 0) is the default lo with hi = 0
+@pytest.mark.parametrize("lo, hi", [(0.2, 0.1), (0.07, 0.07), (0.3, 0.25), (1e-3, 0)])
+def test_hashing_threshold_rejects_bracket_not_ascending(lo, hi):
+    # a reversed bracket was widened and bisected as if ascending; it
+    # fails before any probe
+    def fail(p):
+        raise AssertionError("probed")
+
+    with pytest.raises(ValueError, match="lo < hi"):
+        hashing_threshold(fail, lo=lo, hi=hi)
+
+
 def test_entropy_is_one_at_threshold():
     p = hashing_threshold("depolarizing", tol=1e-9)
     assert teleport_entropy(Depolarizing(p)) == pytest.approx(1.0, abs=1e-6)
@@ -303,17 +317,6 @@ def test_hashing_threshold_bracket_errors():
         hashing_threshold("depolarizing", lo=0.2, extend=False)
     with pytest.raises(BracketError):
         hashing_threshold("depolarizing", hi=0.01, extend=False)
-
-
-def test_hashing_stops_when_the_upper_end_cannot_grow(monkeypatch):
-    # 1.5 * 0 stays 0, so one evaluation at hi settles that no bracket
-    # exists
-    models = []
-    entropy = threshold.teleport_entropy
-    monkeypatch.setattr(threshold, "teleport_entropy", lambda model: models.append(model) or entropy(model))
-    with pytest.raises(BracketError, match="no above-threshold point found"):
-        hashing_threshold("knill", hi=0)
-    assert [model.p for model in models] == [1e-3, 0]
 
 
 def test_sweep_r_decreases():
@@ -506,13 +509,13 @@ def _full_recovery_level(popn, config, level):
     return cond[np.arange(pop), pick]
 
 
-# 2 * 256 + 3 leaves a 3-row block after two full ones; 3 parts split
-# 2000 (8 blocks) over three worker processes
+# 515 = 4 * 128 + 3 leaves a 3-row block after four full ones; 3 parts
+# split 2000 (16 blocks) over three worker processes
 @pytest.mark.parametrize(
     "population, parts",
     [
         pytest.param(2000, 1, id="2000"),
-        pytest.param(2 * 256 + 3, 1, id="515"),
+        pytest.param(4 * 128 + 3, 1, id="515"),
         pytest.param(2000, 3, id="2000-3 workers"),
     ],
 )
@@ -529,9 +532,9 @@ def test_mc_level_matches_full_recovery(population, parts, worker_pool):
         np.testing.assert_array_equal(popn, full)
 
 
-# 3 fits in one small block, 261 leaves a 5-row block and 2 * 256 + 3 a
-# 3-row one
-@pytest.mark.parametrize("population", [3, 261, 2 * 256 + 3, 2000])
+# 3 fits in one small block, 261 = 2 * 128 + 5 leaves a 5-row block and
+# 4 * 128 + 3 a 3-row one
+@pytest.mark.parametrize("population", [3, 261, 4 * 128 + 3, 2000])
 @pytest.mark.parametrize("dist", ["knill", "one-type"])
 def test_first_level_matches_tiled_level(population, dist):
     dist0 = model_level0("knill")(0.0688) if dist == "knill" else one_type_dist(0.1092)
@@ -540,6 +543,44 @@ def test_first_level_matches_tiled_level(population, dist):
     got = _mc_first_level(dist0, config)
     np.testing.assert_array_equal(got, _mc_level(tiled, config, 1))
     np.testing.assert_array_equal(got, _reference_level(tiled, config, 1))
+
+
+#: (start, stop) ranges of a 10^4 level: the whole level, whose last block
+#: has 16 rows at 128 a block; the ranges of 2 workers, each ending in an
+#: 8-row block, and of 3; and ranges ending 1-5 rows into a block of 128
+#: or of 256
+LEVEL_RANGES = (
+    [(0, 10_000)]
+    + _level_ranges(10_000, 2)
+    + _level_ranges(10_000, 3)
+    + [(0, 129), (3, 133), (5000, 5131), (9000, 9260), (9995, 10_000), (7, 264), (1, 4)]
+)
+
+
+@pytest.fixture(scope="module")
+def level2_populations():
+    """(popn, reference level 3) of three two-sector flows at level 2, near
+    their thresholds; the reference is the drawn-syndrome method written
+    plainly, with np.cumsum running sums of the syndrome weights."""
+    config = McConfig()
+    out = {}
+    for family, p in (("knill", 0.0688), ("depolarizing", 0.0823), ("forward", 0.048)):
+        popn = _reference_level(np.tile(model_level0(family)(p), (config.population, 1)), config, 1)
+        popn = _reference_level(popn, config, 2)
+        out[family] = popn, _reference_level(popn, config, 3)
+    return out
+
+
+@pytest.mark.parametrize("block", [128, 256])
+def test_level_rows_match_reference(block, level2_populations, monkeypatch):
+    # the running sums from one matmul against the cumulative transform
+    # draw the syndromes of np.cumsum's, and no range or block size moves
+    # a bit
+    monkeypatch.setattr(threshold, "_BLOCK_ROWS", block)
+    for family, (popn, want) in level2_populations.items():
+        for start, stop in LEVEL_RANGES:
+            got = _level_rows(popn, 1, 3, start, stop)
+            np.testing.assert_array_equal(got, want[start:stop], err_msg="%s %d:%d" % (family, start, stop))
 
 
 # ---------------------------------------------------------------------------

@@ -166,6 +166,27 @@ def test_parse_seeds():
             parse_seeds(text)
 
 
+def test_parse_op_lines():
+    # bench/run.py pads a kind to 40 characters, so a longer one meets n=
+    # after a single space
+    stdout = (
+        "calibration: 5 samples, 3.255..4.187 ms, reference 3.300 ms; raw wall 1.6257 s\n"
+        "  op concat_threshold_mc knill [0.05, 0.09]   n=10   p50   127.010 ms (raw   154.903)"
+        "  p90   189.036 ms (raw   230.552)\n"
+        "  op concat_threshold_mc one-type [0.09, 0.13] n=10   p50    10.814 ms (raw    13.189)"
+        "  p90    17.308 ms (raw    21.109)\n"
+        '{"correct": true}\n'
+    )
+    assert bench_record.parse_op_lines(stdout) == {
+        "concat_threshold_mc knill [0.05, 0.09]": {
+            "n": 10, "p50_ms": 127.01, "raw_p50_ms": 154.903, "p90_ms": 189.036, "raw_p90_ms": 230.552,
+        },
+        "concat_threshold_mc one-type [0.09, 0.13]": {
+            "n": 10, "p50_ms": 10.814, "raw_p50_ms": 13.189, "p90_ms": 17.308, "raw_p90_ms": 21.109,
+        },
+    }
+
+
 @pytest.mark.parametrize("tool", ["outputs.py", "bench_record.py"])
 def test_empty_seed_range_is_usage_error(tool):
     out = subprocess.run(

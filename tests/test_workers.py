@@ -34,7 +34,7 @@ from psthresh.threshold import (
 SRC = str(Path(psthresh.__file__).resolve().parent.parent)
 TIMEOUT_S = 120
 
-#: a population of 8 blocks: 1000 in-process rows would not split
+#: a population of 16 blocks of 128 rows: 1000 in-process rows would not split
 SPLIT = McConfig(population=2000, levels=8, seed=5)
 
 
@@ -83,7 +83,7 @@ def test_level_ranges_are_even_rows(pop):
     assert _level_ranges(10_000, 2) == [(0, 5000), (5000, 10_000)]
 
 
-# 2000 rows are 7 blocks and a 208-row tail; a range may start inside a
+# 2000 rows are 15 blocks and an 80-row tail; a range may start inside a
 # block, so the blocks of a range are not those of the whole level
 @pytest.mark.parametrize(
     "edges",

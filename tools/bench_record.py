@@ -11,14 +11,17 @@ of the machine fall on both sides.  Before the first run, each tree's
 ``src/`` and ``bench/`` are compiled to bytecode: the run's set-up child
 (``python -I``) writes ``__pycache__`` into the tree it times, so a tree
 that held no bytecode would start behind one that did.  The run's last
-stdout line gives its metrics, and the record it writes to the tree's
-``.bench_out/`` gives the machine and the commit it ran on.
+stdout line gives its metrics, its ``op KIND n=.. p50 .. p90 ..`` lines
+the calibrated and raw per-op times of each kind of op, and the record
+it writes to the tree's ``.bench_out/`` gives the machine and the commit
+it ran on.
 
-The file holds, per tree, every run's metrics and, per end-to-end metric
-of ``BENCHMARK.json``, the median, quartiles and IQR over the seeds; per
-seed, the ratio change/first tree of each metric when exactly two trees
-are given; and the machine record shared by all runs.  Nothing under
-``bench/`` is changed.
+The file holds, per tree, every run's metrics and per-kind op times and,
+per end-to-end metric of ``BENCHMARK.json`` and per kind's p50 and p90,
+the median, quartiles and IQR over the seeds; per seed, the ratio
+change/first tree of each metric when exactly two trees are given; and
+the machine record shared by all runs.  Nothing under ``bench/`` is
+changed.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import argparse
 import compileall
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -67,6 +71,26 @@ def compile_tree(tree):
             raise SystemExit("bench_record: %s does not compile" % (tree / sub))
 
 
+#: a per-kind line of bench/run.py: "  op KIND n=N p50 X ms (raw X)  p90 X ms (raw X)"
+OP_LINE = re.compile(
+    r"^\s*op (?P<kind>.+?)\s+n=(?P<n>\d+)\s+p50\s+(?P<p50_ms>\S+) ms \(raw\s+(?P<raw_p50_ms>\S+)\)"
+    r"\s+p90\s+(?P<p90_ms>\S+) ms \(raw\s+(?P<raw_p90_ms>\S+)\)$"
+)
+
+
+def parse_op_lines(stdout):
+    """kind -> {n, p50_ms, raw_p50_ms, p90_ms, raw_p90_ms} from a run's
+    per-kind op lines."""
+    kinds = {}
+    for line in stdout.splitlines():
+        match = OP_LINE.match(line)
+        if match:
+            fields = match.groupdict()
+            kind = fields.pop("kind")
+            kinds[kind] = {k: int(v) if k == "n" else float(v) for k, v in fields.items()}
+    return kinds
+
+
 def run_once(tree, workload, seed, seconds):
     """Metrics and machine record of one untraced benchmark run."""
     proc = subprocess.run(
@@ -81,6 +105,7 @@ def run_once(tree, workload, seed, seconds):
         "failed": result["failed"],
         "attempted": result["attempted"],
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+        "op_kinds": parse_op_lines(proc.stdout),
     }, record["machine"]
 
 
@@ -136,6 +161,10 @@ def main(argv=None):
                 "commits": sorted(commits[label]),
                 "runs": runs[label],
                 "summary": {n: summarise([r["metrics"][n] for r in runs[label]]) for n in names},
+                "op_kind_summary": {
+                    kind: {q: summarise([r["op_kinds"][kind][q] for r in runs[label]]) for q in ("p50_ms", "p90_ms")}
+                    for kind in runs[label][0]["op_kinds"]
+                },
             }
             for label in labels
         },
@@ -153,6 +182,9 @@ def main(argv=None):
     for label in labels:
         print("%-8s %s" % (label, " ".join(
             "%s=%.4g[%.3g]" % (n, s["median"], s["iqr"]) for n, s in out["trees"][label]["summary"].items())))
+        for kind, s in out["trees"][label]["op_kind_summary"].items():
+            print("%-8s op %s: p50 %.4g[%.3g] p90 %.4g[%.3g] ms" % (
+                label, kind, s["p50_ms"]["median"], s["p50_ms"]["iqr"], s["p90_ms"]["median"], s["p90_ms"]["iqr"]))
     print(path)
     return 0
 
