@@ -23,8 +23,9 @@ processes each running a multi-threaded BLAS on two cores were several
 times slower than one.
 
 Importing this module starts nothing.  ``start`` starts this process's
-pool, which is closed at interpreter exit; a pool that failed, or that
-another process started (before an ``os.fork``), is never reused.
+pool, which keeps the size it starts with and is closed at interpreter
+exit; a pool that failed, or that another process started (before an
+``os.fork``), is never reused.
 """
 
 from __future__ import annotations
@@ -80,30 +81,24 @@ class WorkerPool:
         self.closed = False
         self.lock = threading.Lock()
         atexit.register(self.close)
-        self.grow(workers)
-
-    @property
-    def size(self) -> int:
-        return len(self.procs)
-
-    def grow(self, workers: int) -> None:
-        """Start workers until there are at least `workers`."""
         # the directory holding this package, so that the workers run this
         # source tree and not another installed copy
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         env = dict(os.environ, **_WORKER_ENV)
-        with self.lock:
-            self._check_open()
-            while len(self.procs) < workers:
-                proc = subprocess.Popen(
-                    [sys.executable, "-c", _CHILD, root], stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env
-                )
-                self.procs.append(proc)
-                for pipe in (proc.stdin, proc.stdout) if F_SETPIPE_SZ else ():
-                    try:
-                        fcntl(pipe.fileno(), F_SETPIPE_SZ, _PIPE_BYTES)
-                    except OSError:  # over fs.pipe-max-size: keep the default
-                        pass
+        for _ in range(workers):
+            proc = subprocess.Popen(
+                [sys.executable, "-c", _CHILD, root], stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env
+            )
+            self.procs.append(proc)
+            for pipe in (proc.stdin, proc.stdout) if F_SETPIPE_SZ else ():
+                try:
+                    fcntl(pipe.fileno(), F_SETPIPE_SZ, _PIPE_BYTES)
+                except OSError:  # over fs.pipe-max-size: keep the default
+                    pass
+
+    @property
+    def size(self) -> int:
+        return len(self.procs)
 
     def map(self, fn, arg_tuples: list) -> list:
         """[fn(*args) for args in arg_tuples], the i-th call in worker i.
@@ -192,14 +187,12 @@ def running():
 
 
 def start(workers: int) -> WorkerPool:
-    """This process's pool, started or grown to at least `workers`."""
+    """This process's running pool, or else a new one of `workers`."""
     global _pool
     with _pool_lock:
         pool = running()
         if pool is None:
             pool = _pool = WorkerPool(workers)
-        else:
-            pool.grow(workers)
         return pool
 
 

@@ -288,8 +288,6 @@ def _given(args, *names) -> dict:
 
 
 def cmd_hashing(args) -> int:
-    if args.r is not None and args.model != "depolarizing":
-        return _usage_error(args, "--r applies to --model depolarizing only")
     family = model_family(args.model, r=args.r)
     try:
         thr = hashing_threshold(family, extend=not args.no_extend, **_given(args, "lo", "hi", "tol"))
@@ -332,8 +330,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_concat(args) -> int:
-    if args.r is not None and args.model != "depolarizing":
-        return _usage_error(args, "--r applies to --model depolarizing only")
     dist_fn = _level0(args.model, r=args.r)
     config = McConfig(
         population=args.population, levels=args.levels, seed=args.seed
@@ -474,6 +470,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # --r, a flag of hashing and concat
+    if getattr(args, "r", None) is not None and args.model != "depolarizing":
+        return _usage_error(args, "--r applies to --model depolarizing only")
     return args.func(args)
 
 

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .noise import _check_count, diagonal_q, measurement_m
+from .noise import diagonal_q, measurement_m
 from .pauli import LABEL_INDEX, VALIDITY_TOL
 
 #: indices of the Q entries the accept branch of a purification step reads
@@ -35,6 +35,11 @@ _ACCEPT_INDEX = np.array(
 
 #: indices of the Q entries the teleported distribution reads: IZ, XI, XZ
 _TELEPORT_INDEX = tuple(LABEL_INDEX[lab] for lab in ("IZ", "XI", "XZ"))
+
+#: a fixed-point iteration stops once successive iterates agree within
+#: _TOL (sup norm), and fails after _MAX_ITER steps
+_TOL = 1e-14
+_MAX_ITER = 10**6
 
 
 class NoConvergenceError(RuntimeError):
@@ -109,19 +114,15 @@ def _iterate(
     )
 
 
-def fixed_point(q, tol: float = 1e-14, max_iter: int = 10**6, m: float = 1.0) -> FixedPointResult:
+def fixed_point(q, m: float = 1.0) -> FixedPointResult:
     """Iterate the purification step from the noiseless channel until
-    successive iterates agree within tol (sup norm).
+    successive iterates agree within _TOL (sup norm).
 
     Raises NoConvergenceError if the iteration runs out of steps or the
     acceptance probability breaks down, which is how an above-threshold
-    gate noise manifests, and ValueError unless tol > 0 and max_iter is
-    an integer >= 1.
+    gate noise manifests.
     """
-    if not tol > 0:
-        raise ValueError("tol must be > 0, got %r" % (tol,))
-    _check_count("max_iter", max_iter, 1)
-    return _iterate(_accept_q(q), float(m), 1.0, 1.0, 1.0, tol, max_iter)
+    return _iterate(_accept_q(q), float(m), 1.0, 1.0, 1.0, _TOL, _MAX_ITER)
 
 
 def indep_fixed_point(f: float) -> IndepFixedPoint:
@@ -136,10 +137,10 @@ def indep_fixed_point(f: float) -> IndepFixedPoint:
     x_g = 1.0
     x_b = 1.0
     try:
-        for _ in range(10**6):
+        for _ in range(_MAX_ITER):
             x_g2 = (x_b + x_b * f) / (1.0 + x_b * x_b * f)
             x_b2 = x_g2 * x_g2 * f
-            if abs(x_g2 - x_g) < 1e-14 and abs(x_b2 - x_b) < 1e-14:
+            if abs(x_g2 - x_g) < _TOL and abs(x_b2 - x_b) < _TOL:
                 return IndepFixedPoint(x_g=x_g2, x_b=x_b2)
             if not (math.isfinite(x_g2) and math.isfinite(x_b2)):
                 raise NoConvergenceError("independent recursion diverged")

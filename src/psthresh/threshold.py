@@ -97,6 +97,11 @@ def _halve(lower, lo: float, hi: float, tol: float):
     return lo, hi
 
 
+def _check_bracket(lo: float, hi: float) -> None:
+    if not lo < hi:
+        raise ValueError("the bracket needs lo < hi, got lo=%r, hi=%r" % (lo, hi))
+
+
 def bisect(gap, lo: float, hi: float, tol: float) -> float:
     """Midpoint of [lo, hi] once bisection of gap(p) < 0 has narrowed it
     to width tol.
@@ -130,8 +135,7 @@ def bisect(gap, lo: float, hi: float, tol: float) -> float:
     than three times the plain probes; the smooth gaps of the solvers
     here take about a quarter of them.
     """
-    if not lo < hi:
-        raise ValueError("the bracket needs lo < hi, got lo=%r, hi=%r" % (lo, hi))
+    _check_bracket(lo, hi)
     if not tol > 0:
         raise ValueError("bisection tolerance must be positive, got %r" % tol)
     # the tightest probes with gap < 0 and with gap not < 0, and their
@@ -206,8 +210,7 @@ def hashing_threshold(
     BracketError is raised if no bracket exists below 0.5.  Raises
     ValueError unless lo < hi.
     """
-    if not lo < hi:
-        raise ValueError("the bracket needs lo < hi, got lo=%r, hi=%r" % (lo, hi))
+    _check_bracket(lo, hi)
     fam = _resolve_family(family)
 
     # shannon_entropy drops NaN entries and a breakdown gives +inf, so H
@@ -545,9 +548,9 @@ def mc_verdict(dist0, config: McConfig = McConfig()):
     flips only runs on the one-sector kernel (see McConfig).
 
     dist0 must be a length-4 vector of finite, non-negative entries that
-    sum to 1 within 1e-9, or ValueError is raised.  The levels run on
-    the worker processes of a solve (concat_threshold_mc) when one has
-    started them in this process, and in-process otherwise.
+    sum to 1 within pauli.SUM_TOL, or ValueError is raised.  The levels
+    run on the worker processes of a solve (concat_threshold_mc) when one
+    has started them in this process, and in-process otherwise.
     """
     dist0 = _check_distribution("dist0", dist0)
     pool = _running_workers()
@@ -584,10 +587,10 @@ def concat_threshold_mc(
 
     The first solve in a process whose population is large enough to
     share starts the worker processes (see McConfig) that run the levels
-    of every verdict after it; they are closed at interpreter exit.
+    of every verdict after it, as many as its population shares; they are
+    closed at interpreter exit.
     """
-    if not lo < hi:
-        raise ValueError("the bracket needs lo < hi, got lo=%r, hi=%r" % (lo, hi))
+    _check_bracket(lo, hi)
     workers = _worker_count(config.population)
     if workers:
         from . import _workers

@@ -60,7 +60,7 @@ def _level2_population(config, rows=_level_rows):
 
 def test_worker_count_from_cpus_and_population(monkeypatch):
     for cpus, pop, want in [
-        (4, 10_000, 3),  # 40 blocks: 3 workers of at least 12
+        (4, 10_000, 3),  # 3 workers of at least 12 * 256 rows
         (2, 10_000, 2),
         (64, 10_000, 3),
         (4, 24 * 256, 2),
@@ -193,13 +193,26 @@ def test_worker_ignores_sigint(worker_pool):
 
 
 def test_closed_workers_exit():
-    pool = _workers.WorkerPool(1)
-    pool.grow(2)
+    pool = _workers.WorkerPool(2)
     assert pool.map(eval, [("1",), ("2",)]) == [1, 2]
     pool.close()
     assert [proc.returncode for proc in pool.procs] == [0, 0]
     with pytest.raises(RuntimeError, match="closed"):
         pool.map(eval, [("1",)])
+
+
+def test_start_keeps_the_running_pool(monkeypatch):
+    # a later, larger solve splits over the workers of the first
+    monkeypatch.setattr(_workers, "_pool", None)
+    pool = _workers.start(2)
+    try:
+        assert _workers.start(3) is pool and pool.size == 2
+        for rows in ROWS:
+            popn = _level2_population(SPLIT, rows)
+            want = _mc_level(popn, SPLIT, 2, rows=rows)
+            np.testing.assert_array_equal(_mc_level(popn, SPLIT, 2, pool, pool.size, rows), want)
+    finally:
+        pool.close()
 
 
 class _Interrupt:

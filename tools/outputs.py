@@ -19,8 +19,7 @@ is exact (``float.hex()``):
   ``build_cnot_superoperator()`` with their layout, and ``pauli
   traceout-crosscheck draw=K HEX``: ``traceout_crosscheck`` on 200 draws
   made as acceptance criterion 11 makes them (seed 2026); the oracle and
-  the crosscheck are the reference chain of ``tests/pauli_reference.py``
-  (``tests/test_pauli.py`` in a checkout from before that module);
+  the crosscheck are the reference chain of ``tests/pauli_reference.py``;
 * ``fidelity D0 D1 D2 D3 HEX``: ``first_level_fidelity`` on 3005 seeded
   distributions (edge cases, near-identity, one-type and simplex draws);
 * ``golay p=P KEPT FLIPPED DIAGONAL ENTROPY``: ``golay_syndrome_weights``,
@@ -122,10 +121,7 @@ def hashing_lines():
 
 def pauli_lines():
     from psthresh.pauli import commutation_signs, dist_to_channel
-    try:
-        from pauli_reference import build_cnot_superoperator, traceout_crosscheck
-    except ModuleNotFoundError:  # a --tree from before the reference left test_pauli
-        from test_pauli import build_cnot_superoperator, traceout_crosscheck
+    from pauli_reference import build_cnot_superoperator, traceout_crosscheck
 
     tables = (("commutation-signs", commutation_signs()), ("cnot-superoperator", build_cnot_superoperator()))
     for name, table in tables:
