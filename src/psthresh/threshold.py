@@ -80,23 +80,6 @@ def teleport_entropy(model) -> float:
         return float("inf")
 
 
-def _halve(lower, lo: float, hi: float, tol: float):
-    """The bracket that bisection of [lo, hi] ends on: each step takes
-    mid = (lo + hi) / 2, and lower(mid) true moves lo up to mid, false
-    brings hi down to it, until hi - lo <= tol.  The loop also stops once
-    mid is no longer strictly inside (lo, hi), which only a tolerance
-    under the float spacing at the crossing can reach."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if lower(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
-
-
 def _check_bracket(lo: float, hi: float) -> None:
     if not lo < hi:
         raise ValueError("the bracket needs lo < hi, got lo=%r, hi=%r" % (lo, hi))
@@ -164,9 +147,13 @@ def bisect(gap, lo: float, hi: float, tol: float) -> float:
                 # plain bisection run toward the guess ends on a bracket
                 # around it: probe its end on the far side from the last
                 # probe, or its other end when that is not open
-                ends = _halve(lambda m: m < guess, lo, hi, tol)
-                if last[1] < 0:
-                    ends = ends[::-1]
+                left, right = lo, hi
+                while right - left > tol:
+                    m = 0.5 * (left + right)
+                    if not left < m < right:
+                        break
+                    left, right = (m, right) if m < guess else (left, m)
+                ends = (right, left) if last[1] < 0 else (left, right)
                 x = next((e for e in ends if max(a, lo) < e < min(b, hi)), mid)
             value = gap(x)
             below = value < 0
@@ -218,24 +205,16 @@ def hashing_threshold(
     def gap(p):
         return teleport_entropy(fam(p)) - 1.0
 
-    for _ in range(60):
-        if gap(lo) >= 0:
-            if not extend or lo < 1e-12:
-                raise BracketError("entropy already exceeds one bit at lo=%g" % lo)
-            lo /= 2.0
-        else:
-            break
-    else:
-        raise BracketError("no below-threshold point found")
-    for _ in range(60):
-        if gap(hi) < 0:
-            if not extend or hi >= 0.4999:
-                raise BracketError("entropy stays below one bit up to hi=%g" % hi)
-            hi = min(1.5 * hi, 0.4999)
-        else:
-            break
-    else:
-        raise BracketError("no above-threshold point found")
+    # lo halves until it passes 1e-12, and a positive hi grows up to
+    # 0.4999 (one at or below 0 never would): both loops end
+    while gap(lo) >= 0:
+        if not extend or lo < 1e-12:
+            raise BracketError("entropy already exceeds one bit at lo=%g" % lo)
+        lo /= 2.0
+    while gap(hi) < 0:
+        if not extend or not 0 < hi < 0.4999:
+            raise BracketError("entropy stays below one bit up to hi=%g" % hi)
+        hi = min(1.5 * hi, 0.4999)
     return bisect(gap, lo, hi, tol)
 
 
@@ -309,8 +288,9 @@ class McConfig(_Checked, _McConfigFields):
     BELOW_INFIDELITY, and as above once it passes ABOVE_INFIDELITY (see
     mc_verdict for a flow that runs out of levels).
 
-    Two kernels run the levels, chosen once per flow by dist0.  Both
-    draw the parents and the syndrome uniforms from the same streams
+    Two kernels run the levels: dist0 picks the population's layout once
+    per flow, and _mc_level runs the kernel of that layout.  Both draw
+    the parents and the syndrome uniforms from the same streams
     (_level_draws), and pick the syndrome by counting the cumulative
     syndrome weights under the uniform.
 
@@ -343,11 +323,12 @@ class McConfig(_Checked, _McConfigFields):
     the two-sector kernel and at every level for the one-sector one,
     runs on worker processes, one per usable CPU (os.sched_getaffinity),
     each given an even share of rows in one range; the parent waits for
-    their rows.  Each worker draws the level's (seed, level) stream
+    their rows.  The flow (_mc_flow) picks that split once, from the
+    running pool.  Each worker draws the level's (seed, level) stream
     itself and computes its rows exactly as one process would, so
     results are bit-identical however the level is split.  The first
     concat_threshold_mc of a process starts the workers (0.2-0.45 s,
-    about 48 MB each) and they serve every verdict after it; a lone
+    about 46.5 MB each) and they serve every verdict after it; a lone
     mc_verdict starts none.
 
     Raises ValueError unless population and levels are integers >= 1 and
@@ -464,13 +445,13 @@ def _level_ranges(pop: int, parts: int):
     return list(zip(edges, edges[1:]))
 
 
-def _mc_level(
-    popn: np.ndarray, config: McConfig, level: int, pool=None, parts: int = 1, rows=_level_rows
-) -> np.ndarray:
-    """One level of the population dynamics: the row function `rows`
-    (_level_rows or _sector_rows) on the whole population.  Given a
-    worker pool and parts > 1, the level is split into `parts` even
-    ranges of rows, one per worker, and the parent waits for their rows."""
+def _mc_level(popn: np.ndarray, config: McConfig, level: int, pool=None, parts: int = 1) -> np.ndarray:
+    """One level of the population dynamics on the kernel that popn's
+    layout names: _sector_rows on a 1-D population of flip probabilities,
+    _level_rows on a [pop, 4] one of class rows.  Given a worker pool and
+    parts > 1, the level is split into `parts` even ranges of rows, one
+    per worker, and the parent waits for their rows."""
+    rows = _sector_rows if popn.ndim == 1 else _level_rows
     pop = popn.shape[0]
     if pool is None or parts < 2:
         return rows(popn, config.seed, level, 0, pop)
@@ -497,25 +478,25 @@ def _mc_first_level(dist0: np.ndarray, config: McConfig) -> np.ndarray:
     return cond[0, syndromes]
 
 
-def _mc_flow(dist0: np.ndarray, config: McConfig, pool=None, parts: int = 1):
+def _mc_flow(dist0: np.ndarray, config: McConfig):
     """The population and its mean infidelity after each level of the
-    flow from dist0, for config.levels levels, each level run by
-    _mc_level.  With no X or Y weight in dist0 (dist0[1] == dist0[2] ==
-    0.0), the population is one post-recovery flip probability per
-    individual, started at dist0[3], and every level runs _sector_rows;
-    otherwise it is one class row per individual, level 1 is
-    _mc_first_level and the others run _level_rows."""
-    if dist0[1] == dist0[2] == 0.0:
-        popn = np.full(config.population, dist0[3])
-        for level in range(1, config.levels + 1):
-            popn = _mc_level(popn, config, level, pool, parts, _sector_rows)
-            yield popn, popn.mean()
-        return
-    popn = _mc_first_level(dist0, config)
-    yield popn, 1.0 - popn[:, 0].mean()
-    for level in range(2, config.levels + 1):
-        popn = _mc_level(popn, config, level, pool, parts, _level_rows)
-        yield popn, 1.0 - popn[:, 0].mean()
+    flow from dist0, for config.levels levels.  With no X or Y weight in
+    dist0 (dist0[1] == dist0[2] == 0.0), the population is one
+    post-recovery flip probability per individual, started at dist0[3];
+    otherwise it is one class row per individual, and level 1 is
+    _mc_first_level.  _mc_level runs every other level on the kernel of
+    that layout, split over the running worker pool in as many ranges as
+    _worker_count gives the population and the pool has workers."""
+    pool = _running_workers()
+    parts = min(_worker_count(config.population), pool.size) if pool is not None else 1
+    # None until the two-sector level 1 builds the class rows
+    popn = np.full(config.population, dist0[3]) if dist0[1] == dist0[2] == 0.0 else None
+    for level in range(1, config.levels + 1):
+        if popn is None:
+            popn = _mc_first_level(dist0, config)
+        else:
+            popn = _mc_level(popn, config, level, pool, parts)
+        yield popn, popn.mean() if popn.ndim == 1 else 1.0 - popn[:, 0].mean()
 
 
 def _flow_verdict(infidelities, levels: int):
@@ -544,18 +525,15 @@ def mc_verdict(dist0, config: McConfig = McConfig()):
     still lowered the mean infidelity.  Above: the mean infidelity passes
     ABOVE_INFIDELITY, on the way to a randomised sector.  A flow that
     does neither within config.levels levels, and whose last level did
-    not lower its mean infidelity, is inconclusive.  A dist0 with phase
-    flips only runs on the one-sector kernel (see McConfig).
+    not lower its mean infidelity, is inconclusive.  _mc_flow runs the
+    flow: dist0's layout picks the kernel (see McConfig), and the levels
+    split over the worker processes of a solve (concat_threshold_mc) when
+    one has started them in this process.
 
     dist0 must be a length-4 vector of finite, non-negative entries that
-    sum to 1 within pauli.SUM_TOL, or ValueError is raised.  The levels
-    run on the worker processes of a solve (concat_threshold_mc) when one
-    has started them in this process, and in-process otherwise.
+    sum to 1 within pauli.SUM_TOL, or ValueError is raised.
     """
-    dist0 = _check_distribution("dist0", dist0)
-    pool = _running_workers()
-    parts = min(_worker_count(config.population), pool.size) if pool is not None else 1
-    flow = _mc_flow(dist0, config, pool, parts)
+    flow = _mc_flow(_check_distribution("dist0", dist0), config)
     return _flow_verdict((infidelity for _, infidelity in flow), config.levels)
 
 

@@ -57,7 +57,6 @@ from psthresh.threshold import (
     _mc_first_level,
     _mc_flow,
     _mc_level,
-    _sector_rows,
 )
 
 from test_codes import _reference_decompose, _reference_drawn_rows
@@ -317,6 +316,26 @@ def test_hashing_threshold_bracket_errors():
         hashing_threshold("depolarizing", lo=0.2, extend=False)
     with pytest.raises(BracketError):
         hashing_threshold("depolarizing", hi=0.01, extend=False)
+
+
+def test_hashing_threshold_widens_a_tiny_bracket():
+    # hi grows by 1.5x from 1e-13 for more than 60 steps before it passes
+    # the crossing; the widened bracket holds the same one
+    tol = 1e-9
+    got = hashing_threshold("knill", lo=1e-15, hi=1e-13, tol=tol)
+    assert got == pytest.approx(hashing_threshold("knill", tol=tol), abs=tol)
+
+
+def test_hashing_threshold_widening_stops_at_its_caps():
+    # a constant family has no crossing: lo halves until it passes 1e-12,
+    # hi grows until it reaches 0.4999, and a hi at or below 0, which
+    # growth would never move, stops at once
+    with pytest.raises(BracketError, match="already exceeds one bit at lo"):
+        hashing_threshold(lambda p: Depolarizing(0.3))
+    with pytest.raises(BracketError, match="stays below one bit up to hi"):
+        hashing_threshold(lambda p: Depolarizing(0.0))
+    with pytest.raises(BracketError, match="stays below one bit up to hi=0$"):
+        hashing_threshold(lambda p: Depolarizing(0.0), lo=-1.0, hi=0.0)
 
 
 def test_sweep_r_decreases():
@@ -633,7 +652,7 @@ def test_first_sector_level_matches_enumeration(q):
     weights, recovered = _enumerated_recovery([q] * 7)
     _, u = _level_draws(config.population, config.seed, 1)
     drawn = np.minimum((np.cumsum(weights) < u[:, None]).sum(axis=1), 7)
-    got = _mc_level(np.full(config.population, q), config, 1, rows=_sector_rows)
+    got = _mc_level(np.full(config.population, q), config, 1)
     np.testing.assert_allclose(got, recovered[drawn], rtol=0, atol=1e-15)
 
 

@@ -54,7 +54,7 @@ def _level2_population(config, rows=_level_rows):
     """The population after level 1 of a flow near threshold on the
     kernel of `rows`."""
     if rows is _sector_rows:
-        return _mc_level(np.full(config.population, 0.1096), config, 1, rows=_sector_rows)
+        return _mc_level(np.full(config.population, 0.1096), config, 1)
     return _mc_first_level(model_level0("knill")(0.0688), config)
 
 
@@ -100,7 +100,7 @@ def test_split_level_matches_one_process(edges):
         popn = _level2_population(SPLIT, rows)
         for level in (2, 5):
             parts = [rows(popn, SPLIT.seed, level, a, b) for a, b in zip(edges, edges[1:])]
-            np.testing.assert_array_equal(np.concatenate(parts), _mc_level(popn, SPLIT, level, rows=rows))
+            np.testing.assert_array_equal(np.concatenate(parts), _mc_level(popn, SPLIT, level))
 
 
 def test_level_draws_stream_layout():
@@ -149,9 +149,9 @@ def test_pool_level_matches_one_process(worker_pool):
     for rows in ROWS:
         popn = _level2_population(SPLIT, rows)
         for level in range(2, 6):
-            want = _mc_level(popn, SPLIT, level, rows=rows)
+            want = _mc_level(popn, SPLIT, level)
             for parts in (2, 3):
-                np.testing.assert_array_equal(_mc_level(popn, SPLIT, level, worker_pool, parts, rows), want)
+                np.testing.assert_array_equal(_mc_level(popn, SPLIT, level, worker_pool, parts), want)
             calls = [(popn, SPLIT.seed, level, a, b) for a, b in [(0, 256), (256, 512), (512, 2000)]]
             np.testing.assert_array_equal(np.concatenate(worker_pool.map(rows, calls)), want)
             popn = want
@@ -209,8 +209,8 @@ def test_start_keeps_the_running_pool(monkeypatch):
         assert _workers.start(3) is pool and pool.size == 2
         for rows in ROWS:
             popn = _level2_population(SPLIT, rows)
-            want = _mc_level(popn, SPLIT, 2, rows=rows)
-            np.testing.assert_array_equal(_mc_level(popn, SPLIT, 2, pool, pool.size, rows), want)
+            want = _mc_level(popn, SPLIT, 2)
+            np.testing.assert_array_equal(_mc_level(popn, SPLIT, 2, pool, pool.size), want)
     finally:
         pool.close()
 
