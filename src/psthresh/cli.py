@@ -445,9 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--population", type=_count, default=defaults["population"])
     p.add_argument(
         "--levels", type=_count, default=defaults["levels"],
-        help="levels per flow; a flow still falling at its last level is below, a rule calibrated at "
-        "%%(default)s levels and %d individuals that with fewer can call an above-threshold flow below"
-        % defaults["population"],
+        help="levels per flow; a flow that meets neither stopping bound is inconclusive, and with far "
+        "fewer than %d individuals one can settle on the wrong side" % defaults["population"],
     )
     p.add_argument("--seed", type=_seed, default=defaults["seed"])
     p.add_argument("--seeds", type=_count, default=1, help="average this many seeds (error bar)")

@@ -122,7 +122,7 @@ def test_criterion_04_capacities():
 
 @pytest.mark.slow
 def test_criterion_05_monte_carlo_thresholds():
-    # McConfig(): population 10_000, 12 levels, seed 1
+    # McConfig(): population 10_000, 32 levels, seed 1
     checks = _published(5, timing=(300.0, "solve under 5 min", "%.0fs"))
     _report("criterion 5 (Monte Carlo concatenation thresholds)", checks)
 

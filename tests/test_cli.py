@@ -249,8 +249,7 @@ def test_concat_verdict_above(capsys):
 
 def test_concat_verdict_inconclusive(capsys):
     # near threshold the mean infidelity rises 0.1528, 0.1638, 0.1731,
-    # 0.1847, 0.2002 over five levels: it meets neither stopping bound and
-    # is not falling when the levels run out
+    # 0.1847, 0.2002 over five levels: it meets neither stopping bound
     code, out, _ = run(
         capsys,
         ["concat", "--model", "one-type", "--at", "0.111",
@@ -406,7 +405,7 @@ def test_hashing_and_sweep_flags_default_to_solver(monkeypatch, capsys):
 
 def test_concat_flags_default_to_mc_config():
     args = cli.build_parser().parse_args(["concat", "--model", "one-type"])
-    assert cli.McConfig._field_defaults == {"population": 10_000, "levels": 12, "seed": 1}
+    assert cli.McConfig._field_defaults == {"population": 10_000, "levels": 32, "seed": 1}
     for name, default in cli.McConfig._field_defaults.items():
         assert getattr(args, name) == default, name
 

@@ -275,16 +275,25 @@ def test_hashing_threshold_values():
     )
 
 
-# (1e-3, 0) is the default lo with hi = 0
-@pytest.mark.parametrize("lo, hi", [(0.2, 0.1), (0.07, 0.07), (0.3, 0.25), (1e-3, 0)])
-def test_hashing_threshold_rejects_bracket_not_ascending(lo, hi):
-    # a reversed bracket was widened and bisected as if ascending; it
-    # fails before any probe
+# (1e-3, 0) is the default lo with hi = 0; the tol cases have the
+# default bracket
+@pytest.mark.parametrize(
+    "lo, hi, tol, message",
+    [
+        pytest.param(lo, hi, 1e-6, "lo < hi", id="%r-%r" % (lo, hi))
+        for lo, hi in [(0.2, 0.1), (0.07, 0.07), (0.3, 0.25), (1e-3, 0)]
+    ]
+    + [pytest.param(1e-3, 0.25, tol, "tolerance", id="tol=%r" % tol) for tol in (0.0, -1.0, math.nan)],
+)
+def test_hashing_threshold_rejects_bracket_not_ascending(lo, hi, tol, message):
+    # a reversed bracket was widened and bisected as if ascending, and a
+    # bad tol raised only once the bracket was widened; both fail before
+    # any probe
     def fail(p):
         raise AssertionError("probed")
 
-    with pytest.raises(ValueError, match="lo < hi"):
-        hashing_threshold(fail, lo=lo, hi=hi)
+    with pytest.raises(ValueError, match=message):
+        hashing_threshold(fail, lo=lo, hi=hi, tol=tol)
 
 
 def test_entropy_is_one_at_threshold():
@@ -421,12 +430,12 @@ def test_mc_config_every_construction_validates(make, message):
 
 
 def test_mc_config_repr_hash_and_round_trip():
-    assert repr(McConfig()) == "McConfig(population=10000, levels=12, seed=1)"
+    assert repr(McConfig()) == "McConfig(population=10000, levels=32, seed=1)"
     assert repr(QUICK) == "McConfig(population=400, levels=8, seed=5)"
     assert QUICK._replace(seed=6) == McConfig(population=400, levels=8, seed=6)
     clone = pickle.loads(pickle.dumps(QUICK))
     assert clone == QUICK and type(clone) is McConfig and hash(clone) == hash(QUICK)
-    assert len({McConfig(), McConfig(10_000, 12, 1), QUICK}) == 2
+    assert len({McConfig(), McConfig(10_000, 32, 1), QUICK}) == 2
     assert not hasattr(McConfig(), "__dict__")
     assert copy.copy(QUICK) == QUICK and type(copy.copy(QUICK)) is McConfig
 
@@ -472,29 +481,43 @@ def test_flow_verdict_rule():
         yield infidelity
         raise AssertionError("read a level past the verdict")
 
-    assert _flow_verdict(settled(0.5 * BELOW_INFIDELITY), 4) == ("below", 2)
-    assert _flow_verdict(settled(0.5 + 0.5 * ABOVE_INFIDELITY), 4) == ("above", 2)
-    # one that runs out of levels is below when its last level still
-    # lowered the mean infidelity, however far it rose before
-    assert _flow_verdict([0.15, 0.16, 0.2, 0.19], 4) == ("below", 4)
-    # and inconclusive when its last level raised or kept it, or when it
-    # has a single level
-    assert _flow_verdict([0.2, 0.16, 0.15, 0.151], 4) == ("inconclusive", 4)
-    assert _flow_verdict([0.15, 0.15], 2) == ("inconclusive", 2)
-    assert _flow_verdict([0.15], 1) == ("inconclusive", 1)
+    assert _flow_verdict(settled(0.5 * BELOW_INFIDELITY)) == ("below", 2)
+    assert _flow_verdict(settled(0.5 + 0.5 * ABOVE_INFIDELITY)) == ("above", 2)
+    # one that runs out of levels is inconclusive at its last level,
+    # whether that level lowered, raised or kept the mean infidelity
+    assert _flow_verdict([0.15, 0.16, 0.2, 0.19]) == ("inconclusive", 4)
+    assert _flow_verdict([0.2, 0.16, 0.15, 0.151]) == ("inconclusive", 4)
+    assert _flow_verdict([0.15, 0.15]) == ("inconclusive", 2)
+    assert _flow_verdict([0.15]) == ("inconclusive", 1)
 
 
-def test_mc_verdict_reads_the_last_step_of_an_unsettled_flow():
+def test_mc_verdict_unsettled_flow_is_inconclusive():
     # two one-type flows near threshold that meet neither bound in five
     # levels: at 0.11 the mean infidelity falls at level 5 (0.1609 to
-    # 0.1571), at 0.111 it rises (0.1847 to 0.2002)
+    # 0.1571), at 0.111 it rises (0.1847 to 0.2002); neither is a verdict
     config = McConfig(population=400, levels=5, seed=5)
     flows = {p: [infidelity for _, infidelity in _mc_flow(one_type_dist(p), config)] for p in (0.11, 0.111)}
     assert flows[0.11][-1] < flows[0.11][-2] and flows[0.111][-1] > flows[0.111][-2]
     for flow in flows.values():
         assert BELOW_INFIDELITY < min(flow) and max(flow) < ABOVE_INFIDELITY
-    assert mc_verdict(one_type_dist(0.11), config) == ("below", 5)
+    assert mc_verdict(one_type_dist(0.11), config) == ("inconclusive", 5)
     assert mc_verdict(one_type_dist(0.111), config) == ("inconclusive", 5)
+
+
+def test_mc_verdict_settles_next_to_the_one_type_threshold():
+    # the last two probes of the seed-1 criterion-5 one-type solve, one
+    # grid step apart on either side of its estimate, each meet a
+    # stopping bound within the default levels
+    assert mc_verdict(one_type_dist(0.10921875)) == ("below", 16)
+    assert mc_verdict(one_type_dist(0.109375)) == ("above", 14)
+
+
+@pytest.mark.slow
+def test_mc_verdict_settles_next_to_the_knill_threshold():
+    # the same for the knill solve, on the two-sector kernel
+    dist_fn = model_level0("knill")
+    assert mc_verdict(dist_fn(0.06859375)) == ("below", 14)
+    assert mc_verdict(dist_fn(0.06875)) == ("above", 14)
 
 
 @pytest.mark.slow
@@ -675,7 +698,7 @@ def _two_sector_verdict(dist0, config):
             popn = _mc_level(popn, config, level)
             yield 1.0 - popn[:, 0].mean()
 
-    return _flow_verdict(infidelities(), config.levels)
+    return _flow_verdict(infidelities())
 
 
 def _solve_probes(monkeypatch, lo, hi, config, tol):
@@ -789,10 +812,18 @@ def test_mc_bracket_check():
         concat_threshold_mc(one_type_dist, 0.01, 0.05, QUICK, tol=5e-3)
 
 
-@pytest.mark.parametrize("lo, hi", [(0.09, 0.05), (0.07, 0.07), (math.nan, 0.09)])
-def test_mc_bracket_needs_lo_below_hi(monkeypatch, lo, hi):
-    # rejected before any worker starts or any verdict runs, and not as
-    # a bracket that does not converge
+@pytest.mark.parametrize(
+    "lo, hi, tol, message",
+    [
+        pytest.param(lo, hi, 2e-4, "lo < hi", id="%r-%r" % (lo, hi))
+        for lo, hi in [(0.09, 0.05), (0.07, 0.07), (math.nan, 0.09)]
+    ]
+    + [pytest.param(0.09, 0.13, tol, "tolerance", id="tol=%r" % tol) for tol in (0.0, -1.0, math.nan)],
+)
+def test_mc_bracket_needs_lo_below_hi(monkeypatch, lo, hi, tol, message):
+    # a bad bracket or tol is rejected before any worker starts, any
+    # verdict runs or dist_fn is called, and not as a bracket that does
+    # not converge; a tol of 0 used to run both bracket flows first
     from psthresh import _workers
 
     def fail(*args):
@@ -801,10 +832,10 @@ def test_mc_bracket_needs_lo_below_hi(monkeypatch, lo, hi):
     monkeypatch.setattr(threshold, "_worker_count", lambda pop: 2)
     monkeypatch.setattr(_workers, "start", fail)
     monkeypatch.setattr(threshold, "mc_verdict_at", fail)
-    with pytest.raises(ValueError, match="lo < hi"):
-        concat_threshold_mc(one_type_dist, lo, hi, QUICK)
-    with pytest.raises(ValueError, match="lo < hi"):
-        mc_threshold_error_bar(one_type_dist, lo, hi, QUICK, n_seeds=2)
+    with pytest.raises(ValueError, match=message):
+        concat_threshold_mc(fail, lo, hi, QUICK, tol)
+    with pytest.raises(ValueError, match=message):
+        mc_threshold_error_bar(fail, lo, hi, QUICK, n_seeds=2, tol=tol)
 
 
 def test_mc_error_bar():
