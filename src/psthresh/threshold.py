@@ -9,13 +9,15 @@ signed gap, negative below the crossing.  From a finite gap it
 settles most midpoints by regula falsi instead of evaluating them: the
 result is bit for bit that of plain bisection as long as the gap's sign
 changes once over the bracket, in at most three times (and on the smooth
-gaps here about a quarter of) its probes.  A gap of -inf or +inf gives no
-estimate, so every midpoint is probed: the Monte Carlo solve's gap is
-its verdict's sign.  That verdict uses counter-based random streams
-keyed by (seed, level), so results are reproducible and any range of a
-level can be drawn on its own: a solve splits each level into even
-ranges of rows across worker processes (_workers), one per usable CPU,
-with results identical to one process.
+gaps here about a quarter of) its probes.  The Monte Carlo solve's gap
+is its verdict's sign scaled by how slowly the flow left the threshold's
+unstable fixed point (_escape_gap), read from the levels the verdict
+ran; the solve hands bisect the gaps of its bracket checks too.  That
+verdict uses counter-based random streams keyed by (seed, level), so
+results are reproducible and any range of a level can be drawn on its
+own: a solve splits each level into even ranges of rows across worker
+processes (_workers), one per usable CPU, with results identical to one
+process.
 
 A Monte Carlo flow runs on one of two kernels, by its level-0
 distribution.  With phase flips only (no X or Y weight), an individual
@@ -87,7 +89,7 @@ def _check_bracket(lo: float, hi: float, tol: float) -> None:
         raise ValueError("bisection tolerance must be positive, got %r" % tol)
 
 
-def bisect(gap, lo: float, hi: float, tol: float) -> float:
+def bisect(gap, lo: float, hi: float, tol: float, end_gaps=None) -> float:
     """Midpoint of [lo, hi] once bisection of gap(p) < 0 has narrowed it
     to width tol.
 
@@ -113,18 +115,27 @@ def bisect(gap, lo: float, hi: float, tol: float) -> float:
     guided probes left it open.  A gap of only -inf and +inf, a verdict
     with no size, is so probed at every midpoint, as plain bisection.
 
+    end_gaps, if given, is (gap(lo), gap(hi)), which a caller evaluated to
+    check its bracket: they seed [a, b] before any probe, as the bracket
+    of the Illinois method starts, so that the first midpoint is settled
+    from an estimate too, and its first probe is the point below the
+    estimate.  The ends themselves are never probed.
+
     Provided the sign of the gap changes once over [lo, hi], from
     negative to not, every midpoint is decided as plain bisection of
     gap(p) < 0 decides it, so the result is the same to the bit.  A
     midpoint costs at most three probes, so a solve never takes more
     than three times the plain probes; the smooth gaps of the solvers
-    here take about a quarter of them.
+    here take about a quarter of them, and the Monte Carlo gap about
+    three fifths.
     """
     _check_bracket(lo, hi, tol)
     # the tightest probes with gap < 0 and with gap not < 0, and their
     # gaps, the kept end's halved Illinois-style; the last two probes
     a, ga, b, gb = -math.inf, -math.inf, math.inf, math.inf
     last = before = None
+    if end_gaps is not None:
+        (a, ga), (b, gb) = (lo, end_gaps[0]), (hi, end_gaps[1])
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
@@ -153,7 +164,7 @@ def bisect(gap, lo: float, hi: float, tol: float) -> float:
                     if not left < m < right:
                         break
                     left, right = (m, right) if m < guess else (left, m)
-                ends = (right, left) if last[1] < 0 else (left, right)
+                ends = (right, left) if last is not None and last[1] < 0 else (left, right)
                 x = next((e for e in ends if max(a, lo) < e < min(b, hi)), mid)
             value = gap(x)
             below = value < 0
@@ -269,6 +280,20 @@ BELOW_INFIDELITY = 1e-6
 #: threshold, well under this bound.
 ABOVE_INFIDELITY = 0.45
 
+#: A flow has escaped the threshold's unstable fixed point at the level
+#: where its mean infidelity first strays from its level-1 value by this
+#: factor, up or down.  Near the fixed point the escape level E grows like
+#: log(1 / |p - p*|), so the Monte Carlo gap -+_ESCAPE_GROWTH ** -E is
+#: roughly linear in p - p*.  On the five Monte Carlo rows of
+#: psthresh.cli.TARGETS (default McConfig, tol 2e-4, seeds 1-10), plain
+#: bisection ran 4346 levels; band 1.5 and growth 2 ran 2760, no solve
+#: more than plain, and kept every estimate's bits (also on seeds 11-20).
+#: Band 1.25 ran 3020 and band 2 2899; growth 1.5 ran 3355 and growth 3
+#: 3828, one solve 1.58x plain; band 2 and growth 1.5 each moved the
+#: depolarizing seed-6 estimate, where the verdict is not monotone in p.
+_ESCAPE_BAND = 1.5
+_ESCAPE_GROWTH = 2.0
+
 
 class _McConfigFields(NamedTuple):
     population: int = 10_000
@@ -376,11 +401,14 @@ def _running_workers():
     return workers.running() if workers is not None else None
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=McConfig().levels)
 def _level_draws(pop: int, seed: int, level: int):
     """Parent indices [pop, 7] and syndrome uniforms [pop] of a level,
     drawn in that order from the (seed, level) stream; read-only and
     cached, as every probe draws the same (0.64 MB a level at 10^4).
+    The cache holds every level of a flow at the default McConfig.levels,
+    so that a probe past half of them does not evict the draws the next
+    probe reads first.
 
     The resampling is systematic rather than multinomial: column j of
     the parents is a permutation of the population, so each individual
@@ -514,7 +542,31 @@ def _flow_verdict(infidelities):
     return "inconclusive", level
 
 
-def mc_verdict(dist0, config: McConfig = McConfig()):
+def _escape_gap(verdict: str, infidelities) -> float:
+    """Signed gap of a flow for bisect, from its verdict and its mean
+    infidelity I_j after each level it ran: -2^-E below and +2^-E above
+    (base _ESCAPE_GROWTH), where E is the escape level, the fractional
+    level at which x_j = |ln(I_j / I_1)| first passes ln(_ESCAPE_BAND),
+    interpolated linearly in x between the levels on either side; a flow
+    that settles before it strays that far escapes at its last level.  An
+    inconclusive flow, or one with no level (a dist_fn breakdown), has the
+    gap +inf, a side and no size."""
+    if verdict == "inconclusive" or not infidelities:
+        return math.inf
+    band = math.log(_ESCAPE_BAND)
+    escape, x_prev = len(infidelities), 0.0
+    for level, infidelity in enumerate(infidelities[1:], 2):
+        ratio = infidelity / infidelities[0]
+        # a settled last level can read 0 or round below it
+        x = abs(math.log(ratio)) if ratio > 0 else math.inf
+        if x > band:
+            escape = level - 1 + (band - x_prev) / (x - x_prev)
+            break
+        x_prev = x
+    return (-1.0 if verdict == "below" else 1.0) * _ESCAPE_GROWTH**-escape
+
+
+def mc_verdict(dist0, config: McConfig = McConfig(), trajectory: list = None):
     """Verdict ('below', 'above' or 'inconclusive', level) for the
     concatenation flow started from error distribution dist0.
 
@@ -525,13 +577,30 @@ def mc_verdict(dist0, config: McConfig = McConfig()):
     config.levels levels is inconclusive.  _mc_flow runs the flow:
     dist0's layout picks the kernel (see McConfig), and the levels
     split over the worker processes of a solve (concat_threshold_mc) when
-    one has started them in this process.
+    one has started them in this process.  Given a list as trajectory,
+    the mean infidelity after each level run is appended to it.
 
     dist0 must be a length-4 vector of finite, non-negative entries that
     sum to 1 within pauli.SUM_TOL, or ValueError is raised.
     """
+    read = [] if trajectory is None else trajectory
     flow = _mc_flow(_check_distribution("dist0", dist0), config)
-    return _flow_verdict(infidelity for _, infidelity in flow)
+    # list.append returns None, so each infidelity passes on as it is read
+    return _flow_verdict(read.append(infidelity) or infidelity for _, infidelity in flow)
+
+
+def _mc_probe(dist_fn, p: float, config: McConfig):
+    """(verdict, level, gap) of the flow from dist_fn(p): mc_verdict's
+    pair and the flow's _escape_gap.  Where that distribution breaks down
+    (its post-selection fixed point keeps nothing, far above threshold),
+    it is ('above', 0, +inf)."""
+    try:
+        dist0 = dist_fn(p)
+    except NoConvergenceError:
+        return "above", 0, math.inf
+    trajectory = []
+    verdict, level = mc_verdict(dist0, config, trajectory)
+    return verdict, level, _escape_gap(verdict, trajectory)
 
 
 def mc_verdict_at(dist_fn, p: float, config: McConfig = McConfig()):
@@ -541,11 +610,8 @@ def mc_verdict_at(dist_fn, p: float, config: McConfig = McConfig()):
     keeps nothing, far above threshold), the verdict is ('above', 0),
     just as teleport_entropy makes the entropy infinite there.
     """
-    try:
-        dist0 = dist_fn(p)
-    except NoConvergenceError:
-        return "above", 0
-    return mc_verdict(dist0, config)
+    verdict, level, _ = _mc_probe(dist_fn, p, config)
+    return verdict, level
 
 
 def concat_threshold_mc(
@@ -561,6 +627,14 @@ def concat_threshold_mc(
     as above.  Raises ValueError unless lo < hi and tol > 0, before any
     worker starts or any verdict runs.
 
+    Each probe's gap is its verdict's side scaled by the flow's escape
+    level (_escape_gap), and bisect gets the gaps of the two bracket
+    checks as well, so it settles most midpoints from a regula falsi
+    estimate.  While the verdict is monotone in p, every midpoint is
+    decided as plain bisection of the verdict decides it, so the estimate
+    has the same bits; at the default McConfig the solves of
+    psthresh.cli.TARGETS run over a third fewer levels.
+
     The first solve in a process whose population is large enough to
     share starts the worker processes (see McConfig) that run the levels
     of every verdict after it, as many as its population shares; they are
@@ -574,13 +648,14 @@ def concat_threshold_mc(
         _workers.start(workers)
 
     def gap(p):
-        return -math.inf if mc_verdict_at(dist_fn, p, config)[0] == "below" else math.inf
+        return _mc_probe(dist_fn, p, config)[2]
 
-    if gap(lo) > 0:
+    end_gaps = gap(lo), gap(hi)
+    if end_gaps[0] > 0:
         raise BracketError("population does not converge at lo=%g" % lo)
-    if gap(hi) < 0:
+    if end_gaps[1] < 0:
         raise BracketError("population still converges at hi=%g" % hi)
-    return bisect(gap, lo, hi, tol)
+    return bisect(gap, lo, hi, tol, end_gaps)
 
 
 def mc_threshold_error_bar(

@@ -50,6 +50,9 @@ from psthresh.threshold import (
     sweep_r,
     teleport_entropy,
     three_type_dist,
+    _ESCAPE_BAND,
+    _ESCAPE_GROWTH,
+    _escape_gap,
     _flow_verdict,
     _level_draws,
     _level_ranges,
@@ -702,19 +705,20 @@ def _two_sector_verdict(dist0, config):
 
 
 def _solve_probes(monkeypatch, lo, hi, config, tol):
-    """(p, verdict) of every probe, bracket checks first, of the one-type
-    solve of [lo, hi]."""
+    """The estimate of the one-type solve of [lo, hi], and (p, (verdict,
+    level)) of each of its probes, bracket checks first."""
     probes = []
-    verdict_at = threshold.mc_verdict_at
+    probe = threshold._mc_probe
 
     def recorded(dist_fn, p, probe_config):
-        verdict = verdict_at(dist_fn, p, probe_config)
-        probes.append((p, verdict))
-        return verdict
+        out = probe(dist_fn, p, probe_config)
+        probes.append((p, out[:2]))
+        return out
 
-    monkeypatch.setattr(threshold, "mc_verdict_at", recorded)
-    concat_threshold_mc(one_type_dist, lo, hi, config, tol)
-    return probes
+    monkeypatch.setattr(threshold, "_mc_probe", recorded)
+    got = concat_threshold_mc(one_type_dist, lo, hi, config, tol)
+    monkeypatch.setattr(threshold, "_mc_probe", probe)
+    return got, probes
 
 
 # the criterion-5 one-type solve at population 2048 (in-process), and
@@ -725,7 +729,7 @@ def _solve_probes(monkeypatch, lo, hi, config, tol):
     ids=["2048 seed 1", "2048 seed 2", "2048 seed 3", "quick"],
 )
 def test_sector_solve_probes_match_two_sector(monkeypatch, config, lo, hi, tol):
-    probes = _solve_probes(monkeypatch, lo, hi, config, tol)
+    _, probes = _solve_probes(monkeypatch, lo, hi, config, tol)
     assert len(probes) >= 6
     for p, verdict in probes:
         assert verdict == _two_sector_verdict(one_type_dist(p), config), p
@@ -784,25 +788,75 @@ def test_mc_threshold_small_population():
 
 
 def test_mc_solve_replays_plain_bisection(monkeypatch):
-    # 2 bracket checks and 8 probes, in-process at this population
-    calls = []
-    verdict_at = threshold.mc_verdict_at
+    # the 2 bracket checks, then the guided probes, in-process at this
+    # population, where plain bisection probes 8 midpoints: at 6 levels
+    # the flows near the threshold are inconclusive, gaps of +inf, and at
+    # 32 every probe settles
+    for levels, guided in ((6, 11), (32, 6)):
+        config = McConfig(population=400, levels=levels)
+        got, calls = _solve_probes(monkeypatch, 0.09, 0.13, config, 2e-4)
+        probes = []
+        want = _reference_bisect(
+            lambda p: probes.append(p) or mc_verdict(one_type_dist(p), config)[0] == "below", 0.09, 0.13, 2e-4
+        )
+        assert [p for p, _ in calls[:2]] == [0.09, 0.13]
+        assert (len(calls) - 2, len(probes)) == (guided, 8), levels
+        assert got == want, levels
 
-    def recorded(dist_fn, p, config):
-        verdict = verdict_at(dist_fn, p, config)
-        calls.append((p, verdict[0]))
-        return verdict
 
-    monkeypatch.setattr(threshold, "mc_verdict_at", recorded)
-    got = concat_threshold_mc(one_type_dist, 0.09, 0.13, McConfig(population=400, levels=6))
-    verdicts = dict(calls)
-    probes = []
-    want = _reference_bisect(
-        lambda p: probes.append(p) or verdicts[p] == "below", 0.09, 0.13, 2e-4
-    )
-    assert [p for p, _ in calls] == [0.09, 0.13] + probes
-    assert len(probes) == 8
-    assert got == want
+def test_mc_solve_keeps_the_sign_only_estimate(monkeypatch):
+    # the criterion-5 one-type solve at seed 1: bisect fed only each
+    # verdict's sign probes every midpoint and returns the same float, in
+    # more levels (103 against 60 when this test was written)
+    config = McConfig()
+    got, calls = _solve_probes(monkeypatch, 0.09, 0.13, config, 2e-4)
+    levels = []
+
+    def sign(p):
+        verdict, level = mc_verdict(one_type_dist(p), config)
+        levels.append(level)
+        return -math.inf if verdict == "below" else math.inf
+
+    assert sign(0.09) < 0 < sign(0.13)
+    assert bisect(sign, 0.09, 0.13, 2e-4) == got
+    assert sum(level for _, (_, level) in calls) <= sum(levels)
+
+
+def test_escape_gap_interpolates_the_escape_level():
+    # |ln(I_j / I_1)| is 0, then half of ln(band), then twice it: the flow
+    # escapes a third of the way from level 3 to level 4
+    band = _ESCAPE_BAND
+    below = [0.1 * r for r in (1.0, 1.0, band**-0.5, band**-2, 1e-6)]
+    above = [0.1 * r for r in (1.0, 1.0, band**0.5, band**2, 4.6)]
+    assert _escape_gap("below", below) == pytest.approx(-(_ESCAPE_GROWTH ** -(3 + 1 / 3)), rel=1e-12)
+    assert _escape_gap("above", above) == pytest.approx(_ESCAPE_GROWTH ** -(3 + 1 / 3), rel=1e-12)
+
+
+def test_escape_gap_of_flows_without_size():
+    # an inconclusive flow and a dist_fn breakdown (no level) have a side
+    # and no size
+    assert _escape_gap("inconclusive", [0.1, 0.12, 0.15]) == math.inf
+    assert _escape_gap("above", []) == math.inf
+    # a flow that settles before it strays by the band escapes at its last
+    # level; one whose last level reads 0 or rounds below it escapes at
+    # the level before
+    assert _escape_gap("above", [0.44, 0.46]) == _ESCAPE_GROWTH**-2
+    assert _escape_gap("below", [0.44]) == -(_ESCAPE_GROWTH**-1)
+    for last in (0.0, -1e-17):
+        assert _escape_gap("below", [1e-3, 1e-3, last]) == -(_ESCAPE_GROWTH**-2)
+
+
+@pytest.mark.parametrize("verdict, side", [("below", -1), ("above", 1)])
+def test_escape_gap_grows_with_the_deviation(verdict, side):
+    # the further level 2 strays from level 1, the earlier the escape and
+    # the larger |gap|, on either side of the threshold
+    last = 1e-7 if verdict == "below" else 0.5
+    gaps = []
+    for r in (1.0, 1.1, 1.3, 1.6, 2.0, 4.0):
+        step = r if verdict == "above" else 1 / r
+        gaps.append(_escape_gap(verdict, [0.1, 0.1 * step, last]))
+    assert all(side * g > 0 for g in gaps)
+    assert all(abs(g) < abs(h) for g, h in zip(gaps, gaps[1:])), gaps
 
 
 def test_mc_bracket_check():

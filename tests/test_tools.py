@@ -46,7 +46,7 @@ RECORD = {
     "forward-class": (701, "48d99495de0abe63eb07df9462946e3d462059f1eee18a4f777b9aaf0ba91f96"),
     "solve": (44, "aabf1332e95784bc559cbec4498270823acc4a2eedc3c3578b620de8141c0eda"),
     "mc-level": (24, "ad5c7df3f037fd0c9c6c936cc3be031264e659dc4ec760c04424cbe283655d10"),
-    "cli": (62, "048c3b4fc90137803da79b5a76d29819ab511e05e9c501a34999c3e09ba8e920"),
+    "cli": (62, "a8ed200e6b7bf77ba936d0744d913f3f9440d84a38b34c885c24024d8fd93d4d"),
 }
 
 

@@ -135,6 +135,19 @@ def test_level_draws_are_cached_read_only():
     assert _level_draws.cache_info().currsize <= maxsize
 
 
+def test_level_draws_keep_every_level_of_a_default_flow():
+    # a probe past 16 levels leaves every level it drew for the next probe;
+    # with 16 entries, 20 levels in turn evicted each before its reuse
+    assert _level_draws.cache_info().maxsize == McConfig().levels
+    for level in range(1, 21):
+        _level_draws(50, 4, level)
+    before = _level_draws.cache_info()
+    for level in range(1, 21):
+        _level_draws(50, 4, level)
+    after = _level_draws.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (20, 0)
+
+
 def test_worker_pipes_take_a_level_request(worker_pool):
     fcntl = pytest.importorskip("fcntl")
     get_size = getattr(fcntl, "F_GETPIPE_SZ", None)

@@ -53,7 +53,9 @@ is exact (``float.hex()``):
 * ``mc FAMILY seed=S p=P VERDICT LEVEL``, only with ``--seeds 1-10`` (or
   ``1,3,7``): every verdict, bracket checks first, of each criterion-5
   solve of ``psthresh.cli.TARGETS`` at the default ``McConfig`` but the
-  seed, for each seed and row in order.
+  seed, for each seed and row in order, each solve followed by ``mc
+  FAMILY seed=S estimate=HEX probes=N levels=L``: its estimate, its
+  probe count and the levels its probes ran.
 
 Nothing else goes to stdout.  ``tests/test_tools.py`` checks the count
 and sha256 of each kind of line but ``mc`` against a recorded table.
@@ -83,8 +85,9 @@ CRASH_EXPONENTS = (1, 2, 3, 5, 7, 11, 15, 23)
 CLASS_GRID = [Fraction(k, 10) for k in range(-10, 11)]
 FORMATS = ("text", "csv", "json")
 #: small in-process Monte Carlo runs (no worker process starts below
-#: 6144 individuals)
-CLI_MC = ["--population", "200", "--levels", "4", "--seed", "3"]
+#: 6144 individuals); at the default 32 levels every probe of the solve
+#: rows settles, so their bisections are guided by the escape level
+CLI_MC = ["--population", "1000", "--seed", "3"]
 CLI_SOLVE = ["concat", "--model", "one-type", "--lo", "0.05", "--hi", "0.18"] + CLI_MC
 
 
@@ -257,27 +260,39 @@ def cli_lines():
 def mc_lines(seeds):
     from psthresh import cli, threshold
 
-    solve, verdict_at = cli.concat_threshold_mc, threshold.mc_verdict_at
+    # every probe of a solve goes through _mc_probe; a tree that predates
+    # it probes through mc_verdict_at, whose pair starts the same tuple
+    probe_name = "_mc_probe" if hasattr(threshold, "_mc_probe") else "mc_verdict_at"
+    solve, probe = cli.concat_threshold_mc, getattr(threshold, probe_name)
     for seed in seeds:
         config = threshold.McConfig(seed=seed)
         for row in cli.TARGETS:
             if row.criterion != 5:
                 continue
-            family, probes = row.label.split()[0], []
+            family, probes, levels, estimates = row.label.split()[0], [], [], []
 
             def recorded(dist_fn, p, probe_config):
-                verdict, level = verdict_at(dist_fn, p, probe_config)
+                out = probe(dist_fn, p, probe_config)
+                verdict, level = out[:2]
                 probes.append("mc %s seed=%d p=%r %s %d" % (family, seed, p, verdict, level))
-                return verdict, level
+                levels.append(level)
+                return out
+
+            def solved(dist_fn, lo, hi):
+                estimates.append(solve(dist_fn, lo, hi, config))
+                return estimates[-1]
 
             # the row's solve looks both names up at call time
-            cli.concat_threshold_mc = lambda dist_fn, lo, hi: solve(dist_fn, lo, hi, config)
-            threshold.mc_verdict_at = recorded
+            cli.concat_threshold_mc = solved
+            setattr(threshold, probe_name, recorded)
             try:
                 row.compute()
             finally:
-                cli.concat_threshold_mc, threshold.mc_verdict_at = solve, verdict_at
+                cli.concat_threshold_mc = solve
+                setattr(threshold, probe_name, probe)
             yield from probes
+            yield "mc %s seed=%d estimate=%s probes=%d levels=%d" % (
+                family, seed, estimates[0].hex(), len(levels), sum(levels))
 
 
 def main(argv=None):
