@@ -24,7 +24,8 @@ Four layers are provided here:
   decomposition's bits, and, for a flow with phase flips only, the eight
   one-sector syndrome weights and parity splits;
 * the binary Golay [23,12] coset weight enumerators behind the
-  [[23,1,7]] entropy and crash-probability estimates.
+  [[23,1,7]] syndrome weights and sector entropy; the [[23,1,7]]
+  diagonal and crash probabilities come from crash_poly_2317.
 """
 
 from __future__ import annotations
@@ -392,26 +393,25 @@ def _character_product(children: np.ndarray, qh: np.ndarray, term: np.ndarray) -
         qh *= np.matmul(children[:, i], sig[i], term)
 
 
-def recover_713(joint: np.ndarray):
-    """Syndrome weights [...] and post-recovery conditional class
-    distributions [..., 4] for unrecovered class rows joint [..., 4],
-    such as the [batch, 64, 4] output of the full decomposition.
+def recover_713(rows: np.ndarray) -> np.ndarray:
+    """Post-recovery conditional class distributions [n, 4] of the
+    unrecovered class rows [n, 4] of n syndromes, such as the drawn rows
+    of a population level.
 
-    Recovery applies, per syndrome, the logical class with the largest
+    Recovery applies, per row, the logical class with the largest
     probability (first of I, X, Y, Z on ties), relabelling the classes
-    by the Klein group so that index 0 is the post-recovery identity.
-    Zero-weight syndromes get the trivial conditional distribution.
+    by the Klein group so that index 0 is the post-recovery identity; a
+    row of weight <= 0 gets the trivial conditional distribution.
     """
-    joint = np.asarray(joint, dtype=float)
-    flat = joint.reshape(-1, 4)
-    # the classes added in order, the bits of flat.sum(axis=1)
-    weights = ((flat[:, 0] + flat[:, 1]) + flat[:, 2]) + flat[:, 3]
+    rows = np.asarray(rows, dtype=float)
+    # the classes added in order, the bits of rows.sum(axis=1)
+    weights = ((rows[:, 0] + rows[:, 1]) + rows[:, 2]) + rows[:, 3]
     # class k of row r after relabelling is flat entry 4 r + _KLEIN[best_r, k]
-    cond = flat.take(_KLEIN[flat.argmax(axis=1)] + np.arange(0, flat.size, 4)[:, None])
+    cond = rows.take(_KLEIN[rows.argmax(axis=1)] + np.arange(0, rows.size, 4)[:, None])
     with np.errstate(invalid="ignore", divide="ignore"):
         cond /= weights[:, None]
     cond[weights <= 0] = (1.0, 0.0, 0.0, 0.0)
-    return weights.reshape(joint.shape[:-1]), cond.reshape(joint.shape)
+    return cond
 
 
 def _check_distribution(name: str, dist) -> np.ndarray:
@@ -512,9 +512,9 @@ def _cumulative_syndrome_weights(children: np.ndarray, buffers):
 
 def _drawn_syndromes(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Syndrome drawn by each uniform in u: the number of cumulative
-    weights under it, capped at 63.  cum holds one row per uniform, or
-    one row shared by all."""
-    return np.minimum(np.add.reduce(cum < u[:, None], axis=1, dtype=np.intp), 63)
+    weights under it, capped at the last column.  cum [.., syndromes]
+    holds one row per uniform, or one row shared by all."""
+    return np.minimum(np.add.reduce(cum < u[:, None], axis=1, dtype=np.intp), cum.shape[1] - 1)
 
 
 def _drawn_class_rows(qh: np.ndarray, syndromes: np.ndarray, buffers) -> np.ndarray:
@@ -627,10 +627,8 @@ def golay_syndrome_weights(p: float):
 
 def golay_logical_diagonal(p: float) -> float:
     """Post-recovery sector diagonal sum_j n_j (W_j - V_j) at flip rate
-    p; agrees with crash_poly_2317 evaluated at 1 - 2p."""
-    kept, flipped = golay_syndrome_weights(p)
-    n_j = np.array(GOLAY_COSET_COUNTS, dtype=float)
-    return float(n_j @ (kept - flipped))
+    p, in its closed form: crash_poly_2317 at 1 - 2p."""
+    return crash_poly_2317()(1 - 2 * _check_prob("p", p))
 
 
 def golay_sector_entropy(p: float) -> float:

@@ -111,9 +111,10 @@ def bisect(gap, lo: float, hi: float, tol: float, end_gaps=None) -> float:
     probe is the nearest one past the estimate, seen from the last probe.
     A good estimate so settles every remaining midpoint in two probes.
     The midpoint itself is probed when there is no usable estimate (a
-    single probe so far, or a gap that is not finite) and after two
-    guided probes left it open.  A gap of only -inf and +inf, a verdict
-    with no size, is so probed at every midpoint, as plain bisection.
+    single probe so far, or a gap that is not finite, such as an end of
+    [a, b] probed at +inf) and after two guided probes left it open.  A
+    gap of only -inf and +inf, a verdict with no size, is so probed at
+    every midpoint, as plain bisection.
 
     end_gaps, if given, is (gap(lo), gap(hi)), which a caller evaluated to
     check its bracket: they seed [a, b] before any probe, as the bracket
@@ -146,7 +147,7 @@ def bisect(gap, lo: float, hi: float, tol: float, end_gaps=None) -> float:
                 guess = None
             elif abs(ga) + gb < math.inf:
                 guess = a + (b - a) * (ga / (ga - gb))
-            elif before is not None and math.isfinite(before[1]) and math.isfinite(last[1]):
+            elif math.inf in (-a, b) and before is not None and math.isfinite(before[1] + last[1]):
                 (x1, g1), (x2, g2) = before, last
                 guess = x2 - g2 * (x2 - x1) / (g2 - g1) if g2 != g1 else math.nan
                 if not max(a, lo) < guess < min(b, hi):
@@ -443,16 +444,15 @@ def _level_rows(popn: np.ndarray, seed: int, level: int, start: int, stop: int) 
         chosen[lo - start : hi - start] = _drawn_class_rows(
             qh, _drawn_syndromes(cum, u[lo:hi]), buffers
         )
-    _, cond = recover_713(chosen[:, None, :])
-    return cond[:, 0]
+    return recover_713(chosen)
 
 
 def _sector_rows(popn: np.ndarray, seed: int, level: int, start: int, stop: int) -> np.ndarray:
     """Rows start:stop of a level of the one-sector population dynamics,
     where popn [pop] holds each individual's post-recovery flip
     probability: each individual is rebuilt from seven parents drawn from
-    popn, its syndrome is drawn from their syndrome weights by the
-    uniform and the cumulative count of _level_rows (capped at 7), and
+    popn, its syndrome is drawn by the uniform from the running sums of
+    their syndrome weights (_drawn_syndromes, as _level_rows draws), and
     its flip probability is that syndrome's _sector_recovered.  Every
     step is elementwise, so a row's bits do not depend on the range."""
     idx, u = _level_draws(popn.shape[0], seed, level)
@@ -462,7 +462,7 @@ def _sector_rows(popn: np.ndarray, seed: int, level: int, start: int, stop: int)
     cum = weights.copy()
     for k in range(1, 8):
         cum[k] += cum[k - 1]
-    syndromes = np.minimum(np.add.reduce(cum < u[start:stop], axis=0, dtype=np.intp), 7)
+    syndromes = _drawn_syndromes(cum.T, u[start:stop])
     cols = np.arange(stop - start)
     return _sector_recovered(weights[syndromes, cols], splits[syndromes, cols])
 
@@ -502,9 +502,7 @@ def _mc_first_level(dist0: np.ndarray, config: McConfig) -> np.ndarray:
     buffers = _syndrome_buffers(64)
     qh, cum = _cumulative_syndrome_weights(np.tile(dist0, (1, 7, 1)), buffers)
     syndromes = _drawn_syndromes(cum, u)
-    rows = _drawn_class_rows(qh, np.arange(64), buffers)
-    _, cond = recover_713(rows[None])
-    return cond[0, syndromes]
+    return recover_713(_drawn_class_rows(qh, np.arange(64), buffers))[syndromes]
 
 
 def _mc_flow(dist0: np.ndarray, config: McConfig):
@@ -753,21 +751,24 @@ def crash_difference_threshold(
 # fixed-fidelity points (where one level of encoding stops helping)
 
 
+#: step budget of the forward class recursion (174 suffice on pf = k / 1000, k <= 500)
+_FORWARD_CLASS_STEPS = 100_000
+
+
 def _forward_class_state(pf: float):
     """Fixed point of the class-level recursion for forward noise:
     good and bad ancilla class distributions and the gate class
-    distribution."""
+    distribution.  Raises NoConvergenceError after _FORWARD_CLASS_STEPS steps."""
     gate = distance_classes_from_x(1.0 - 2.0 * pf)
     good = [1.0, 0.0, 0.0, 0.0]
-    for _ in range(100_000):
+    for _ in range(_FORWARD_CLASS_STEPS):
         bad = combine_classes(combine_classes(good, good), gate)
         _, good2 = postselect_classes(bad, combine_classes(bad, gate))
         delta = max(abs(a - b) for a, b in zip(good, good2))
         good = good2
         if delta < 1e-15:
-            break
-    bad = combine_classes(combine_classes(good, good), gate)
-    return good, bad, gate
+            return good, combine_classes(combine_classes(good, good), gate), gate
+    raise NoConvergenceError("class recursion: no fixed point within %d steps" % _FORWARD_CLASS_STEPS)
 
 
 def _forward_class_level1(pf: float) -> float:

@@ -637,31 +637,28 @@ def test_recover_matches_reference(syndromes, knill_population):
         block[3, 0] = (0.1, np.nan, 0.2, 0.3)
         block[4, 0] = (-0.0, -0.0, -0.0, -0.0)
         block[5, 0] = (0.3, 0.3, -0.1, 0.1)  # a weight under zero
-        (weights, cond), (want_weights, want_cond) = recover_713(block), _reference_recover(block)
-        assert weights.shape == want_weights.shape and cond.shape == want_cond.shape
-        # bit for bit, but the sign of a zero weight: sum(axis=2) gives
-        # 0.0 for four -0.0 entries, in-order adds -0.0
-        np.testing.assert_array_equal(_as_bits(weights + 0.0), _as_bits(want_weights + 0.0))
-        np.testing.assert_array_equal(_as_bits(cond), _as_bits(want_cond))
+        cond, want_cond = recover_713(block.reshape(-1, 4)), _reference_recover(block)[1]
+        assert cond.shape == (block.shape[0] * syndromes, 4)
+        np.testing.assert_array_equal(_as_bits(cond), _as_bits(want_cond.reshape(-1, 4)))
 
 
 def test_recover_relabels_to_identity():
     rng = np.random.default_rng(3)
     raw = rng.random((2, 7, 4))
     joint = decompose_713(raw / raw.sum(axis=2, keepdims=True))
-    weights, cond = recover_713(joint)
-    np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
-    np.testing.assert_allclose(cond.sum(axis=2), 1.0, atol=1e-12)
+    np.testing.assert_allclose(joint.sum(axis=(1, 2)), 1.0, atol=1e-12)
+    cond = recover_713(joint.reshape(-1, 4))
+    np.testing.assert_allclose(cond.sum(axis=1), 1.0, atol=1e-12)
     # after relabelling the recovered class leads every conditional
-    assert (cond[..., 0:1] >= cond - 1e-15).all()
+    assert (cond[:, 0:1] >= cond - 1e-15).all()
 
 
 def test_recover_zero_weight_syndromes():
-    joint = np.zeros((1, 64, 4))
-    joint[0, 0, 0] = 1.0
-    weights, cond = recover_713(joint)
-    assert weights[0, 0] == 1.0
-    np.testing.assert_array_equal(cond[0, 1], [1.0, 0.0, 0.0, 0.0])
+    rows = np.zeros((64, 4))
+    rows[0, 2] = 0.5
+    cond = recover_713(rows)
+    np.testing.assert_array_equal(cond[0], [1.0, 0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(cond[1:], np.tile([1.0, 0.0, 0.0, 0.0], (63, 1)))
 
 
 def test_first_level_fidelity():
@@ -712,10 +709,10 @@ EDGE_DISTS = ([1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.25] * 4, [0.5, 0.5,
 
 def _reference_first_level_fidelity(dist):
     """first_level_fidelity through the full decomposition: decompose_713
-    of the seven tiled rows and recover_713."""
+    of the seven tiled rows and _reference_recover."""
     dist = _check_distribution("dist", dist)
     joint = decompose_713(np.tile(dist, (7, 1)))
-    weights, cond = recover_713(joint)
+    weights, cond = _reference_recover(joint)
     return float((weights[0] * cond[0, :, 0]).sum())
 
 
@@ -1047,11 +1044,14 @@ def test_golay_syndrome_weights_normalized():
 
 
 def test_golay_logical_diagonal_matches_polynomial():
-    f23 = crash_poly_2317()
-    for p in (0.01, 0.05, 0.109681, 0.2):
-        assert golay_logical_diagonal(p) == pytest.approx(
-            float(f23(1 - 2 * p)), abs=1e-12
-        )
+    # the diagonal is crash_poly_2317 at 1 - 2p; its reference is the sum
+    # over the Golay cosets, sum_j n_j (W_j - V_j)
+    n_j = np.array(GOLAY_COSET_COUNTS, dtype=float)
+    for p in (0.0, 0.01, 0.05, 0.109681, 0.2, 0.5, 1.0):
+        kept, flipped = golay_syndrome_weights(p)
+        assert golay_logical_diagonal(p) == pytest.approx(float(n_j @ (kept - flipped)), abs=1e-12)
+    assert golay_logical_diagonal(0.05) == float(crash_poly_2317()(0.9))
+    assert type(golay_logical_diagonal(0)) is float
 
 
 def test_golay_sector_entropy_calibration():

@@ -62,7 +62,7 @@ from psthresh.threshold import (
     _mc_level,
 )
 
-from test_codes import _reference_decompose, _reference_drawn_rows
+from test_codes import _reference_decompose, _reference_drawn_rows, _reference_recover
 
 
 def test_shannon_entropy():
@@ -147,6 +147,28 @@ def _at_most(probes, pred):
         return pred(p)
 
     return bounded
+
+
+@pytest.mark.parametrize("sized_ends", [False, True], ids=["no end gaps", "end gaps"])
+def test_bisect_probes_midpoints_after_an_unsized_gap(sized_ends):
+    # finite below the crossing and +inf above it, as a Monte Carlo gap
+    # whose flows there are inconclusive: once a probe above has read
+    # +inf, no estimate has a size on that side, so every later probe is
+    # a midpoint of plain bisection, in its order
+    for root in (0.3, 0.4137, 0.6 + 1e-9):
+        def gap(p):
+            return p - root if p < root else math.inf
+
+        for tol in (1e-3, 1e-6, 1e-9):
+            probes, midpoints = [], []
+            # a bracket check far above may have settled, with a size
+            end_gaps = (gap(0.0), 1.0) if sized_ends else None
+            got = bisect(lambda p: probes.append(p) or gap(p), 0.0, 1.0, tol, end_gaps)
+            assert got == _reference_bisect(lambda p: midpoints.append(p) or p < root, 0.0, 1.0, tol)
+            first_above = next(i for i, p in enumerate(probes) if p >= root)
+            later = probes[first_above + 1:]
+            assert later == [p for p in midpoints if p in later], (root, tol)
+            assert len(probes) <= len(midpoints) + 2, (root, tol)
 
 
 def test_bisect_returns_below_float_spacing():
@@ -539,8 +561,7 @@ def _reference_level(popn, config, level):
     recovery of the drawn rows."""
     idx, u = _level_draws(popn.shape[0], config.seed, level)
     _, rows = _reference_drawn_rows(popn[idx], u)
-    _, cond = recover_713(rows[:, None, :])
-    return cond[:, 0]
+    return recover_713(rows)
 
 
 def _full_recovery_level(popn, config, level):
@@ -549,7 +570,7 @@ def _full_recovery_level(popn, config, level):
     weights."""
     pop = popn.shape[0]
     idx, u = _level_draws(pop, config.seed, level)
-    weights, cond = recover_713(_reference_decompose(popn[idx]))
+    weights, cond = _reference_recover(_reference_decompose(popn[idx]))
     pick = np.minimum((np.cumsum(weights, axis=1) < u[:, None]).sum(axis=1), 63)
     return cond[np.arange(pop), pick]
 
@@ -790,9 +811,10 @@ def test_mc_threshold_small_population():
 def test_mc_solve_replays_plain_bisection(monkeypatch):
     # the 2 bracket checks, then the guided probes, in-process at this
     # population, where plain bisection probes 8 midpoints: at 6 levels
-    # the flows near the threshold are inconclusive, gaps of +inf, and at
-    # 32 every probe settles
-    for levels, guided in ((6, 11), (32, 6)):
+    # the first guided probe is inconclusive, a gap of +inf, so every
+    # later probe is a plain midpoint (11 probes when a secant through
+    # two probes below still guided them), and at 32 every probe settles
+    for levels, guided in ((6, 9), (32, 6)):
         config = McConfig(population=400, levels=levels)
         got, calls = _solve_probes(monkeypatch, 0.09, 0.13, config, 2e-4)
         probes = []
@@ -885,7 +907,7 @@ def test_mc_bracket_needs_lo_below_hi(monkeypatch, lo, hi, tol, message):
 
     monkeypatch.setattr(threshold, "_worker_count", lambda pop: 2)
     monkeypatch.setattr(_workers, "start", fail)
-    monkeypatch.setattr(threshold, "mc_verdict_at", fail)
+    monkeypatch.setattr(threshold, "_mc_probe", fail)
     with pytest.raises(ValueError, match=message):
         concat_threshold_mc(fail, lo, hi, QUICK, tol)
     with pytest.raises(ValueError, match=message):
@@ -1006,6 +1028,17 @@ def test_fixed_fidelity_713_forward():
     pf, fid = fixed_fidelity_point("713", "forward")
     assert pf == pytest.approx(0.0295961, abs=1e-5)
     assert fid == pytest.approx(0.877025, abs=1e-4)
+
+
+def test_forward_class_state_raises_out_of_steps(monkeypatch):
+    # it returned its last iterate when the step budget ran out; at
+    # pf = 0.03 the recursion takes more than 5 steps
+    monkeypatch.setattr(threshold, "_FORWARD_CLASS_STEPS", 5)
+    with pytest.raises(NoConvergenceError, match="no fixed point within 5 steps"):
+        threshold._forward_class_state(0.03)
+    with pytest.raises(NoConvergenceError):
+        fixed_fidelity_point("713", "forward")
+    assert threshold._forward_class_state(0.0)[0] == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_fixed_fidelity_2317_forward():

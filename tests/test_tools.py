@@ -38,7 +38,7 @@ RECORD = {
     "teleport": (900, "1e4b83ec5a1eadd97e5a8f445952ad4ed25550a873cbffca0c1a70a451e7eded"),
     "pauli": (202, "da5e979f25bfe731da8eaa9b6c674521671756abe362a24f68ff6b5f0f60f699"),
     "fidelity": (3005, "12e295b07b855679ddeb694fab33489ff1c85042d0a22f226682c76400d7ccd2"),
-    "golay": (2001, "3296a6ec043131831680d6976d762a1aac912f21d08e0bd672f0ef1e60fe0381"),
+    "golay": (2001, "0e46ecdaa52747654f9473d1b788cbf56f3a447c28418afe9aa0cdc8ec2ee4d8"),
     "fixed-fidelity": (4, "849a2b934a6d96fd36d86cbb4b1acee0faf18e648f2a779d923dd430b225feb2"),
     "crash": (2, "f13fb304ee15310422fd2edf27a5f5fff071da90a36857ce5c5bc115a6ffa885"),
     "crash-poly": (255, "6b374589a4762a6faf31be7dc47d2aa91e5edceb163fb6c8dbb5da11517f2a68"),

@@ -260,10 +260,8 @@ def cli_lines():
 def mc_lines(seeds):
     from psthresh import cli, threshold
 
-    # every probe of a solve goes through _mc_probe; a tree that predates
-    # it probes through mc_verdict_at, whose pair starts the same tuple
-    probe_name = "_mc_probe" if hasattr(threshold, "_mc_probe") else "mc_verdict_at"
-    solve, probe = cli.concat_threshold_mc, getattr(threshold, probe_name)
+    # every probe of a solve goes through _mc_probe
+    solve, probe = cli.concat_threshold_mc, threshold._mc_probe
     for seed in seeds:
         config = threshold.McConfig(seed=seed)
         for row in cli.TARGETS:
@@ -284,12 +282,12 @@ def mc_lines(seeds):
 
             # the row's solve looks both names up at call time
             cli.concat_threshold_mc = solved
-            setattr(threshold, probe_name, recorded)
+            threshold._mc_probe = recorded
             try:
                 row.compute()
             finally:
                 cli.concat_threshold_mc = solve
-                setattr(threshold, probe_name, probe)
+                threshold._mc_probe = probe
             yield from probes
             yield "mc %s seed=%d estimate=%s probes=%d levels=%d" % (
                 family, seed, estimates[0].hex(), len(levels), sum(levels))
